@@ -46,7 +46,6 @@ from .io_formats import (
 from .models import reconstruct, train
 from .numeric import NumericError, Prng, ShapeError
 from .oracle import (
-    QuadratureSpec,
     UnderflowError,
     analytic_score,
     high_density_grid,
@@ -226,8 +225,7 @@ def _cmd_score_check(cfg: RunConfig) -> int:
 def _cmd_oracle_check(cfg: RunConfig) -> int:
     gm = mixture_from_config(cfg)
     grid = high_density_grid(gm, cfg.grid_points)
-    quad = QuadratureSpec(nodes_per_dim=cfg.quad_nodes)
-    study = limit_convergence_study(gm, cfg.check_sigmas, grid, quad)
+    study = limit_convergence_study(gm, cfg.check_sigmas, grid)
     rows = [{"sigma": s, "max_rel_error": e} for s, e in study.rows()]
     write_csv(rows, _out_path(cfg, "convergence.csv"))
     print(

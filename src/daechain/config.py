@@ -57,7 +57,6 @@ class RunConfig:
     n_chains: int = 256
     check_sigmas: tuple = (0.2, 0.1, 0.05, 0.02, 0.01)
     grid_points: int = 10
-    quad_nodes: int = 64
     out_dir: str = "out"
     checkpoint: str = "model.ckpt"
     image_shape: tuple | None = None
@@ -131,7 +130,6 @@ _PARSERS = {
     "n_chains": _parse_int,
     "check_sigmas": _parse_floats,
     "grid_points": _parse_int,
-    "quad_nodes": _parse_int,
     "out_dir": _parse_str,
     "checkpoint": _parse_str,
     "image_shape": _parse_shape,

@@ -86,7 +86,7 @@ def mixture_posterior_mean(gm, sigma: float, xs) -> np.ndarray:
     Conjugacy makes the posterior mean exact: responsibilities under the
     sigma-smoothed mixture (variances v + sigma^2) weight the per-component
     shrunken means (v x + sigma^2 mu) / (v + sigma^2). Vectorized over rows
-    of xs; an independent reference for quadrature and chain tests.
+    of xs; an independent reference for oracle and chain tests.
     """
     xs = np.atleast_2d(np.asarray(xs, dtype=np.float64))
     var = gm.variances + sigma * sigma  # (k, d)

@@ -3,7 +3,8 @@
 Training a 30-epoch model on 10^4 samples takes a couple of seconds, and
 several modules want the same models, so they are session-scoped. Wall
 times are collected in TRAIN_SECONDS so runtime-budgeted checks can count
-training toward their own elapsed time.
+training toward their own elapsed time. The acceptance suite's scoreboard
+lines are collected in SCOREBOARD and printed in the terminal summary.
 """
 
 import time
@@ -27,6 +28,16 @@ N_TRAIN = 10_000
 EPOCHS = 30
 
 TRAIN_SECONDS: dict[str, float] = {}
+# Acceptance scoreboard lines, one per criterion run; the terminal summary
+# prints them, so they show under every capture mode.
+SCOREBOARD: list[str] = []
+
+
+def pytest_terminal_summary(terminalreporter):
+    if SCOREBOARD:
+        terminalreporter.section("acceptance scoreboard")
+        for line in SCOREBOARD:
+            terminalreporter.write_line(line)
 
 
 def reference_mixture() -> GaussianMixture:

@@ -1,13 +1,19 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from daechain.numeric import ShapeError
 from daechain.oracle import (
     GaussianMixture,
     QuadratureSpec,
     UnderflowError,
+    _component_log_pdfs,
+    _logsumexp,
     analytic_score,
     confined_to_unit_box,
     high_density_grid,
@@ -18,7 +24,7 @@ from daechain.oracle import (
     responsibilities,
     score_from_reconstruction,
 )
-from _oracles import bce_grid_minimizer
+from _oracles import bce_grid_minimizer, mixture_posterior_mean
 
 
 def two_mode():
@@ -26,6 +32,14 @@ def two_mode():
         weights=np.array([0.5, 0.5]),
         means=np.array([0.35, 0.65]),
         variances=np.array([0.05**2, 0.05**2]),
+    )
+
+
+def two_component_2d():
+    return GaussianMixture(
+        weights=np.array([0.4, 0.6]),
+        means=np.array([[0.3, 0.7], [0.65, 0.35]]),
+        variances=np.array([[0.0025, 0.004], [0.003, 0.0025]]),
     )
 
 
@@ -117,6 +131,65 @@ def test_responsibilities_rows_sum_to_one_and_concentrate():
     assert resp[0, 0] > 0.99
     assert abs(resp[1, 0] - 0.5) < 1e-12
     assert resp[2, 1] > 0.99
+
+
+@pytest.fixture(scope="module")
+def scipy_special():
+    return pytest.importorskip("scipy.special")
+
+
+@st.composite
+def log_value_rows(draw):
+    """(n, k) log-values: rows offset by -700, 0 or +700, some entries -inf."""
+    n = draw(st.integers(1, 4))
+    k = draw(st.integers(1, 6))
+    values = draw(arrays(np.float64, (n, k), elements=st.floats(-30.0, 30.0)))
+    offsets = draw(arrays(np.float64, (n, 1), elements=st.sampled_from([-700.0, 0.0, 700.0])))
+    dropped = draw(arrays(np.bool_, (n, k)))
+    out = values + offsets
+    out[dropped] = -np.inf
+    return out
+
+
+@settings(max_examples=300, deadline=None)
+@given(a=log_value_rows())
+@example(a=np.array([[-np.inf, -np.inf, -np.inf], [0.0, -np.inf, -np.inf]]))
+def test_logsumexp_matches_scipy(scipy_special, a):
+    # relative 1e-12; the absolute floor covers rows whose sum cancels to ~0
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = _logsumexp(a)
+    want = scipy_special.logsumexp(a, axis=1)
+    np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-12)
+    assert np.all(got[np.all(a == -np.inf, axis=1)] == -np.inf)
+    if a.shape[1] == 1:
+        assert np.array_equal(got, a[:, 0])
+
+
+@st.composite
+def mixtures_and_points(draw):
+    k = draw(st.integers(1, 4))
+    d = draw(st.integers(1, 2))
+    raw = draw(arrays(np.float64, k, elements=st.floats(0.05, 1.0)))
+    means = draw(arrays(np.float64, (k, d), elements=st.floats(-1.0, 2.0)))
+    variances = draw(arrays(np.float64, (k, d), elements=st.floats(1e-3, 1.0)))
+    points = draw(arrays(np.float64, (draw(st.integers(1, 5)), d), elements=st.floats(-3.0, 4.0)))
+    return GaussianMixture(raw / raw.sum(), means, variances), points
+
+
+@settings(max_examples=300, deadline=None)
+@given(case=mixtures_and_points())
+def test_responsibilities_match_scipy_softmax(scipy_special, case):
+    gm, xs = case
+    got = responsibilities(gm, xs)
+    want = scipy_special.softmax(_component_log_pdfs(gm, xs), axis=1)
+    np.testing.assert_allclose(got, want, rtol=1e-12, atol=0.0)
+    np.testing.assert_allclose(got.sum(axis=1), 1.0, rtol=0.0, atol=1e-12)
+    np.testing.assert_allclose(
+        mixture_log_pdf_batch(gm, xs),
+        scipy_special.logsumexp(_component_log_pdfs(gm, xs), axis=1),
+        rtol=1e-12, atol=1e-12,
+    )
 
 
 def test_score_single_gaussian_closed_form():
@@ -253,7 +326,7 @@ def test_reconstruction_2d_tensor_quadrature():
         np.array([[0.4, 0.6]]),
         np.array([[0.01, 0.0225]]),
     )
-    got = optimal_reconstruction(gm, 0.1, np.array([0.5, 0.5]))
+    got = optimal_reconstruction(gm, 0.1, np.array([0.5, 0.5]), QuadratureSpec())
     want0 = (0.01 * 0.5 + 0.01 * 0.4) / 0.02
     want1 = (0.0225 * 0.5 + 0.01 * 0.6) / 0.0325
     assert abs(got[0] - want0) < 1e-9
@@ -264,6 +337,36 @@ def test_reconstruction_underflows_far_from_mass():
     gm = two_mode()
     with pytest.raises(UnderflowError):
         optimal_reconstruction(gm, 0.1, np.array([50.0]))
+
+
+def test_reconstruction_is_exact_at_every_sigma_per_point_and_batched():
+    # The closed form must agree with the independent conjugate reference at
+    # every sigma the system trains (0.5) or checks at, including sigmas
+    # where a quadrature over the noise misses the narrow modes.
+    axis = np.linspace(-0.5, 1.5, 201)
+    grid_2d = np.stack(np.meshgrid(axis[::10], axis[::10], indexing="ij"), -1).reshape(-1, 2)
+    for gm, xs in ((two_mode(), axis[:, None]), (two_component_2d(), grid_2d)):
+        for sigma in (2.0, 1.0, 0.5, 0.3, 0.2, 0.1, 0.05, 0.02, 0.01):
+            want = mixture_posterior_mean(gm, sigma, xs)
+            points = np.array([optimal_reconstruction(gm, sigma, x) for x in xs])
+            assert np.max(np.abs(points - want)) <= 1e-9, (gm.dim, sigma)
+            batch = optimal_reconstruction(gm, sigma, xs)
+            assert batch.shape == xs.shape
+            assert np.array_equal(batch, points)
+    with pytest.raises(UnderflowError):
+        optimal_reconstruction(two_mode(), 0.1, np.array([[0.5], [50.0], [0.6]]))
+
+
+def test_quadrature_estimator_runs_only_when_asked_for_single_points():
+    gm = two_mode()
+    x = np.array([[0.4]])
+    quad = optimal_reconstruction(gm, 0.05, x, QuadratureSpec())
+    assert quad.shape == (1, 1)
+    assert abs(quad[0, 0] - optimal_reconstruction(gm, 0.05, x)[0, 0]) < 1e-9
+    with pytest.raises(ShapeError):
+        optimal_reconstruction(gm, 0.05, np.array([[0.4], [0.6]]), QuadratureSpec())
+    with pytest.raises(ShapeError):
+        optimal_reconstruction(gm, 0.05, np.array([0.4, 0.6]))
 
 
 # ---------------------------------------------------------------------------
@@ -345,7 +448,7 @@ def test_quadrature_matches_brute_force_bce_minimizer():
     points = [0.28, 0.315, 0.35, 0.385, 0.42, 0.58, 0.615, 0.65, 0.685, 0.72]
     worst = 0.0
     for x in points:
-        direct = optimal_reconstruction(gm, sigma, np.array([x]))[0]
+        direct = optimal_reconstruction(gm, sigma, np.array([x]), QuadratureSpec())[0]
         scanned = bce_grid_minimizer(gm, sigma, x, n_draws=2_000_000, seed=0)
         worst = max(worst, abs(direct - scanned))
     assert worst <= 2e-4
