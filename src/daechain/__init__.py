@@ -51,11 +51,8 @@ from .losses import (
 from .models import (
     LOSS_KINDS,
     MODEL_KINDS,
+    Autoencoder,
     CorruptionSpec,
-    DaaeModel,
-    DaeModel,
-    DvaeModel,
-    Model,
     OptStates,
     TrainConfig,
     build_model,
@@ -89,7 +86,6 @@ from .numeric import (
     derivative_of_relu,
     derivative_of_sigmoid,
     leaky_relu,
-    matmul,
     relu,
     sample_gaussian,
     sample_uniform,
@@ -104,7 +100,6 @@ from .oracle import (
     confined_to_unit_box,
     high_density_grid,
     limit_convergence_study,
-    mixture_log_pdf,
     mixture_log_pdf_batch,
     optimal_reconstruction,
     responsibilities,

@@ -24,7 +24,6 @@ import sys
 import numpy as np
 
 from .config import (
-    ConfigError,
     RunConfig,
     apply_overrides,
     chain_config_from_config,
@@ -35,8 +34,6 @@ from .config import (
 )
 from .datasets import build_dataset
 from .io_formats import (
-    CheckpointError,
-    IdxFormatError,
     load_checkpoint,
     read_idx_header,
     save_checkpoint,
@@ -44,9 +41,8 @@ from .io_formats import (
     write_pgm_grid,
 )
 from .models import reconstruct, train
-from .numeric import NumericError, Prng, ShapeError
+from .numeric import NumericError, Prng
 from .oracle import (
-    UnderflowError,
     analytic_score,
     high_density_grid,
     limit_convergence_study,
@@ -244,17 +240,9 @@ _COMMANDS = {
     "oracle-check": _cmd_oracle_check,
 }
 
-_RUNTIME_ERRORS = (
-    ConfigError,
-    CheckpointError,
-    IdxFormatError,
-    NumericError,
-    ShapeError,
-    UnderflowError,
-    ValueError,
-    ArithmeticError,
-    OSError,
-)
+# ConfigError, CheckpointError, IdxFormatError and ShapeError are
+# ValueErrors; UnderflowError is an ArithmeticError
+_RUNTIME_ERRORS = (ValueError, ArithmeticError, NumericError, OSError)
 
 
 def main(argv=None) -> int:

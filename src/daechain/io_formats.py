@@ -7,10 +7,14 @@ The checkpoint layout is fixed and explicit so round trips are bitwise:
 
 A spec block is: layer count+1 sizes (u8 count, u32 LE each), a hidden
 activation tag, an output activation tag (u8 each), and the leaky slope
-(f64). Parameters follow as little-endian float64, per network in
-declaration order (encoder, decoder, then discriminator if present), per
-layer weights row-major then biases. Loading rebuilds the specs first,
-so every shape and cross-network invariant is re-validated on the way in.
+(f64). Parameters follow as little-endian float64, one array per network
+in declaration order (encoder, decoder, then discriminator if present):
+each network's Mlp.flat vector, which holds per layer the weights
+row-major then the biases. That is byte for byte the per-layer order
+version 1 has always used. Loading rebuilds the specs first, so every
+shape and cross-network invariant is re-validated on the way in; a
+decoded value the model types reject raises CheckpointFormatError
+naming its byte offset.
 
 Images are exported as binary PGM (P5, maxval 255), tiled row-major with
 one-pixel black separators; values are clamped to [0, 1] and quantized at
@@ -22,10 +26,11 @@ from __future__ import annotations
 
 import math
 import struct
+from contextlib import contextmanager
 
 import numpy as np
 
-from .models import CorruptionSpec, DaaeModel, DaeModel, DvaeModel, Model
+from .models import Autoencoder, CorruptionSpec
 from .nn import Mlp, MlpSpec
 
 CHECKPOINT_MAGIC = b"DAEB"
@@ -64,13 +69,6 @@ class IdxFormatError(ValueError):
 # checkpoints
 # ---------------------------------------------------------------------------
 
-def _mlps_of(model: Model) -> list[Mlp]:
-    mlps = [model.encoder, model.decoder]
-    if isinstance(model, DaaeModel):
-        mlps.append(model.discriminator)
-    return mlps
-
-
 def _pack_spec(spec: MlpSpec) -> bytes:
     parts = [struct.pack("<B", len(spec.layer_sizes))]
     parts.append(struct.pack(f"<{len(spec.layer_sizes)}I", *spec.layer_sizes))
@@ -85,24 +83,20 @@ def _pack_spec(spec: MlpSpec) -> bytes:
     return b"".join(parts)
 
 
-def save_checkpoint(model: Model, path) -> None:
+def save_checkpoint(model: Autoencoder, path) -> None:
     """Serialize a model; the written file loads back bitwise-identical."""
-    mlps = _mlps_of(model)
-    dropout = model.dropout_rate if isinstance(model, DaaeModel) else 0.0
+    mlps = model.networks
     blob = [
         CHECKPOINT_MAGIC,
         struct.pack("<I", CHECKPOINT_VERSION),
         struct.pack("<B", _KIND_TAGS[model.kind]),
         struct.pack("<d", model.corruption.sigma),
         struct.pack("<I", model.latent_dim),
-        struct.pack("<d", dropout),
+        struct.pack("<d", model.dropout_rate),
         struct.pack("<B", len(mlps)),
     ]
     blob.extend(_pack_spec(mlp.spec) for mlp in mlps)
-    for mlp in mlps:
-        for w, b in zip(mlp.weights, mlp.biases):
-            blob.append(np.ascontiguousarray(w, dtype="<f8").tobytes())
-            blob.append(np.ascontiguousarray(b, dtype="<f8").tobytes())
+    blob.extend(np.ascontiguousarray(mlp.flat, dtype="<f8").tobytes() for mlp in mlps)
     with open(path, "wb") as fh:
         fh.write(b"".join(blob))
 
@@ -127,7 +121,17 @@ class _Reader:
         return struct.unpack(fmt, self.take(struct.calcsize(fmt)))
 
 
+@contextmanager
+def _decoded(offset: int, what: str):
+    """Report a decoded value the model types reject as a format error."""
+    try:
+        yield
+    except ValueError as exc:
+        raise CheckpointFormatError(f"{what} at byte {offset}: {exc}") from exc
+
+
 def _read_spec(reader: _Reader) -> MlpSpec:
+    start = reader.offset
     (n_sizes,) = reader.unpack("<B")
     if n_sizes < 2:
         raise CheckpointFormatError(f"network with {n_sizes} layer sizes at byte {reader.offset}")
@@ -137,22 +141,16 @@ def _read_spec(reader: _Reader) -> MlpSpec:
         raise CheckpointFormatError(
             f"unknown activation tag at byte {reader.offset}"
         )
-    return MlpSpec(sizes, _TAG_HIDDEN[hidden_tag], _TAG_OUTPUT[output_tag], slope)
+    with _decoded(start, "network spec"):
+        return MlpSpec(sizes, _TAG_HIDDEN[hidden_tag], _TAG_OUTPUT[output_tag], slope)
 
 
 def _read_mlp(reader: _Reader, spec: MlpSpec) -> Mlp:
-    weights, biases = [], []
-    sizes = spec.layer_sizes
-    for i in range(spec.n_layers):
-        fan_in, fan_out = sizes[i], sizes[i + 1]
-        w = np.frombuffer(reader.take(8 * fan_in * fan_out), dtype="<f8")
-        weights.append(w.reshape(fan_out, fan_in).astype(np.float64))
-        b = np.frombuffer(reader.take(8 * fan_out), dtype="<f8")
-        biases.append(b.astype(np.float64))
-    return Mlp(spec, weights, biases)
+    flat = np.frombuffer(reader.take(8 * spec.n_params), dtype="<f8")
+    return Mlp.from_flat(spec, flat.astype(np.float64))
 
 
-def load_checkpoint(path) -> Model:
+def load_checkpoint(path) -> Autoencoder:
     """Read a checkpoint back into a model, validating as it goes."""
     with open(path, "rb") as fh:
         data = fh.read()
@@ -164,11 +162,15 @@ def load_checkpoint(path) -> Model:
         raise CheckpointVersionError(
             f"checkpoint version {version} is not supported (expected {CHECKPOINT_VERSION})"
         )
+    kind_at = reader.offset
     (kind_tag,) = reader.unpack("<B")
     if kind_tag not in _TAG_KINDS:
-        raise CheckpointFormatError(f"unknown model kind tag {kind_tag}")
+        raise CheckpointFormatError(f"unknown model kind tag {kind_tag} at byte {kind_at}")
     kind = _TAG_KINDS[kind_tag]
+    sigma_at = reader.offset
     (sigma,) = reader.unpack("<d")
+    with _decoded(sigma_at, "corruption sigma"):
+        corruption = CorruptionSpec(sigma)
     (latent,) = reader.unpack("<I")
     (dropout,) = reader.unpack("<d")
     (n_mlps,) = reader.unpack("<B")
@@ -183,13 +185,8 @@ def load_checkpoint(path) -> Model:
         raise CheckpointFormatError(
             f"trailing data after byte {reader.offset} in {path}"
         )
-    corruption = CorruptionSpec(sigma)
-    if kind == "dae":
-        model = DaeModel(mlps[0], mlps[1], corruption)
-    elif kind == "dvae":
-        model = DvaeModel(mlps[0], mlps[1], corruption)
-    else:
-        model = DaaeModel(mlps[0], mlps[1], mlps[2], corruption, dropout)
+    with _decoded(kind_at, f"{kind} model declared"):
+        model = Autoencoder(kind, mlps[0], mlps[1], corruption, *mlps[2:], dropout_rate=dropout)
     if model.latent_dim != latent:
         raise CheckpointFormatError(
             f"declared latent dim {latent} does not match networks ({model.latent_dim})"

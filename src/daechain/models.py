@@ -1,10 +1,11 @@
 """Denoising autoencoder variants and their training loops.
 
-Three models share one corrupt-encode-decode skeleton: a plain denoising
-autoencoder (DAE), a variational one (DVAE) whose encoder outputs the mean
-and log-variance of a Gaussian posterior, and an adversarial one (DAAE)
-that pushes encoded vectors toward a standard-normal prior with a small
-discriminator. Corruption adds Gaussian noise and deliberately does not
+One Autoencoder type covers three kinds that share one
+corrupt-encode-decode skeleton and differ only in the regularizer: a plain
+denoising autoencoder (DAE), a variational one (DVAE) whose encoder outputs
+the mean and log-variance of a Gaussian posterior, and an adversarial one
+(DAAE) that pushes encoded vectors toward a standard-normal prior with a
+small discriminator. Corruption adds Gaussian noise and deliberately does not
 clamp the result: the noisy input may leave [0, 1], and truncating it would
 change which reconstruction is optimal. The decoder's sigmoid head keeps
 outputs inside (0, 1), where the BCE loss needs them.
@@ -22,7 +23,7 @@ the trained parameters bitwise.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -30,7 +31,6 @@ from .losses import adversarial_losses, bce_loss, kl_to_standard_normal, mse_los
 from .nn import (
     AdamState,
     Mlp,
-    MlpGrads,
     MlpSpec,
     adam_step,
     init_adam,
@@ -38,7 +38,7 @@ from .nn import (
     mlp_backward,
     mlp_forward,
 )
-from .numeric import NumericError, Prng, ShapeError
+from .numeric import NumericError, Prng, ShapeError, as_rows
 
 MODEL_KINDS = ("dae", "dvae", "daae")
 LOSS_KINDS = ("bce", "mse")
@@ -51,8 +51,8 @@ class CorruptionSpec:
     sigma: float = 0.5
 
     def __post_init__(self):
-        if self.sigma < 0.0:
-            raise ValueError(f"corruption sigma must be >= 0, got {self.sigma}")
+        if not (math.isfinite(self.sigma) and self.sigma >= 0.0):
+            raise ValueError(f"corruption sigma must be finite and >= 0, got {self.sigma}")
 
 
 def corrupt(x, spec: CorruptionSpec, rng: Prng) -> np.ndarray:
@@ -62,69 +62,51 @@ def corrupt(x, spec: CorruptionSpec, rng: Prng) -> np.ndarray:
 
 
 @dataclass
-class DaeModel:
-    """Encoder/decoder pair trained on a denoising objective."""
+class Autoencoder:
+    """One corrupt-encode-decode denoiser; `kind` picks its regularizer.
 
+    dae: the encoder emits the latent. dvae: the encoder emits (mu, logvar),
+    2L outputs for latent dim L. daae: a discriminator, trained with dropout
+    `dropout_rate`, scores prior draws against encodings. Only the daae has
+    a discriminator, and only it may set a dropout rate.
+    """
+
+    kind: str
     encoder: Mlp
     decoder: Mlp
     corruption: CorruptionSpec
-    kind: str = field(default="dae", init=False)
+    discriminator: Mlp | None = None
+    dropout_rate: float = 0.0
 
     def __post_init__(self):
-        _check_autoencoder_dims(self.encoder, self.decoder, latent_factor=1)
-
-    @property
-    def data_dim(self) -> int:
-        return self.encoder.spec.in_dim
-
-    @property
-    def latent_dim(self) -> int:
-        return self.decoder.spec.in_dim
-
-
-@dataclass
-class DvaeModel:
-    """Variational variant: the encoder emits (mu, logvar), 2L outputs for latent dim L."""
-
-    encoder: Mlp
-    decoder: Mlp
-    corruption: CorruptionSpec
-    kind: str = field(default="dvae", init=False)
-
-    def __post_init__(self):
-        _check_autoencoder_dims(self.encoder, self.decoder, latent_factor=2)
-
-    @property
-    def data_dim(self) -> int:
-        return self.encoder.spec.in_dim
-
-    @property
-    def latent_dim(self) -> int:
-        return self.decoder.spec.in_dim
-
-
-@dataclass
-class DaaeModel:
-    """Adversarial variant: a discriminator scores prior draws against encodings."""
-
-    encoder: Mlp
-    decoder: Mlp
-    discriminator: Mlp
-    corruption: CorruptionSpec
-    dropout_rate: float = 0.2
-    kind: str = field(default="daae", init=False)
-
-    def __post_init__(self):
-        _check_autoencoder_dims(self.encoder, self.decoder, latent_factor=1)
-        if self.discriminator.spec.in_dim != self.encoder.spec.out_dim:
+        if self.kind not in MODEL_KINDS:
+            raise ValueError(f"model kind must be one of {MODEL_KINDS}, got {self.kind!r}")
+        factor = 2 if self.kind == "dvae" else 1
+        enc, dec = self.encoder.spec, self.decoder.spec
+        if enc.out_dim != factor * dec.in_dim:
             raise ShapeError(
-                f"discriminator input dim {self.discriminator.spec.in_dim} does not "
-                f"match latent dim {self.encoder.spec.out_dim}"
+                f"encoder output dim {enc.out_dim} does not match "
+                f"{factor} x decoder input dim {dec.in_dim}"
             )
-        if self.discriminator.spec.out_dim != 1:
-            raise ShapeError("discriminator must produce a single score")
+        if dec.out_dim != enc.in_dim:
+            raise ShapeError(
+                f"decoder output dim {dec.out_dim} does not match data dim {enc.in_dim}"
+            )
+        if (self.discriminator is not None) != (self.kind == "daae"):
+            raise ValueError("a daae needs a discriminator and the other kinds take none")
         if not 0.0 <= self.dropout_rate < 1.0:
             raise ValueError(f"dropout_rate must be in [0, 1), got {self.dropout_rate}")
+        if self.discriminator is None:
+            if self.dropout_rate != 0.0:
+                raise ValueError(f"a {self.kind} has no discriminator to apply dropout to")
+            return
+        disc = self.discriminator.spec
+        if disc.in_dim != enc.out_dim:
+            raise ShapeError(
+                f"discriminator input dim {disc.in_dim} does not match latent dim {enc.out_dim}"
+            )
+        if disc.out_dim != 1:
+            raise ShapeError("discriminator must produce a single score")
 
     @property
     def data_dim(self) -> int:
@@ -134,21 +116,11 @@ class DaaeModel:
     def latent_dim(self) -> int:
         return self.decoder.spec.in_dim
 
-
-Model = DaeModel | DvaeModel | DaaeModel
-
-
-def _check_autoencoder_dims(encoder: Mlp, decoder: Mlp, latent_factor: int) -> None:
-    if encoder.spec.out_dim != latent_factor * decoder.spec.in_dim:
-        raise ShapeError(
-            f"encoder output dim {encoder.spec.out_dim} does not match "
-            f"{latent_factor} x decoder input dim {decoder.spec.in_dim}"
-        )
-    if decoder.spec.out_dim != encoder.spec.in_dim:
-        raise ShapeError(
-            f"decoder output dim {decoder.spec.out_dim} does not match "
-            f"data dim {encoder.spec.in_dim}"
-        )
+    @property
+    def networks(self) -> list[Mlp]:
+        """The trainable networks in checkpoint order."""
+        nets = [self.encoder, self.decoder]
+        return nets if self.discriminator is None else [*nets, self.discriminator]
 
 
 @dataclass(frozen=True)
@@ -171,8 +143,10 @@ class TrainConfig:
             raise ValueError(f"epochs must be >= 1, got {self.epochs}")
         if self.batch_size < 1:
             raise ValueError(f"batch_size must be >= 1, got {self.batch_size}")
-        if self.regularizer_weight < 0.0:
-            raise ValueError("regularizer_weight must be >= 0")
+        if not (math.isfinite(self.regularizer_weight) and self.regularizer_weight >= 0.0):
+            raise ValueError(
+                f"regularizer_weight must be finite and >= 0, got {self.regularizer_weight}"
+            )
 
 
 @dataclass
@@ -184,12 +158,13 @@ class OptStates:
     discriminator: AdamState | None = None
 
 
-def init_opt_states(model: Model, cfg: TrainConfig) -> OptStates:
-    def make(mlp: Mlp) -> AdamState:
-        return init_adam(mlp, alpha=cfg.alpha, beta1=cfg.beta1, beta2=cfg.beta2)
-
-    disc = make(model.discriminator) if isinstance(model, DaaeModel) else None
-    return OptStates(make(model.encoder), make(model.decoder), disc)
+def init_opt_states(model: Autoencoder, cfg: TrainConfig) -> OptStates:
+    return OptStates(
+        *(
+            init_adam(mlp, alpha=cfg.alpha, beta1=cfg.beta1, beta2=cfg.beta2)
+            for mlp in model.networks
+        )
+    )
 
 
 def build_model(
@@ -201,14 +176,15 @@ def build_model(
     sigma: float = 0.5,
     dropout_rate: float = 0.2,
     disc_hidden=(64, 64),
-) -> Model:
+) -> Autoencoder:
     """Construct a freshly initialized model of the given kind.
 
     The encoder stacks `hidden` ReLU layers onto the data and ends in a
     linear head (of width latent_dim, or 2*latent_dim for the DVAE); the
     decoder mirrors the hidden stack back to the data dim under a sigmoid
     head. The DAAE discriminator maps the latent through leaky-ReLU layers
-    with dropout to a single sigmoid score.
+    with dropout to a single sigmoid score; the other kinds ignore
+    dropout_rate and disc_hidden.
     """
     if kind not in MODEL_KINDS:
         raise ValueError(f"model kind must be one of {MODEL_KINDS}, got {kind!r}")
@@ -223,48 +199,37 @@ def build_model(
         MlpSpec((latent_dim, *reversed(hidden), data_dim), "relu", "sigmoid"), rng
     )
     corruption = CorruptionSpec(sigma)
-    if kind == "dae":
-        return DaeModel(encoder, decoder, corruption)
-    if kind == "dvae":
-        return DvaeModel(encoder, decoder, corruption)
+    if kind != "daae":
+        return Autoencoder(kind, encoder, decoder, corruption)
     disc_hidden = tuple(int(h) for h in disc_hidden)
     discriminator = init_mlp(
         MlpSpec((latent_dim, *disc_hidden, 1), "leaky_relu", "sigmoid"), rng
     )
-    return DaaeModel(encoder, decoder, discriminator, corruption, dropout_rate)
+    return Autoencoder(kind, encoder, decoder, corruption, discriminator, dropout_rate)
 
 
 # ---------------------------------------------------------------------------
 # deterministic evaluation
 # ---------------------------------------------------------------------------
 
-def _as_batch(x, dim: int, what: str) -> tuple[np.ndarray, bool]:
-    xv = np.asarray(x, dtype=np.float64)
-    single = xv.ndim == 1
-    pts = xv[None, :] if single else xv
-    if pts.ndim != 2 or pts.shape[1] != dim:
-        raise ShapeError(f"{what} shape {xv.shape} does not match expected dim {dim}")
-    return pts, single
-
-
-def encode_to_latent(model: Model, x) -> np.ndarray:
+def encode_to_latent(model: Autoencoder, x) -> np.ndarray:
     """Deterministic latent for a batch; the DVAE returns its posterior mean."""
-    pts, single = _as_batch(x, model.data_dim, "input")
+    pts, single = as_rows(x, model.data_dim, "input")
     h, _ = mlp_forward(model.encoder, pts)
-    z = h[:, : model.latent_dim] if isinstance(model, DvaeModel) else h
+    z = h[:, : model.latent_dim] if model.kind == "dvae" else h
     return z[0] if single else z
 
 
-def decode_latent(model: Model, z) -> np.ndarray:
+def decode_latent(model: Autoencoder, z) -> np.ndarray:
     """Decode latent vectors to data space; sigmoid head keeps values in (0, 1)."""
-    zs, single = _as_batch(z, model.latent_dim, "latent")
+    zs, single = as_rows(z, model.latent_dim, "latent")
     r, _ = mlp_forward(model.decoder, zs)
     return r[0] if single else r
 
 
-def reconstruct(model: Model, x) -> np.ndarray:
+def reconstruct(model: Autoencoder, x) -> np.ndarray:
     """One deterministic reconstruction pass: decode(encode(x)), eval mode."""
-    pts, single = _as_batch(x, model.data_dim, "input")
+    pts, single = as_rows(x, model.data_dim, "input")
     r = decode_latent(model, encode_to_latent(model, pts))
     return r[0] if single else r
 
@@ -282,16 +247,11 @@ def _check_finite(value: float, what: str) -> None:
         raise NumericError(f"non-finite {what} (got {value!r}); training aborted")
 
 
-def dae_train_step(
-    model: DaeModel, batch, cfg: TrainConfig, rng: Prng, opt: OptStates
+def _denoise_step(
+    model: Autoencoder, x: np.ndarray, x_noisy: np.ndarray, cfg: TrainConfig,
+    opt: OptStates,
 ) -> float:
-    """Corrupt, reconstruct, backpropagate, and apply one Adam update.
-
-    Mutates the model parameters and optimizer state in place and returns
-    the pre-update loss value.
-    """
-    x = np.asarray(batch, dtype=np.float64)
-    x_noisy = corrupt(x, model.corruption, rng)
+    """Reconstruct x from x_noisy, backpropagate, and update encoder and decoder."""
     z, enc_cache = mlp_forward(model.encoder, x_noisy)
     r, dec_cache = mlp_forward(model.decoder, z)
     loss = _loss_fn(cfg)(x, r)
@@ -303,8 +263,20 @@ def dae_train_step(
     return loss.value
 
 
+def dae_train_step(
+    model: Autoencoder, batch, cfg: TrainConfig, rng: Prng, opt: OptStates
+) -> float:
+    """Corrupt, reconstruct, backpropagate, and apply one Adam update.
+
+    Mutates the model parameters and optimizer state in place and returns
+    the pre-update loss value.
+    """
+    x = np.asarray(batch, dtype=np.float64)
+    return _denoise_step(model, x, corrupt(x, model.corruption, rng), cfg, opt)
+
+
 def dvae_train_step(
-    model: DvaeModel, batch, cfg: TrainConfig, rng: Prng, opt: OptStates
+    model: Autoencoder, batch, cfg: TrainConfig, rng: Prng, opt: OptStates
 ) -> tuple[float, float]:
     """One reparameterized step: z = mu + exp(logvar/2) * eta, eta ~ N(0, I).
 
@@ -337,7 +309,7 @@ def dvae_train_step(
 
 
 def daae_train_step(
-    model: DaaeModel, batch, cfg: TrainConfig, rng: Prng, opt: OptStates
+    model: Autoencoder, batch, cfg: TrainConfig, rng: Prng, opt: OptStates
 ) -> tuple[float, float, float]:
     """Three updates in a fixed order: autoencoder, discriminator, encoder.
 
@@ -350,14 +322,7 @@ def daae_train_step(
     x_noisy = corrupt(x, model.corruption, rng)
 
     # phase 1: autoencoder on the denoising loss
-    z, enc_cache = mlp_forward(model.encoder, x_noisy)
-    r, dec_cache = mlp_forward(model.decoder, z)
-    recon = _loss_fn(cfg)(x, r)
-    _check_finite(recon.value, f"{cfg.loss_kind} loss")
-    dec_grads, grad_z = mlp_backward(model.decoder, dec_cache, recon.grad)
-    enc_grads, _ = mlp_backward(model.encoder, enc_cache, grad_z)
-    adam_step(model.encoder, enc_grads, opt.encoder)
-    adam_step(model.decoder, dec_grads, opt.decoder)
+    recon = _denoise_step(model, x, x_noisy, cfg, opt)
 
     # phase 2: discriminator on prior draws vs fresh encodings
     z_encoded, _ = mlp_forward(model.encoder, x_noisy)
@@ -372,14 +337,11 @@ def daae_train_step(
     )
     adv = adversarial_losses(scores_prior, scores_encoded)
     _check_finite(adv.disc_value, "discriminator loss")
-    grads_prior, _ = mlp_backward(model.discriminator, cache_prior, adv.grad_disc_prior)
+    disc_grads, _ = mlp_backward(model.discriminator, cache_prior, adv.grad_disc_prior)
     grads_encoded, _ = mlp_backward(
         model.discriminator, cache_encoded, adv.grad_disc_encoded
     )
-    disc_grads = MlpGrads(
-        [a + b for a, b in zip(grads_prior.weights, grads_encoded.weights)],
-        [a + b for a, b in zip(grads_prior.biases, grads_encoded.biases)],
-    )
+    disc_grads.flat += grads_encoded.flat
     adam_step(model.discriminator, disc_grads, opt.discriminator)
 
     # phase 3: encoder fools the updated discriminator (eval mode, no dropout);
@@ -392,7 +354,7 @@ def daae_train_step(
     enc_grads_fool, _ = mlp_backward(model.encoder, enc_cache_fool, grad_z_fool)
     adam_step(model.encoder, enc_grads_fool, opt.encoder)
 
-    return recon.value, adv.disc_value, fool.enc_value
+    return recon, adv.disc_value, fool.enc_value
 
 
 # ---------------------------------------------------------------------------
@@ -408,7 +370,7 @@ def train(
     sigma: float = 0.5,
     dropout_rate: float = 0.2,
     disc_hidden=(64, 64),
-) -> tuple[Model, list[dict]]:
+) -> tuple[Autoencoder, list[dict]]:
     """Train a fresh model on (n, d) data in [0, 1]; returns (model, loss trace).
 
     Epochs are shuffled with a seeded permutation and consumed in contiguous

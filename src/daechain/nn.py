@@ -1,14 +1,18 @@
 """Plain multilayer perceptrons with explicit backpropagation and Adam.
 
-Weights are stored per layer as (out, in) matrices; a forward pass computes
-z_i = h @ W_i.T + b_i. Hidden layers use relu or leaky_relu with optional
-inverted dropout in train mode; the output head is sigmoid or identity.
+Each network's parameters are one contiguous float64 vector, laid out layer
+by layer (weights row-major as an (out, in) matrix, then biases), with
+per-layer views into it; a forward pass computes z_i = h @ W_i.T + b_i.
+Gradients and Adam's moments share that layout, so an update is one
+vectorised operation over the whole network. Hidden layers use relu or
+leaky_relu with optional inverted dropout in train mode; the output head
+is sigmoid or identity.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -62,33 +66,85 @@ class MlpSpec:
     def n_layers(self) -> int:
         return len(self.layer_sizes) - 1
 
+    @property
+    def param_shapes(self) -> list[tuple[int, ...]]:
+        """Shapes in parameter order: weight 0, bias 0, weight 1, ..."""
+        sizes = self.layer_sizes
+        return [
+            shape
+            for fan_in, fan_out in zip(sizes, sizes[1:])
+            for shape in ((fan_out, fan_in), (fan_out,))
+        ]
 
-@dataclass
+    @property
+    def n_params(self) -> int:
+        return sum(math.prod(shape) for shape in self.param_shapes)
+
+
+def _bind(obj, flat: np.ndarray, shapes) -> None:
+    """Point obj.weights / obj.biases at per-layer views into flat."""
+    views, at = [], 0
+    for shape in shapes:
+        size = math.prod(shape)
+        views.append(flat[at : at + size].reshape(shape))
+        at += size
+    if at != flat.shape[0]:
+        raise ShapeError(f"parameter vector has {flat.shape[0]} values, layers need {at}")
+    obj.flat = flat
+    obj.weights, obj.biases = views[0::2], views[1::2]
+
+
+def _pack(weights, biases) -> np.ndarray:
+    parts = [np.ravel(a) for pair in zip(weights, biases) for a in pair]
+    return np.concatenate(parts).astype(np.float64, copy=False)
+
+
 class Mlp:
-    """Parameters bound to their spec. Weight i has shape (sizes[i+1], sizes[i])."""
+    """Parameters bound to their spec. Weight i has shape (sizes[i+1], sizes[i]).
 
-    spec: MlpSpec
-    weights: list[np.ndarray]
-    biases: list[np.ndarray]
+    All parameters live in one float64 vector, ``flat``: layer by layer,
+    each layer's weights row-major, then its biases. ``weights[i]`` and
+    ``biases[i]`` are views into it, so an in-place update of either side
+    shows on the other. The constructor copies the given arrays in;
+    ``from_flat`` wraps an existing vector.
+    """
 
-    def __post_init__(self):
-        sizes = self.spec.layer_sizes
-        if len(self.weights) != self.spec.n_layers or len(self.biases) != self.spec.n_layers:
+    def __init__(self, spec: MlpSpec, weights, biases):
+        sizes = spec.layer_sizes
+        if len(weights) != spec.n_layers or len(biases) != spec.n_layers:
             raise ShapeError("parameter count does not match spec layer count")
-        for i, (w, b) in enumerate(zip(self.weights, self.biases)):
+        for i, (w, b) in enumerate(zip(weights, biases)):
             expect = (sizes[i + 1], sizes[i])
-            if w.shape != expect:
-                raise ShapeError(f"layer {i} weight shape {w.shape}, spec wants {expect}")
-            if b.shape != (sizes[i + 1],):
-                raise ShapeError(f"layer {i} bias shape {b.shape}, spec wants ({sizes[i + 1]},)")
+            if np.shape(w) != expect:
+                raise ShapeError(f"layer {i} weight shape {np.shape(w)}, spec wants {expect}")
+            if np.shape(b) != (sizes[i + 1],):
+                raise ShapeError(
+                    f"layer {i} bias shape {np.shape(b)}, spec wants ({sizes[i + 1]},)"
+                )
+        self.spec = spec
+        _bind(self, _pack(weights, biases), spec.param_shapes)
+
+    @classmethod
+    def from_flat(cls, spec: MlpSpec, flat: np.ndarray) -> Mlp:
+        """Wrap a float64 parameter vector in spec's layout, without copying it."""
+        mlp = cls.__new__(cls)
+        mlp.spec = spec
+        _bind(mlp, flat, spec.param_shapes)
+        return mlp
 
 
-@dataclass
 class MlpGrads:
-    """Gradients shaped like the Mlp parameters."""
+    """Gradients in the Mlp's layout: one flat vector with per-layer views."""
 
-    weights: list[np.ndarray]
-    biases: list[np.ndarray]
+    def __init__(self, weights, biases):
+        shapes = [np.shape(a) for pair in zip(weights, biases) for a in pair]
+        _bind(self, _pack(weights, biases), shapes)
+
+    @classmethod
+    def from_flat(cls, flat: np.ndarray, shapes) -> MlpGrads:
+        grads = cls.__new__(cls)
+        _bind(grads, flat, shapes)
+        return grads
 
 
 @dataclass
@@ -103,14 +159,12 @@ class ForwardCache:
 
 def init_mlp(spec: MlpSpec, rng: Prng) -> Mlp:
     """Glorot-uniform weights, zero biases: W_ij ~ U(-a, a), a = sqrt(6/(fan_in+fan_out))."""
-    weights, biases = [], []
-    sizes = spec.layer_sizes
-    for i in range(spec.n_layers):
-        fan_in, fan_out = sizes[i], sizes[i + 1]
+    mlp = Mlp.from_flat(spec, np.zeros(spec.n_params))
+    for w in mlp.weights:
+        fan_out, fan_in = w.shape
         bound = math.sqrt(6.0 / (fan_in + fan_out))
-        weights.append(rng.uniform((fan_out, fan_in), -bound, bound))
-        biases.append(np.zeros(fan_out))
-    return Mlp(spec, weights, biases)
+        w[...] = rng.uniform((fan_out, fan_in), -bound, bound)
+    return mlp
 
 
 def _hidden_act(spec: MlpSpec, z: np.ndarray) -> np.ndarray:
@@ -206,19 +260,18 @@ def mlp_backward(
     else:
         g = grad_output
 
-    wgrads: list[np.ndarray] = [np.empty(0)] * n
-    bgrads: list[np.ndarray] = [np.empty(0)] * n
+    grads = MlpGrads.from_flat(np.empty_like(mlp.flat), spec.param_shapes)
     for i in reversed(range(n)):
         # g holds d(loss)/d(z_i) here
-        wgrads[i] = g.T @ cache.inputs[i]
-        bgrads[i] = g.sum(axis=0)
+        grads.weights[i][...] = g.T @ cache.inputs[i]
+        grads.biases[i][...] = g.sum(axis=0)
         g = g @ mlp.weights[i]
         if i > 0:
             mask = cache.masks[i - 1]
             if mask is not None:
                 g = g * mask
             g = g * _hidden_act_derivative(spec, cache.preacts[i - 1])
-    return MlpGrads(wgrads, bgrads), g
+    return grads, g
 
 
 # ---------------------------------------------------------------------------
@@ -227,12 +280,10 @@ def mlp_backward(
 
 @dataclass
 class AdamState:
-    """First/second moment accumulators plus step count and hyperparameters."""
+    """First/second moment vectors (in Mlp.flat's layout), step count, hyperparameters."""
 
-    m_w: list[np.ndarray]
-    v_w: list[np.ndarray]
-    m_b: list[np.ndarray]
-    v_b: list[np.ndarray]
+    m: np.ndarray
+    v: np.ndarray
     t: int = 0
     alpha: float = 2e-4
     beta1: float = 0.5
@@ -247,15 +298,13 @@ def init_adam(
     beta2: float = 0.999,
     eps: float = 1e-8,
 ) -> AdamState:
-    if alpha < 0:
-        raise ValueError(f"alpha must be >= 0, got {alpha}")
+    if not (math.isfinite(alpha) and alpha >= 0):
+        raise ValueError(f"alpha must be finite and >= 0, got {alpha}")
     if not (0.0 <= beta1 < 1.0 and 0.0 <= beta2 < 1.0):
         raise ValueError("beta1 and beta2 must lie in [0, 1)")
     return AdamState(
-        m_w=[np.zeros_like(w) for w in mlp.weights],
-        v_w=[np.zeros_like(w) for w in mlp.weights],
-        m_b=[np.zeros_like(b) for b in mlp.biases],
-        v_b=[np.zeros_like(b) for b in mlp.biases],
+        m=np.zeros_like(mlp.flat),
+        v=np.zeros_like(mlp.flat),
         alpha=alpha,
         beta1=beta1,
         beta2=beta2,
@@ -264,22 +313,23 @@ def init_adam(
 
 
 def adam_step(mlp: Mlp, grads: MlpGrads, state: AdamState) -> None:
-    """One bias-corrected Adam update, applied to the Mlp in place."""
-    if len(grads.weights) != len(mlp.weights):
-        raise ShapeError("gradient layer count does not match the network")
+    """One bias-corrected Adam update over the whole parameter vector, in place.
+
+    A non-finite gradient raises NumericError naming the first bad layer,
+    before anything (the step count included) is changed.
+    """
+    g = grads.flat
+    if g.shape != mlp.flat.shape:
+        raise ShapeError("gradient size does not match the network")
+    if not np.all(np.isfinite(g)):
+        for i, (w, b) in enumerate(zip(grads.weights, grads.biases)):
+            for kind, part in (("weight", w), ("bias", b)):
+                if not np.all(np.isfinite(part)):
+                    raise NumericError(f"layer {i} {kind} gradient is not finite")
     state.t += 1
     b1, b2 = state.beta1, state.beta2
-    corr1 = 1.0 - b1**state.t
-    corr2 = 1.0 - b2**state.t
-    for i in range(len(mlp.weights)):
-        for kind, param, g, m, v in (
-            ("weight", mlp.weights[i], grads.weights[i], state.m_w, state.v_w),
-            ("bias", mlp.biases[i], grads.biases[i], state.m_b, state.v_b),
-        ):
-            if not np.all(np.isfinite(g)):
-                raise NumericError(f"layer {i} {kind} gradient is not finite")
-            m[i] = b1 * m[i] + (1.0 - b1) * g
-            v[i] = b2 * v[i] + (1.0 - b2) * (g * g)
-            m_hat = m[i] / corr1
-            v_hat = v[i] / corr2
-            param -= state.alpha * m_hat / (np.sqrt(v_hat) + state.eps)
+    state.m = b1 * state.m + (1.0 - b1) * g
+    state.v = b2 * state.v + (1.0 - b2) * (g * g)
+    m_hat = state.m / (1.0 - b1**state.t)
+    v_hat = state.v / (1.0 - b2**state.t)
+    mlp.flat -= state.alpha * m_hat / (np.sqrt(v_hat) + state.eps)

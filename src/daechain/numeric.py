@@ -16,7 +16,7 @@ __all__ = [
     "Prng",
     "sample_gaussian",
     "sample_uniform",
-    "matmul",
+    "as_rows",
     "sigmoid",
     "derivative_of_sigmoid",
     "relu",
@@ -87,8 +87,8 @@ def sample_gaussian(rng: Prng, shape, sigma: float) -> np.ndarray:
 
     sigma = 0 returns exact zeros without consuming the stream.
     """
-    if sigma < 0:
-        raise ValueError(f"sigma must be >= 0, got {sigma}")
+    if not (np.isfinite(sigma) and sigma >= 0):
+        raise ValueError(f"sigma must be finite and >= 0, got {sigma}")
     shape = _as_shape(shape)
     n = int(np.prod(shape))
     if sigma == 0.0:
@@ -103,19 +103,19 @@ def sample_gaussian(rng: Prng, shape, sigma: float) -> np.ndarray:
     return (sigma * z).reshape(shape)
 
 
-def matmul(a, b) -> np.ndarray:
-    """Matrix product of two 2-D float64 arrays, accumulated in float64."""
-    a = np.asarray(a, dtype=np.float64)
-    b = np.asarray(b, dtype=np.float64)
-    if a.ndim != 2 or b.ndim != 2:
-        raise ShapeError(
-            f"matmul requires 2-D operands, got shapes {a.shape} and {b.shape}"
-        )
-    if a.shape[1] != b.shape[0]:
-        raise ShapeError(
-            f"matmul inner dimensions disagree: {a.shape} x {b.shape}"
-        )
-    return a @ b
+def as_rows(x, dim: int, what: str, dim_name: str = "expected dim"):
+    """View x as an (n, dim) float64 batch; a single (dim,) point becomes one row.
+
+    Returns (batch, single) where single says x was one point, so callers
+    can hand back a result of matching rank. Any other shape raises
+    ShapeError, e.g. "input shape (3,) does not match expected dim 1".
+    """
+    xv = np.asarray(x, dtype=np.float64)
+    single = xv.ndim == 1
+    rows = xv[None, :] if single else xv
+    if rows.ndim != 2 or rows.shape[1] != dim:
+        raise ShapeError(f"{what} shape {xv.shape} does not match {dim_name} {dim}")
+    return rows, single
 
 
 # ---------------------------------------------------------------------------

@@ -43,7 +43,7 @@ from functools import lru_cache
 import numpy as np
 from numpy.polynomial.hermite import hermgauss
 
-from .numeric import Prng, ShapeError
+from .numeric import Prng, ShapeError, as_rows
 
 LOG_UNDERFLOW = math.log(1e-300)
 
@@ -80,12 +80,14 @@ class GaussianMixture:
                 f"component counts disagree: weights {w.shape}, means {m.shape}, "
                 f"variances {v.shape}"
             )
-        if np.any(w <= 0.0):
+        if not np.all(w > 0.0):
             raise ValueError("mixture weights must be positive")
         if abs(float(w.sum()) - 1.0) > 1e-12:
             raise ValueError(f"mixture weights must sum to 1, got {w.sum()!r}")
-        if np.any(v <= 0.0):
-            raise ValueError("mixture variances must be positive")
+        if not np.all(np.isfinite(v) & (v > 0.0)):
+            raise ValueError("mixture variances must be finite and positive")
+        if not np.all(np.isfinite(m)):
+            raise ValueError("mixture means must be finite")
         object.__setattr__(self, "weights", w)
         object.__setattr__(self, "means", m)
         object.__setattr__(self, "variances", v)
@@ -136,38 +138,21 @@ def _component_log_pdfs(gm: GaussianMixture, xs: np.ndarray, variances=None) -> 
     return comp + np.log(gm.weights)[None, :]
 
 
-def _as_points(gm: GaussianMixture, x) -> tuple[np.ndarray, bool]:
-    x = np.asarray(x, dtype=np.float64)
-    single = x.ndim == 1
-    pts = x[None, :] if single else x
-    if pts.ndim != 2 or pts.shape[1] != gm.dim:
-        raise ShapeError(f"point shape {x.shape} does not match mixture dim {gm.dim}")
-    return pts, single
-
-
 def mixture_log_pdf_batch(gm: GaussianMixture, xs) -> np.ndarray:
     """log p(x) for each row of xs, computed with log-sum-exp over components."""
-    pts, _ = _as_points(gm, np.atleast_2d(np.asarray(xs, dtype=np.float64)))
+    pts, _ = as_rows(np.atleast_2d(xs), gm.dim, "point", "mixture dim")
     return _logsumexp(_component_log_pdfs(gm, pts))
-
-
-def mixture_log_pdf(gm: GaussianMixture, x) -> float:
-    """log p(x) at a single point (d,)."""
-    pts, single = _as_points(gm, x)
-    if not single and pts.shape[0] != 1:
-        raise ShapeError("mixture_log_pdf takes one point; use mixture_log_pdf_batch")
-    return float(_logsumexp(_component_log_pdfs(gm, pts))[0])
 
 
 def responsibilities(gm: GaussianMixture, xs) -> np.ndarray:
     """Posterior component probabilities, one row per point."""
-    pts, _ = _as_points(gm, np.atleast_2d(np.asarray(xs, dtype=np.float64)))
+    pts, _ = as_rows(np.atleast_2d(xs), gm.dim, "point", "mixture dim")
     return _softmax(_component_log_pdfs(gm, pts))
 
 
 def analytic_score(gm: GaussianMixture, x) -> np.ndarray:
     """Closed-form d/dx log p(x) = sum_k resp_k(x) (mu_k - x) / v_k."""
-    pts, single = _as_points(gm, x)
+    pts, single = as_rows(x, gm.dim, "point", "mixture dim")
     resp = responsibilities(gm, pts)  # (n, k)
     pull = (gm.means[None, :, :] - pts[:, None, :]) / gm.variances[None, :, :]
     score = np.einsum("nk,nkd->nd", resp, pull)
@@ -247,9 +232,9 @@ def optimal_reconstruction(
     An explicit QuadratureSpec estimates the same ratio numerically at one
     point instead, as an independent cross-check; see _quadrature_estimate.
     """
-    if sigma <= 0.0:
-        raise ValueError(f"sigma must be > 0, got {sigma}")
-    pts, single = _as_points(gm, x)
+    if not (math.isfinite(sigma) and sigma > 0.0):
+        raise ValueError(f"sigma must be finite and > 0, got {sigma}")
+    pts, single = as_rows(x, gm.dim, "point", "mixture dim")
     if quad is not None:
         if pts.shape[0] != 1:
             raise ShapeError("the quadrature estimator takes a single point")
@@ -344,11 +329,11 @@ def limit_convergence_study(gm: GaussianMixture, sigmas, grid) -> ConvergenceStu
     reports whether the error column is monotone up to rounding.
     """
     sig = [float(s) for s in sigmas]
-    if len(sig) < 1 or any(s <= 0.0 for s in sig):
-        raise ValueError("sigmas must be positive")
+    if len(sig) < 1 or not all(math.isfinite(s) and s > 0.0 for s in sig):
+        raise ValueError("sigmas must be finite and positive")
     if any(b >= a for a, b in zip(sig, sig[1:])):
         raise ValueError("sigmas must be strictly decreasing")
-    pts, _ = _as_points(gm, np.atleast_2d(np.asarray(grid, dtype=np.float64)))
+    pts, _ = as_rows(np.atleast_2d(grid), gm.dim, "point", "mixture dim")
     logp = mixture_log_pdf_batch(gm, pts)
     peak = max(float(mixture_log_pdf_batch(gm, gm.means).max()), float(logp.max()))
     if np.any(logp < peak - 4.0 - 1e-9):

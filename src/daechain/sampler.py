@@ -20,11 +20,12 @@ and noise-injected encoder inputs may leave the cube by design.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .models import Model, decode_latent, reconstruct
+from .models import Autoencoder, decode_latent, reconstruct
 from .numeric import NumericError, Prng, ShapeError
 from .oracle import GaussianMixture, mixture_log_pdf_batch, responsibilities
 
@@ -40,8 +41,8 @@ class ChainConfig:
     def __post_init__(self):
         if self.steps < 1:
             raise ValueError(f"steps must be >= 1, got {self.steps}")
-        if self.inject_sigma < 0.0:
-            raise ValueError(f"inject_sigma must be >= 0, got {self.inject_sigma}")
+        if not (math.isfinite(self.inject_sigma) and self.inject_sigma >= 0.0):
+            raise ValueError(f"inject_sigma must be finite and >= 0, got {self.inject_sigma}")
         if not 1 <= self.record_every <= self.steps:
             raise ValueError(
                 f"record_every must lie in [1, steps], got {self.record_every}"
@@ -153,7 +154,7 @@ def sample_from_noise(
 
 
 def refine_from_prior(
-    model: Model,
+    model: Autoencoder,
     batch: int,
     cfg: ChainConfig,
     rng: Prng,

@@ -10,6 +10,8 @@ import struct
 import numpy as np
 import pytest
 
+import daechain
+from daechain import cli
 from daechain.cli import main
 from daechain.io_formats import load_checkpoint, read_pgm
 
@@ -242,3 +244,21 @@ class TestIdxImagePath:
         canvas = read_pgm(out / "sample_step0000.pgm")
         # Two 2x2 tiles side by side with a separator column.
         assert canvas.shape == (2, 5)
+
+
+def _exported_errors():
+    return sorted(
+        (obj for obj in vars(daechain).values()
+         if isinstance(obj, type) and issubclass(obj, Exception)),
+        key=lambda cls: cls.__name__,
+    )
+
+
+@pytest.mark.parametrize("error", _exported_errors(), ids=lambda cls: cls.__name__)
+def test_every_exported_error_exits_2(error, monkeypatch, capsys):
+    def fail(cfg):
+        raise error("boom")
+
+    monkeypatch.setitem(cli._COMMANDS, "oracle-check", fail)
+    assert main(["oracle-check"]) == 2
+    assert "error: boom" in capsys.readouterr().err

@@ -8,6 +8,8 @@ import struct
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from daechain.io_formats import (
     CHECKPOINT_MAGIC,
@@ -280,3 +282,73 @@ class TestIdx:
         self.write_idx(path, 1, 2, 2, bytes(5))
         with pytest.raises(IdxFormatError, match="trailing"):
             load_idx_images(path)
+
+
+# ---------------------------------------------------------------------------
+# checkpoint bytes: every decoded value is validated, and loads are exact
+# ---------------------------------------------------------------------------
+
+# The first spec block starts right after the 30-byte header:
+# magic(4) version(4) kind(1) sigma(8) latent(4) dropout(8) n_mlps(1).
+SPEC_START = 30
+
+
+@pytest.mark.parametrize(
+    "kind, offset, patch, where",
+    [
+        ("dae", 9, struct.pack("<d", -0.5), "sigma at byte 9"),
+        ("dae", 9, struct.pack("<d", float("nan")), "sigma at byte 9"),
+        ("dae", SPEC_START + 1, struct.pack("<I", 0), f"spec at byte {SPEC_START}"),
+        ("daae", 21, struct.pack("<d", 2.0), "declared at byte 8"),
+        ("dae", 8, bytes([1]), "dvae model declared at byte 8"),
+    ],
+    ids=["negative-sigma", "nan-sigma", "zero-layer-size", "daae-dropout-2", "dae-as-dvae"],
+)
+def test_rejected_header_values_are_format_errors(kind, offset, patch, where, tmp_path):
+    path = tmp_path / "model.ckpt"
+    save_checkpoint(small_model(kind), path)
+    raw = bytearray(path.read_bytes())
+    raw[offset : offset + len(patch)] = patch
+    path.write_bytes(bytes(raw))
+    with pytest.raises(CheckpointFormatError, match=where):
+        load_checkpoint(path)
+
+
+@pytest.fixture(scope="module")
+def saved_checkpoints(tmp_path_factory):
+    root = tmp_path_factory.mktemp("ckpt_bytes")
+    out = {}
+    for kind in ("dae", "dvae", "daae"):
+        path = root / f"{kind}.ckpt"
+        save_checkpoint(small_model(kind), path)
+        out[kind] = path.read_bytes()
+    return root, out
+
+
+@pytest.mark.parametrize("kind", ["dae", "dvae", "daae"])
+@settings(max_examples=300, deadline=None)
+@given(data=st.data())
+def test_changed_or_truncated_bytes_load_exactly_or_raise(kind, saved_checkpoints, data):
+    root, originals = saved_checkpoints
+    raw = bytearray(originals[kind])
+    header_and_specs = len(raw) - 8 * sum(
+        mlp.spec.n_params for mlp in small_model(kind).networks
+    )
+    if data.draw(st.booleans(), label="truncate"):
+        raw = raw[: data.draw(st.integers(0, len(raw) - 1), label="length")]
+    else:
+        # half of the changes land in the header and specs, where the
+        # decoded values are validated; the rest anywhere
+        pos = data.draw(
+            st.one_of(st.integers(0, header_and_specs - 1), st.integers(0, len(raw) - 1)),
+            label="position",
+        )
+        raw[pos] = (raw[pos] + data.draw(st.integers(1, 255), label="delta")) % 256
+    changed, resaved = root / f"{kind}_changed.ckpt", root / f"{kind}_resaved.ckpt"
+    changed.write_bytes(bytes(raw))
+    try:
+        model = load_checkpoint(changed)
+    except CheckpointError:
+        return
+    save_checkpoint(model, resaved)
+    assert resaved.read_bytes() == bytes(raw)

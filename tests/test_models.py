@@ -3,10 +3,8 @@ import pytest
 
 from daechain.losses import bce_loss, kl_to_standard_normal
 from daechain.models import (
+    Autoencoder,
     CorruptionSpec,
-    DaaeModel,
-    DaeModel,
-    DvaeModel,
     TrainConfig,
     build_model,
     corrupt,
@@ -107,11 +105,29 @@ def test_model_dimension_invariants():
     enc = build_model("dae", 1, 2, Prng(0)).encoder
     bad_dec = build_model("dae", 1, 3, Prng(0)).decoder
     with pytest.raises(ShapeError):
-        DaeModel(enc, bad_dec, CorruptionSpec(0.5))
+        Autoencoder("dae", enc, bad_dec, CorruptionSpec(0.5))
     good = build_model("daae", 1, 2, Prng(0))
     wrong_disc = build_model("daae", 1, 3, Prng(0)).discriminator
     with pytest.raises(ShapeError):
-        DaaeModel(good.encoder, good.decoder, wrong_disc, CorruptionSpec(0.5))
+        Autoencoder("daae", good.encoder, good.decoder, CorruptionSpec(0.5), wrong_disc)
+
+
+def test_autoencoder_kind_invariants():
+    dae, daae = build_model("dae", 1, 2, Prng(0)), build_model("daae", 1, 2, Prng(0))
+    assert dae.dropout_rate == 0.0 and daae.dropout_rate == 0.2
+    assert dae.networks == [dae.encoder, dae.decoder]
+    assert daae.networks == [daae.encoder, daae.decoder, daae.discriminator]
+    sigma = CorruptionSpec(0.5)
+    with pytest.raises(ValueError, match="model kind"):
+        Autoencoder("vae", dae.encoder, dae.decoder, sigma)
+    with pytest.raises(ValueError, match="discriminator"):
+        Autoencoder("daae", daae.encoder, daae.decoder, sigma)
+    with pytest.raises(ValueError, match="discriminator"):
+        Autoencoder("dae", daae.encoder, daae.decoder, sigma, daae.discriminator)
+    with pytest.raises(ValueError, match="dropout"):
+        Autoencoder("dae", dae.encoder, dae.decoder, sigma, dropout_rate=0.2)
+    with pytest.raises(ShapeError):
+        Autoencoder("dvae", dae.encoder, dae.decoder, sigma)
 
 
 def test_train_config_validation():

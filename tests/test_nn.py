@@ -7,6 +7,7 @@ from daechain.numeric import NumericError, Prng, ShapeError
 from daechain.nn import (
     AdamState,
     Mlp,
+    MlpGrads,
     MlpSpec,
     adam_step,
     init_adam,
@@ -61,6 +62,31 @@ def test_mlp_rejects_inconsistent_params():
     spec = MlpSpec((3, 2))
     with pytest.raises(ShapeError):
         Mlp(spec, [np.zeros((2, 4))], [np.zeros(2)])
+
+
+def test_parameters_are_views_into_one_flat_vector():
+    w0, b0 = np.arange(6.0).reshape(2, 3), np.array([10.0, 11.0])
+    w1, b1 = np.array([[20.0, 21.0]]), np.array([30.0])
+    mlp = Mlp(MlpSpec((3, 2, 1)), [w0, w1], [b0, b1])
+    # layer by layer, weights row-major then biases: the checkpoint order
+    expected = [0.0, 1.0, 2.0, 3.0, 4.0, 5.0, 10.0, 11.0, 20.0, 21.0, 30.0]
+    assert mlp.flat.dtype == np.float64 and mlp.flat.tolist() == expected
+    w0[0, 0] = -1.0  # the constructor copied its inputs
+    assert mlp.flat[0] == 0.0
+    mlp.flat[7] = 99.0
+    assert mlp.biases[0][1] == 99.0
+    mlp.weights[1][0, 1] = -5.0
+    assert mlp.flat[9] == -5.0
+    assert mlp.spec.n_params == mlp.flat.size
+
+
+def test_backward_writes_one_gradient_vector_in_parameter_order():
+    mlp = small_net(seed=3)
+    y, cache = mlp_forward(mlp, Prng(4).uniform((5, 3)))
+    grads, _ = mlp_backward(mlp, cache, np.ones_like(y))
+    assert grads.flat.shape == mlp.flat.shape
+    parts = [a.ravel() for pair in zip(grads.weights, grads.biases) for a in pair]
+    assert np.array_equal(np.concatenate(parts), grads.flat)
 
 
 # ---------------------------------------------------------------------------
@@ -256,6 +282,45 @@ def test_adam_rejects_non_finite_gradients():
     with pytest.raises(NumericError) as err:
         adam_step(mlp, grads, state)
     assert "layer 0 weight" in str(err.value)
+
+
+def test_adam_rejected_step_changes_nothing():
+    mlp = small_net()
+    state = init_adam(mlp)
+    before = mlp.flat.copy()
+    grads = MlpGrads(
+        [np.zeros_like(w) for w in mlp.weights], [np.zeros_like(b) for b in mlp.biases]
+    )
+    grads.biases[1][0] = np.inf
+    with pytest.raises(NumericError, match="layer 1 bias"):
+        adam_step(mlp, grads, state)
+    assert state.t == 0 and not state.m.any() and not state.v.any()
+    assert np.array_equal(mlp.flat, before)
+
+
+def test_adam_step_matches_per_layer_reference():
+    # the update is one vector operation; the same arithmetic run layer by
+    # layer must give bit-identical parameters
+    mlp = small_net(seed=5)
+    state = init_adam(mlp, alpha=1e-2)
+    b1, b2 = state.beta1, state.beta2
+    params = [a.copy() for pair in zip(mlp.weights, mlp.biases) for a in pair]
+    ms = [np.zeros_like(p) for p in params]
+    vs = [np.zeros_like(p) for p in params]
+    rng = Prng(6)
+    for t in range(1, 6):
+        grads = MlpGrads(
+            [rng.normal(w.shape, 1.0) for w in mlp.weights],
+            [rng.normal(b.shape, 1.0) for b in mlp.biases],
+        )
+        adam_step(mlp, grads, state)
+        layer_grads = [a for pair in zip(grads.weights, grads.biases) for a in pair]
+        for p, g, m, v in zip(params, layer_grads, ms, vs):
+            m[...] = b1 * m + (1.0 - b1) * g
+            v[...] = b2 * v + (1.0 - b2) * (g * g)
+            p -= state.alpha * (m / (1.0 - b1**t)) / (np.sqrt(v / (1.0 - b2**t)) + state.eps)
+    got = [a for pair in zip(mlp.weights, mlp.biases) for a in pair]
+    assert all(np.array_equal(a, b) for a, b in zip(got, params))
 
 
 def test_adam_descends_a_quadratic():

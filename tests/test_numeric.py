@@ -1,6 +1,10 @@
 import numpy as np
 import pytest
 
+from daechain.cli import main
+from daechain.io_formats import save_checkpoint
+from daechain.models import CorruptionSpec, TrainConfig, build_model
+from daechain.nn import MlpSpec, init_adam, init_mlp
 from daechain.numeric import (
     NumericError,
     Prng,
@@ -9,47 +13,13 @@ from daechain.numeric import (
     derivative_of_relu,
     derivative_of_sigmoid,
     leaky_relu,
-    matmul,
     relu,
     sample_gaussian,
     sample_uniform,
     sigmoid,
 )
-
-
-# ---------------------------------------------------------------------------
-# matmul
-# ---------------------------------------------------------------------------
-
-def test_matmul_identity_is_exact():
-    a = np.array([[2.0, 3.0], [4.0, 5.0]])
-    eye = np.eye(2)
-    assert np.array_equal(matmul(eye, a), a)
-    assert np.array_equal(matmul(a, eye), a)
-
-
-def test_matmul_small_example():
-    out = matmul([[1.0, 2.0]], [[3.0], [4.0]])
-    assert out.shape == (1, 1)
-    assert out[0, 0] == 11.0
-
-
-def test_matmul_zeros_annihilate():
-    a = np.arange(12.0).reshape(3, 4)
-    z = np.zeros((4, 2))
-    assert np.array_equal(matmul(a, z), np.zeros((3, 2)))
-
-
-def test_matmul_shape_mismatch_reports_both_shapes():
-    with pytest.raises(ShapeError) as err:
-        matmul(np.ones((2, 3)), np.ones((4, 5)))
-    msg = str(err.value)
-    assert "(2, 3)" in msg and "(4, 5)" in msg
-
-
-def test_matmul_rejects_non_2d():
-    with pytest.raises(ShapeError):
-        matmul(np.ones(3), np.ones((3, 2)))
+from daechain.oracle import GaussianMixture, limit_convergence_study, optimal_reconstruction
+from daechain.sampler import ChainConfig
 
 
 # ---------------------------------------------------------------------------
@@ -193,3 +163,40 @@ def test_permutation_is_a_permutation():
 def test_numeric_error_is_distinct_type():
     assert issubclass(NumericError, RuntimeError)
     assert issubclass(ShapeError, ValueError)
+
+
+# ---------------------------------------------------------------------------
+# non-finite guards across the package
+# ---------------------------------------------------------------------------
+
+_GM = GaussianMixture([1.0], [[0.5]], [[0.01]])
+
+# message fragment each guard names -> a call that must reject the value
+NON_FINITE_GUARDS = {
+    "corruption sigma": lambda v: CorruptionSpec(v),
+    "inject_sigma": lambda v: ChainConfig(inject_sigma=v),
+    "regularizer_weight": lambda v: TrainConfig(regularizer_weight=v),
+    "alpha": lambda v: init_adam(init_mlp(MlpSpec((1, 1)), Prng(0)), alpha=v),
+    "sigma must be": lambda v: sample_gaussian(Prng(0), (3,), v),
+    "mixture weights": lambda v: GaussianMixture([v, 0.5], [[0.3], [0.7]], [[0.01], [0.01]]),
+    "mixture means": lambda v: GaussianMixture([1.0], [[v]], [[0.01]]),
+    "mixture variances": lambda v: GaussianMixture([1.0], [[0.5]], [[v]]),
+    "sigma must be finite and > 0": lambda v: optimal_reconstruction(_GM, v, [0.5]),
+    "sigmas must be": lambda v: limit_convergence_study(_GM, [0.1, v], [[0.5]]),
+}
+
+
+@pytest.mark.parametrize("value", ["nan", "inf"])
+def test_numeric_guards_reject_non_finite_values(value, tmp_path, capsys):
+    for fragment, call in NON_FINITE_GUARDS.items():
+        with pytest.raises(ValueError, match=fragment):
+            call(float(value))
+    ckpt = tmp_path / "model.ckpt"
+    save_checkpoint(build_model("dae", 1, 2, Prng(0), hidden=(4,)), ckpt)
+    code = main(
+        ["sample", "--set", f"out_dir={tmp_path}", "--set", f"checkpoint={ckpt}",
+         "--set", f"inject_sigma={value}"]
+    )
+    assert code == 2
+    assert "inject_sigma" in capsys.readouterr().err
+    assert not list(tmp_path.glob("*.csv"))

@@ -18,7 +18,6 @@ from daechain.oracle import (
     confined_to_unit_box,
     high_density_grid,
     limit_convergence_study,
-    mixture_log_pdf,
     mixture_log_pdf_batch,
     optimal_reconstruction,
     responsibilities,
@@ -96,15 +95,15 @@ def test_confined_to_unit_box():
 def test_log_pdf_peak_of_single_component():
     gm = single(mu=0.5, s=0.1)
     expected = -0.5 * math.log(2.0 * math.pi * 0.01)
-    assert abs(mixture_log_pdf(gm, np.array([0.5])) - expected) < 1e-12
+    assert abs(mixture_log_pdf_batch(gm, np.array([0.5]))[0] - expected) < 1e-12
     assert abs(expected - 1.38364) < 1e-5
 
 
 def test_log_pdf_symmetric_about_midpoint():
     gm = two_mode()
     for delta in (0.0, 0.05, 0.15, 0.3):
-        left = mixture_log_pdf(gm, np.array([0.5 - delta]))
-        right = mixture_log_pdf(gm, np.array([0.5 + delta]))
+        left = mixture_log_pdf_batch(gm, np.array([0.5 - delta]))[0]
+        right = mixture_log_pdf_batch(gm, np.array([0.5 + delta]))[0]
         assert abs(left - right) < 1e-12
 
 
@@ -121,7 +120,7 @@ def test_log_pdf_batch_matches_single_point():
     xs = np.linspace(0.2, 0.8, 7)[:, None]
     batch = mixture_log_pdf_batch(gm, xs)
     for i, x in enumerate(xs):
-        assert batch[i] == mixture_log_pdf(gm, x)
+        assert batch[i] == mixture_log_pdf_batch(gm, x)[0]
 
 
 def test_responsibilities_rows_sum_to_one_and_concentrate():
@@ -212,8 +211,8 @@ def test_score_matches_log_pdf_finite_differences():
     h = 1e-6
     worst = 0.0
     for x in np.linspace(0.06, 0.94, 100):
-        up = mixture_log_pdf(gm, np.array([x + h]))
-        down = mixture_log_pdf(gm, np.array([x - h]))
+        up = mixture_log_pdf_batch(gm, np.array([x + h]))[0]
+        down = mixture_log_pdf_batch(gm, np.array([x - h]))[0]
         fd = (up - down) / (2.0 * h)
         got = analytic_score(gm, np.array([x]))[0]
         worst = max(worst, abs(got - fd) / max(abs(fd), 1e-12))
