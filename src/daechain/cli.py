@@ -24,6 +24,7 @@ import sys
 import numpy as np
 
 from .config import (
+    ConfigError,
     RunConfig,
     apply_overrides,
     chain_config_from_config,
@@ -113,6 +114,9 @@ def _image_shape(cfg: RunConfig, data_dim: int) -> tuple[int, int]:
 
 
 def _cmd_train(cfg: RunConfig) -> int:
+    for key in ("dropout", "disc_hidden"):
+        if cfg.model != "daae" and getattr(cfg, key) != getattr(RunConfig(), key):
+            raise ConfigError(f"{key!r} applies only to model = daae, not {cfg.model!r}")
     data = build_dataset(dataset_spec_from_config(cfg), Prng(cfg.seed + 1))
     model, trace = train(
         cfg.model,

@@ -32,6 +32,7 @@ from .nn import (
     AdamState,
     Mlp,
     MlpSpec,
+    _eval_rows,
     adam_step,
     init_adam,
     init_mlp,
@@ -42,6 +43,10 @@ from .numeric import NumericError, Prng, ShapeError, as_rows
 
 MODEL_KINDS = ("dae", "dvae", "daae")
 LOSS_KINDS = ("bce", "mse")
+# Rows per inference block: about as fast as 2048 or 4096 rows, with the least
+# memory. The last block takes the remainder (B to 2B - 1 rows): shorter
+# products, 512 rows included, take BLAS kernels whose last bits differ.
+_BLOCK_ROWS = 1024
 
 
 @dataclass(frozen=True)
@@ -212,26 +217,39 @@ def build_model(
 # deterministic evaluation
 # ---------------------------------------------------------------------------
 
+def _infer(x, stages, what: str) -> np.ndarray:
+    """Eval-mode output of (network, kept output columns) stages, in row blocks.
+
+    No cache is kept and layers work in place in buffers sized for the last,
+    longest block, so memory does not grow with the batch.
+    """
+    rows, single = as_rows(x, stages[0][0].spec.in_dim, what)
+    n = rows.shape[0]
+    out = np.empty((n, stages[-1][1]))
+    edges = [_BLOCK_ROWS * i for i in range(max(n // _BLOCK_ROWS, 1))] + [n]
+    bufs = [[np.empty((n - edges[-2], w)) for w in mlp.spec.layer_sizes[1:]] for mlp, _ in stages]
+    for start, stop in zip(edges, edges[1:]):
+        h = rows[start:stop]
+        for (mlp, keep), buf in zip(stages, bufs):
+            h = _eval_rows(mlp, h, buf)[:, :keep]
+        out[start:stop] = h
+    return out[0] if single else out
+
+
 def encode_to_latent(model: Autoencoder, x) -> np.ndarray:
     """Deterministic latent for a batch; the DVAE returns its posterior mean."""
-    pts, single = as_rows(x, model.data_dim, "input")
-    h, _ = mlp_forward(model.encoder, pts)
-    z = h[:, : model.latent_dim] if model.kind == "dvae" else h
-    return z[0] if single else z
+    return _infer(x, [(model.encoder, model.latent_dim)], "input")
 
 
 def decode_latent(model: Autoencoder, z) -> np.ndarray:
     """Decode latent vectors to data space; sigmoid head keeps values in (0, 1)."""
-    zs, single = as_rows(z, model.latent_dim, "latent")
-    r, _ = mlp_forward(model.decoder, zs)
-    return r[0] if single else r
+    return _infer(z, [(model.decoder, model.data_dim)], "latent")
 
 
 def reconstruct(model: Autoencoder, x) -> np.ndarray:
     """One deterministic reconstruction pass: decode(encode(x)), eval mode."""
-    pts, single = as_rows(x, model.data_dim, "input")
-    r = decode_latent(model, encode_to_latent(model, pts))
-    return r[0] if single else r
+    stages = [(model.encoder, model.latent_dim), (model.decoder, model.data_dim)]
+    return _infer(x, stages, "input")
 
 
 # ---------------------------------------------------------------------------

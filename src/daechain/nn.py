@@ -232,6 +232,24 @@ def mlp_forward(
     return out, cache
 
 
+def _eval_rows(mlp: Mlp, h: np.ndarray, bufs: list[np.ndarray]) -> np.ndarray:
+    """Eval-mode mlp_forward on one block of rows: the same operations, no cache.
+
+    Layer i works in place in bufs[i], a float64 buffer of >= rows rows; the
+    result may be a view into the last one.
+    """
+    spec = mlp.spec
+    for i, (w, b, buf) in enumerate(zip(mlp.weights, mlp.biases, bufs)):
+        z = np.matmul(h, w.T, out=buf[: h.shape[0]])
+        z += b
+        if i == spec.n_layers - 1:
+            return sigmoid(z) if spec.output_activation == "sigmoid" else z
+        if spec.hidden_activation == "relu":
+            h = np.maximum(z, 0.0, out=z)
+        else:
+            h = np.where(z >= 0, z, spec.leaky_slope * z)
+
+
 def mlp_backward(
     mlp: Mlp, cache: ForwardCache, grad_output: np.ndarray
 ) -> tuple[MlpGrads, np.ndarray]:

@@ -122,6 +122,45 @@ class TestTrain:
         assert (tmp_path / "other.ckpt").exists()
 
 
+class TestDaaeOnlyKeys:
+    """dropout and disc_hidden shape the DAAE discriminator; other models have none."""
+
+    @pytest.mark.parametrize(
+        "model, key, value", [("dae", "dropout", "0.7"), ("dvae", "disc_hidden", "8")]
+    )
+    def test_rejected_before_any_work(self, tmp_path, monkeypatch, capsys, model, key, value):
+        def no_data(*args):
+            raise AssertionError("the dataset was built")
+
+        monkeypatch.setattr(cli, "build_dataset", no_data)
+        out = tmp_path / "run"
+        code = main(
+            ["train", "--set", f"model={model}", "--set", f"{key}={value}",
+             "--set", f"out_dir={out}"]
+        )
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "error:" in err and repr(key) in err
+        assert not out.exists()
+
+    def test_daae_takes_dropout(self, config_path, tmp_path):
+        code = main(
+            ["train", "--config", config_path, "--set", "model=daae",
+             "--set", "dropout=0.7", "--set", f"out_dir={tmp_path}"]
+        )
+        assert code == 0
+        assert load_checkpoint(tmp_path / "model.ckpt").dropout_rate == 0.7
+
+    @pytest.mark.parametrize("model", ["dae", "dvae"])
+    def test_default_config_still_trains(self, tmp_path, model):
+        code = main(
+            ["train", "--set", f"model={model}", "--set", "epochs=1",
+             "--set", f"out_dir={tmp_path}"]
+        )
+        assert code == 0
+        assert (tmp_path / "model.ckpt").exists()
+
+
 class TestChains:
     def test_sample_artifacts(self, config_path, trained_dir, capsys):
         code = main(["sample", "--config", config_path, "--set", f"out_dir={trained_dir}"])

@@ -1,8 +1,11 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from daechain.losses import bce_loss, kl_to_standard_normal
 from daechain.models import (
+    MODEL_KINDS,
     Autoencoder,
     CorruptionSpec,
     TrainConfig,
@@ -17,7 +20,7 @@ from daechain.models import (
     reconstruct,
     train,
 )
-from daechain.nn import mlp_forward
+from daechain.nn import MlpSpec, _eval_rows, init_mlp, mlp_forward
 from daechain.numeric import NumericError, Prng, ShapeError
 
 
@@ -188,6 +191,87 @@ def test_encode_decode_shapes():
     assert x.shape == (2,)
     with pytest.raises(ShapeError):
         decode_latent(model, np.zeros(4))
+
+
+# ---------------------------------------------------------------------------
+# blocked inference
+# ---------------------------------------------------------------------------
+
+def unblocked(model, x):
+    """The eval composition without row blocks: encoder, slice, decoder."""
+    h, _ = mlp_forward(model.encoder, x)
+    z = h[:, : model.latent_dim]
+    r, _ = mlp_forward(model.decoder, z)
+    return z, r
+
+
+# Under two blocks (2048 rows) inference is one BLAS call per layer, as in
+# mlp_forward, and 100000 rows (the benchmark's batch) also match exactly.
+EXACT_ROWS = (0, 1, 2, 3, 17, 18, 19, 100, 600, 601, 1023, 1024, 1025, 1500, 2047, 100_000)
+# At 2 BLAS threads the 64->1 head splits rows differently when a block's
+# row count is not a multiple of 4, so the last bits may move (up to 48 ulp
+# seen); the unblocked output itself differs between 1 and 2 threads there.
+CLOSE_ROWS = (2049, 3077, 10_001, 65_537)
+
+
+@pytest.mark.parametrize("d", [1, 64])
+@pytest.mark.parametrize("kind", MODEL_KINDS)
+def test_blocked_inference_matches_unblocked_composition(kind, d):
+    model = build_model(kind, d, 2, Prng(3))
+    # the two largest batches run at the benchmark's d = 1 only, for time
+    sizes = [n for n in EXACT_ROWS + CLOSE_ROWS if d == 1 or n <= 10_001]
+    points = np.random.default_rng(d).random((max(sizes), d)) * 1.4 - 0.2
+    for n in sizes:
+        x = points[:n]
+        z, r = unblocked(model, x)
+        got = [encode_to_latent(model, x), decode_latent(model, z), reconstruct(model, x)]
+        for have, want in zip(got, [z, r, r]):
+            assert have.shape == want.shape
+            if n in EXACT_ROWS:
+                assert np.array_equal(have, want), (kind, d, n)
+            else:
+                np.testing.assert_allclose(have, want, rtol=1e-12, atol=0)
+
+
+def test_blocked_inference_honours_leaky_layers_and_identity_heads():
+    spec = MlpSpec((3, 16, 16, 2), "leaky_relu", "identity", leaky_slope=0.1)
+    mlp = init_mlp(spec, Prng(4))
+    x = np.random.default_rng(4).standard_normal((1500, 3))
+    bufs = [np.empty((x.shape[0], w)) for w in spec.layer_sizes[1:]]
+    want, _ = mlp_forward(mlp, x)
+    assert np.array_equal(_eval_rows(mlp, x, bufs), want)
+
+    decoder = init_mlp(MlpSpec((2, 16, 3), "leaky_relu", "identity"), Prng(5))
+    model = Autoencoder("dae", mlp, decoder, CorruptionSpec(0.1))
+    z, r = unblocked(model, x)
+    assert np.array_equal(encode_to_latent(model, x), z)
+    assert np.array_equal(reconstruct(model, x), r)
+
+
+@pytest.mark.parametrize("kind", MODEL_KINDS)
+def test_single_point_inference_equals_its_one_row_batch(kind):
+    model = build_model(kind, 3, 2, Prng(6))
+    x = np.array([0.1, 0.5, 0.9])
+    z = encode_to_latent(model, x)
+    assert z.shape == (2,)
+    assert np.array_equal(z, encode_to_latent(model, x[None, :])[0])
+    r = reconstruct(model, x)
+    assert r.shape == (3,)
+    assert np.array_equal(r, reconstruct(model, x[None, :])[0])
+    assert np.array_equal(decode_latent(model, z), decode_latent(model, z[None, :])[0])
+
+
+def test_reconstruct_peak_memory_does_not_grow_with_the_batch():
+    # 1e5 x 64 float64 is 51 MB per layer; caching every layer peaked at 210 MB
+    model = build_model("dae", 1, 2, Prng(0))
+    x = np.random.default_rng(0).random((100_000, 1))
+    tracemalloc.start()
+    try:
+        reconstruct(model, x)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 16e6
 
 
 # ---------------------------------------------------------------------------
