@@ -63,15 +63,8 @@ class _Parser(argparse.ArgumentParser):
 def _build_parser() -> _Parser:
     parser = _Parser(prog="daechain", description="denoising autoencoders as samplers")
     sub = parser.add_subparsers(dest="command", metavar="command")
-    commands = {
-        "train": "train a model on the configured dataset and save a checkpoint",
-        "sample": "iterate reconstruction chains from uniform noise",
-        "refine": "decode prior draws and refine them by chain iteration",
-        "score-check": "compare model score estimates with the analytic score",
-        "oracle-check": "run the exact-denoiser convergence study",
-    }
-    for name, help_text in commands.items():
-        p = sub.add_parser(name, help=help_text)
+    for name, command in _COMMANDS.items():
+        p = sub.add_parser(name, help=command.__doc__)
         p.add_argument("--config", metavar="PATH", help="key=value config file")
         p.add_argument(
             "--set",
@@ -114,6 +107,7 @@ def _image_shape(cfg: RunConfig, data_dim: int) -> tuple[int, int]:
 
 
 def _cmd_train(cfg: RunConfig) -> int:
+    """train a model on the configured dataset and save a checkpoint"""
     for key in ("dropout", "disc_hidden"):
         if cfg.model != "daae" and getattr(cfg, key) != getattr(RunConfig(), key):
             raise ConfigError(f"{key!r} applies only to model = daae, not {cfg.model!r}")
@@ -192,14 +186,17 @@ def _run_chains(cfg: RunConfig, start: str) -> int:
 
 
 def _cmd_sample(cfg: RunConfig) -> int:
+    """iterate reconstruction chains from uniform noise"""
     return _run_chains(cfg, "noise")
 
 
 def _cmd_refine(cfg: RunConfig) -> int:
+    """decode prior draws and refine them by chain iteration"""
     return _run_chains(cfg, "prior")
 
 
 def _cmd_score_check(cfg: RunConfig) -> int:
+    """compare model score estimates with the analytic score"""
     model = load_checkpoint(_checkpoint_path(cfg))
     gm = mixture_from_config(cfg)
     sigma = model.corruption.sigma
@@ -223,6 +220,7 @@ def _cmd_score_check(cfg: RunConfig) -> int:
 
 
 def _cmd_oracle_check(cfg: RunConfig) -> int:
+    """run the exact-denoiser convergence study"""
     gm = mixture_from_config(cfg)
     grid = high_density_grid(gm, cfg.grid_points)
     study = limit_convergence_study(gm, cfg.check_sigmas, grid)

@@ -10,8 +10,6 @@ The same keys can be overridden from the command line via repeated
 `--set key=value` flags, applied after the file in the order given.
 """
 
-from __future__ import annotations
-
 import dataclasses
 from dataclasses import dataclass
 
@@ -35,8 +33,8 @@ class RunConfig:
     loss: str = "bce"
     sigma: float = 0.5
     latent: int = 2
-    hidden: tuple = (64, 64)
-    disc_hidden: tuple = (64, 64)
+    hidden: tuple[int, ...] = (64, 64)
+    disc_hidden: tuple[int, ...] = (64, 64)
     dropout: float = 0.2
     epochs: int = 30
     batch_size: int = 100
@@ -47,43 +45,31 @@ class RunConfig:
     beta2: float = 0.999
     dataset: str = "mixture1d"
     n_samples: int = 10_000
-    mixture_weights: tuple = (0.5, 0.5)
-    mixture_means: tuple = ((0.35,), (0.65,))
-    mixture_variances: tuple = ((0.0025,), (0.0025,))
+    mixture_weights: tuple[float, ...] = (0.5, 0.5)
+    mixture_means: tuple[tuple[float, ...], ...] = ((0.35,), (0.65,))
+    mixture_variances: tuple[tuple[float, ...], ...] = ((0.0025,), (0.0025,))
     idx_path: str = ""
     chain_steps: int = 20
     inject_sigma: float = 0.0
     record_every: int = 1
     n_chains: int = 256
-    check_sigmas: tuple = (0.2, 0.1, 0.05, 0.02, 0.01)
+    check_sigmas: tuple[float, ...] = (0.2, 0.1, 0.05, 0.02, 0.01)
     grid_points: int = 10
     out_dir: str = "out"
     checkpoint: str = "model.ckpt"
-    image_shape: tuple | None = None
+    image_shape: tuple[int, int] | None = None
     grid_cols: int = 16
 
 
-def _parse_int(text: str) -> int:
-    return int(text, 10)
-
-
-def _parse_float(text: str) -> float:
-    return float(text)
-
-
-def _parse_str(text: str) -> str:
-    return text
-
-
-def _parse_ints(text: str) -> tuple:
+def _parse_ints(text: str) -> tuple[int, ...]:
     return tuple(int(tok.strip(), 10) for tok in text.split(",") if tok.strip())
 
 
-def _parse_floats(text: str) -> tuple:
+def _parse_floats(text: str) -> tuple[float, ...]:
     return tuple(float(tok.strip()) for tok in text.split(",") if tok.strip())
 
 
-def _parse_points(text: str) -> tuple:
+def _parse_points(text: str) -> tuple[tuple[float, ...], ...]:
     points = []
     for part in text.split(";"):
         part = part.strip()
@@ -94,7 +80,7 @@ def _parse_points(text: str) -> tuple:
     return tuple(points)
 
 
-def _parse_shape(text: str):
+def _parse_shape(text: str) -> tuple[int, int] | None:
     if not text.strip():
         return None
     shape = _parse_ints(text)
@@ -103,38 +89,18 @@ def _parse_shape(text: str):
     return shape
 
 
-_PARSERS = {
-    "model": _parse_str,
-    "loss": _parse_str,
-    "sigma": _parse_float,
-    "latent": _parse_int,
-    "hidden": _parse_ints,
-    "disc_hidden": _parse_ints,
-    "dropout": _parse_float,
-    "epochs": _parse_int,
-    "batch_size": _parse_int,
-    "seed": _parse_int,
-    "regularizer_weight": _parse_float,
-    "alpha": _parse_float,
-    "beta1": _parse_float,
-    "beta2": _parse_float,
-    "dataset": _parse_str,
-    "n_samples": _parse_int,
-    "mixture_weights": _parse_floats,
-    "mixture_means": _parse_points,
-    "mixture_variances": _parse_points,
-    "idx_path": _parse_str,
-    "chain_steps": _parse_int,
-    "inject_sigma": _parse_float,
-    "record_every": _parse_int,
-    "n_chains": _parse_int,
-    "check_sigmas": _parse_floats,
-    "grid_points": _parse_int,
-    "out_dir": _parse_str,
-    "checkpoint": _parse_str,
-    "image_shape": _parse_shape,
-    "grid_cols": _parse_int,
+# Each RunConfig field is parsed by the parser of its annotation; a field
+# whose annotation has none fails here, at import.
+_PARSE_BY_TYPE = {
+    int: int,
+    float: float,
+    str: str,
+    tuple[int, ...]: _parse_ints,
+    tuple[float, ...]: _parse_floats,
+    tuple[tuple[float, ...], ...]: _parse_points,
+    tuple[int, int] | None: _parse_shape,
 }
+_PARSERS = {f.name: _PARSE_BY_TYPE[f.type] for f in dataclasses.fields(RunConfig)}
 
 
 def _parse_pair(key: str, value: str, where: str) -> tuple[str, object]:

@@ -277,6 +277,9 @@ def read_idx_header(path) -> tuple[int, int, int]:
     if len(header) < 16:
         raise IdxFormatError(f"{path}: header truncated at byte {len(header)}")
     n, rows, cols = struct.unpack(">III", header[4:16])
+    for offset, name, size in ((4, "image count", n), (8, "rows", rows), (12, "cols", cols)):
+        if size == 0:
+            raise IdxFormatError(f"{path}: {name} at byte {offset} is 0")
     return n, rows, cols
 
 

@@ -343,7 +343,7 @@ def daae_train_step(
     recon = _denoise_step(model, x, x_noisy, cfg, opt)
 
     # phase 2: discriminator on prior draws vs fresh encodings
-    z_encoded, _ = mlp_forward(model.encoder, x_noisy)
+    z_encoded, enc_cache = mlp_forward(model.encoder, x_noisy)
     z_prior = rng.normal(z_encoded.shape, 1.0)
     scores_prior, cache_prior = mlp_forward(
         model.discriminator, z_prior, train_mode=True,
@@ -363,13 +363,13 @@ def daae_train_step(
     adam_step(model.discriminator, disc_grads, opt.discriminator)
 
     # phase 3: encoder fools the updated discriminator (eval mode, no dropout);
-    # the prior half of this loss call is ignored, only the fooling terms count
-    z_fool, enc_cache_fool = mlp_forward(model.encoder, x_noisy)
-    scores_fool, cache_fool = mlp_forward(model.discriminator, z_fool)
+    # only the discriminator changed since phase 2, so its encoder pass is
+    # reused; the prior half of this loss call is ignored
+    scores_fool, cache_fool = mlp_forward(model.discriminator, z_encoded)
     fool = adversarial_losses(scores_prior, scores_fool)
     _check_finite(fool.enc_value, "encoder adversarial loss")
     _, grad_z_fool = mlp_backward(model.discriminator, cache_fool, fool.grad_enc_encoded)
-    enc_grads_fool, _ = mlp_backward(model.encoder, enc_cache_fool, grad_z_fool)
+    enc_grads_fool, _ = mlp_backward(model.encoder, enc_cache, grad_z_fool)
     adam_step(model.encoder, enc_grads_fool, opt.encoder)
 
     return recon, adv.disc_value, fool.enc_value

@@ -293,6 +293,20 @@ def _exported_errors():
     )
 
 
+def test_exported_errors_are_the_nine_error_types():
+    assert [cls.__name__ for cls in _exported_errors()] == [
+        "CheckpointError",
+        "CheckpointFormatError",
+        "CheckpointTruncatedError",
+        "CheckpointVersionError",
+        "ConfigError",
+        "IdxFormatError",
+        "NumericError",
+        "ShapeError",
+        "UnderflowError",
+    ]
+
+
 @pytest.mark.parametrize("error", _exported_errors(), ids=lambda cls: cls.__name__)
 def test_every_exported_error_exits_2(error, monkeypatch, capsys):
     def fail(cfg):

@@ -1,8 +1,17 @@
 """Tests for the key=value run configuration layer."""
 
+import dataclasses
+import inspect
+import re
+import sys
+import types
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from daechain import config
 from daechain.config import (
     ConfigError,
     RunConfig,
@@ -166,3 +175,103 @@ class TestDerivedObjects:
         cfg = apply_overrides(RunConfig(), ["chain_steps=0"])
         with pytest.raises(ValueError):
             chain_config_from_config(cfg)
+
+
+# ---------------------------------------------------------------------------
+# properties over random key subsets
+# ---------------------------------------------------------------------------
+
+_FIELDS = {f.name: f.default for f in dataclasses.fields(RunConfig)}
+_NAMES = sorted(_FIELDS)
+
+_ints = st.integers(min_value=-(10**12), max_value=10**12)
+_floats = st.floats(allow_nan=False, allow_infinity=False)
+# Values are stripped and '#' starts a comment, so strings avoid both.
+_strs = st.text(
+    st.characters(codec="ascii", categories=("L", "N"), include_characters="._/=-"),
+    max_size=12,
+)
+
+
+def _values_like(default):
+    """Strategy for valid values of a field, read off its default."""
+    if default is None:
+        return st.none() | st.tuples(_ints, _ints)
+    if isinstance(default, tuple) and isinstance(default[0], tuple):
+        return st.lists(st.lists(_floats, min_size=1, max_size=3).map(tuple),
+                        min_size=1, max_size=3).map(tuple)
+    if isinstance(default, tuple):
+        scalars = _ints if isinstance(default[0], int) else _floats
+        return st.lists(scalars, max_size=4).map(tuple)
+    return {int: _ints, float: _floats, str: _strs}[type(default)]
+
+
+def _render(value) -> str:
+    """Config-file text for a value, written independently of the parser."""
+    if value is None:
+        return ""
+    if isinstance(value, tuple):
+        sep = ";" if value and isinstance(value[0], tuple) else ","
+        return sep.join(_render(v) for v in value)
+    return repr(value) if isinstance(value, float) else str(value)
+
+
+@st.composite
+def _assignments(draw):
+    names = draw(st.lists(st.sampled_from(_NAMES), unique=True, max_size=len(_NAMES)))
+    return {name: draw(_values_like(_FIELDS[name])) for name in names}
+
+
+class TestConfigProperties:
+    @given(_assignments())
+    @settings(max_examples=150, deadline=None)
+    def test_file_text_equals_overrides(self, values):
+        lines = [f"{k}={_render(v)}" for k, v in values.items()]
+        text = "\n".join(f"  {k} = {_render(v)}  # set" for k, v in values.items())
+        cfg = parse_config(text)
+        assert cfg == apply_overrides(RunConfig(), lines)
+        assert cfg == dataclasses.replace(RunConfig(), **values)
+
+    @given(st.lists(st.sampled_from(_NAMES), unique=True, min_size=1))
+    @settings(max_examples=50, deadline=None)
+    def test_rendered_defaults_parse_back(self, names):
+        text = "\n".join(f"{name} = {_render(_FIELDS[name])}" for name in names)
+        assert parse_config(text) == RunConfig()
+        assert apply_overrides(RunConfig(), text.split("\n")) == RunConfig()
+
+    @given(
+        _assignments(),
+        st.data(),
+        st.from_regex(r"[a-z_][a-z0-9_]{0,15}", fullmatch=True).filter(
+            lambda k: k not in _FIELDS
+        ),
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_unknown_or_duplicate_key_names_its_line(self, values, data, unknown):
+        lines = [f"{k} = {_render(v)}" for k, v in values.items()]
+        if values and data.draw(st.booleans(), label="duplicate"):
+            first = data.draw(st.integers(0, len(lines) - 1), label="duplicated line")
+            bad, what = lines[first], f"duplicate key {list(values)[first]!r}"
+            at = data.draw(st.integers(first + 1, len(lines)), label="insert at")
+        else:
+            bad, what = f"{unknown} = 1", f"unknown key {unknown!r}"
+            at = data.draw(st.integers(0, len(lines)), label="insert at")
+        lines.insert(at, bad)
+        with pytest.raises(ConfigError, match=f"^line {at + 1}: {re.escape(what)}$"):
+            parse_config("\n".join(lines))
+        with pytest.raises(ConfigError, match=f"^override '{unknown}=1': unknown key"):
+            apply_overrides(RunConfig(), [f"{unknown}=1"])
+
+
+def test_field_without_a_parser_fails_at_import():
+    source = inspect.getsource(config)
+    assert "    grid_cols: int = 16\n" in source
+    module = types.ModuleType("daechain._config_copy")
+    module.__package__ = "daechain"
+    sys.modules[module.__name__] = module
+    try:
+        code = compile(source.replace("grid_cols: int", "grid_cols: complex"), "copy", "exec")
+        with pytest.raises(KeyError, match="complex"):
+            exec(code, module.__dict__)
+    finally:
+        del sys.modules[module.__name__]

@@ -283,6 +283,43 @@ class TestIdx:
         with pytest.raises(IdxFormatError, match="trailing"):
             load_idx_images(path)
 
+    @pytest.mark.parametrize(
+        "n, rows, cols, where",
+        [(0, 2, 2, "image count at byte 4"), (3, 0, 2, "rows at byte 8"),
+         (3, 2, 0, "cols at byte 12")],
+    )
+    def test_rejects_zero_sizes(self, tmp_path, n, rows, cols, where):
+        path = tmp_path / "img.idx"
+        self.write_idx(path, n, rows, cols, b"")
+        with pytest.raises(IdxFormatError, match=f"{where} is 0"):
+            read_idx_header(path)
+        with pytest.raises(IdxFormatError, match=f"{where} is 0"):
+            load_idx_images(path)
+
+    @settings(max_examples=300, deadline=None)
+    @given(data=st.data())
+    def test_changed_or_truncated_bytes_load_consistently_or_raise(self, tmp_path_factory, data):
+        pixels = data.draw(st.binary(min_size=3 * 2 * 3, max_size=3 * 2 * 3), label="pixels")
+        raw = bytearray(struct.pack(">IIII", 0x00000803, 3, 2, 3) + pixels)
+        if data.draw(st.booleans(), label="truncate"):
+            raw = raw[: data.draw(st.integers(0, len(raw) - 1), label="length")]
+        else:
+            # half of the changes land in the 16-byte header
+            pos = data.draw(
+                st.one_of(st.integers(0, 15), st.integers(0, len(raw) - 1)), label="position"
+            )
+            raw[pos] = (raw[pos] + data.draw(st.integers(1, 255), label="delta")) % 256
+        path = tmp_path_factory.getbasetemp() / "changed.idx"
+        path.write_bytes(bytes(raw))
+        try:
+            images = load_idx_images(path)
+        except IdxFormatError:
+            return
+        n, rows, cols = struct.unpack(">III", bytes(raw[4:16]))
+        assert raw[:4] == struct.pack(">I", 0x00000803)
+        assert images.shape == (n, rows * cols)
+        assert np.array_equal(images.ravel() * 255.0, np.frombuffer(bytes(raw[16:]), np.uint8))
+
 
 # ---------------------------------------------------------------------------
 # checkpoint bytes: every decoded value is validated, and loads are exact

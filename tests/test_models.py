@@ -374,6 +374,22 @@ def test_daae_step_counts_one_update_per_phase():
     assert opt.encoder.t == 2  # phase 1 and phase 3 both touch the encoder
 
 
+def test_daae_step_runs_the_encoder_once_per_encoder_update(monkeypatch):
+    model = build_model("daae", 1, 2, Prng(0), sigma=0.1)
+    cfg = TrainConfig(epochs=1, batch_size=16)
+    opt = init_opt_states(model, cfg)
+    calls = []
+
+    def counted(mlp, *args, **kwargs):
+        calls.append(next(n for n in ("encoder", "decoder", "discriminator")
+                          if getattr(model, n) is mlp))
+        return mlp_forward(mlp, *args, **kwargs)
+
+    monkeypatch.setattr("daechain.models.mlp_forward", counted)
+    daae_train_step(model, mixture_data(16), cfg, Prng(1), opt)
+    assert sorted(calls) == ["decoder"] + ["discriminator"] * 3 + ["encoder"] * 2
+
+
 def test_daae_step_fixed_seed_reproduces_trajectory():
     cfg = TrainConfig(epochs=1, batch_size=16)
     data = mixture_data(64)
