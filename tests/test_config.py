@@ -230,7 +230,8 @@ class TestConfigProperties:
         text = "\n".join(f"  {k} = {_render(v)}  # set" for k, v in values.items())
         cfg = parse_config(text)
         assert cfg == apply_overrides(RunConfig(), lines)
-        assert cfg == dataclasses.replace(RunConfig(), **values)
+        # repr also tells 3 from 3.0
+        assert repr(cfg) == repr(dataclasses.replace(RunConfig(), **values))
 
     @given(st.lists(st.sampled_from(_NAMES), unique=True, min_size=1))
     @settings(max_examples=50, deadline=None)
