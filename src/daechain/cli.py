@@ -125,7 +125,8 @@ def _cmd_train(cfg: RunConfig) -> int:
     ckpt = _checkpoint_path(cfg)
     os.makedirs(os.path.dirname(ckpt) or ".", exist_ok=True)
     save_checkpoint(model, ckpt)
-    write_csv(trace, _out_path(cfg, "loss.csv"))
+    losses = {key: [entry[key] for entry in trace] for key in trace[0]}
+    write_csv(losses, _out_path(cfg, "loss.csv"))
     print(
         f"trained {cfg.model} ({cfg.loss}, sigma={cfg.sigma}) on "
         f"{data.shape[0]}x{data.shape[1]} samples for {cfg.epochs} epochs; "
@@ -136,6 +137,12 @@ def _cmd_train(cfg: RunConfig) -> int:
 
 def _run_chains(cfg: RunConfig, start: str) -> int:
     model = load_checkpoint(_checkpoint_path(cfg))
+    shape = _image_shape(cfg, model.data_dim)
+    if shape[0] * shape[1] != model.data_dim:
+        raise ConfigError(
+            f"image_shape {shape[0]},{shape[1]} does not match the model's "
+            f"data dim {model.data_dim}"
+        )
     gm = _mixture_if_matching(cfg, model.data_dim)
     rng = Prng(cfg.seed + 2)
     chain_cfg = chain_config_from_config(cfg)
@@ -146,41 +153,38 @@ def _run_chains(cfg: RunConfig, start: str) -> int:
         trace = refine_from_prior(model, cfg.n_chains, chain_cfg, rng, gm)
         prefix = "refine"
 
-    rows = []
-    for i, t in enumerate(trace.times):
-        for c in range(trace.n_chains):
-            row = {"time": t, "chain": c}
-            row.update(
-                {f"x{j}": trace.states[i, c, j] for j in range(trace.states.shape[2])}
-            )
-            if trace.log_densities is not None:
-                row["log_density"] = trace.log_densities[i, c]
-            rows.append(row)
-    write_csv(rows, _out_path(cfg, f"{prefix}_states.csv"))
+    n_recorded, n_chains, dim = trace.states.shape
+    columns = {
+        "time": np.repeat(trace.times, n_chains),
+        "chain": np.tile(np.arange(n_chains), n_recorded),
+    }
+    columns.update({f"x{j}": trace.states[:, :, j].ravel() for j in range(dim)})
+    if trace.log_densities is not None:
+        columns["log_density"] = trace.log_densities.ravel()
+    write_csv(columns, _out_path(cfg, f"{prefix}_states.csv"))
 
-    shape = _image_shape(cfg, model.data_dim)
     for i, t in enumerate(trace.times):
         write_pgm_grid(
             trace.states[i], shape, cfg.grid_cols,
             _out_path(cfg, f"{prefix}_step{t:04d}.pgm"),
         )
 
-    diag = chain_diagnostics(trace, gm)
+    trace = chain_diagnostics(trace, gm)
     line = (
         f"{prefix}: {trace.n_chains} chains, {chain_cfg.steps} steps, "
         f"inject_sigma={chain_cfg.inject_sigma}"
     )
-    if diag.log_densities is not None:
-        first, last = diag.log_densities[0], diag.log_densities[-1]
+    if trace.log_densities is not None:
+        first, last = trace.log_densities[0], trace.log_densities[-1]
         gains = last - first
         line += (
             f"; mean log p {first.mean():.4f} -> {last.mean():.4f}"
             f", median gain {np.median(gains):.4f}"
             f", improved {np.mean(gains > 0.0):.2%}"
-            f", chains that switched mode: {diag.n_chains_switched}"
+            f", chains that switched mode: {trace.n_chains_switched}"
         )
     else:
-        line += f"; mean final step displacement {diag.displacements[-1].mean():.6f}"
+        line += f"; mean final step displacement {trace.displacements[-1].mean():.6f}"
     print(line)
     return 0
 
@@ -205,11 +209,8 @@ def _cmd_score_check(cfg: RunConfig) -> int:
     grid = high_density_grid(gm, cfg.grid_points)
     estimate = (reconstruct(model, grid) - grid) / (sigma * sigma)
     truth = analytic_score(gm, grid)
-    rows = [
-        {"x": grid[i, 0], "estimated_score": estimate[i, 0], "analytic_score": truth[i, 0]}
-        for i in range(grid.shape[0])
-    ]
-    write_csv(rows, _out_path(cfg, "score.csv"))
+    columns = {"x": grid[:, 0], "estimated_score": estimate[:, 0], "analytic_score": truth[:, 0]}
+    write_csv(columns, _out_path(cfg, "score.csv"))
     sign_match = float(np.mean(np.sign(estimate) == np.sign(truth)))
     pearson = float(np.corrcoef(estimate[:, 0], truth[:, 0])[0, 1])
     print(
@@ -224,8 +225,8 @@ def _cmd_oracle_check(cfg: RunConfig) -> int:
     gm = mixture_from_config(cfg)
     grid = high_density_grid(gm, cfg.grid_points)
     study = limit_convergence_study(gm, cfg.check_sigmas, grid)
-    rows = [{"sigma": s, "max_rel_error": e} for s, e in study.rows()]
-    write_csv(rows, _out_path(cfg, "convergence.csv"))
+    columns = {"sigma": study.sigmas, "max_rel_error": study.max_rel_errors}
+    write_csv(columns, _out_path(cfg, "convergence.csv"))
     print(
         f"oracle-check over {grid.shape[0]} grid points: "
         f"non_increasing={study.non_increasing}, "

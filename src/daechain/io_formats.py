@@ -243,17 +243,20 @@ def read_pgm(path) -> np.ndarray:
 # CSV
 # ---------------------------------------------------------------------------
 
-def write_csv(rows, path) -> None:
-    """Write dict rows as CSV: header from the first row, '\\n' endings."""
-    rows = list(rows)
-    if not rows:
+def write_csv(columns, path) -> None:
+    """Write a name -> equal-length sequence mapping as CSV, '\\n' endings.
+
+    The header follows the mapping's order. numpy arrays become Python
+    scalars through tolist(); every cell is written as str() of its value.
+    """
+    values = [c.tolist() if isinstance(c, np.ndarray) else list(c) for c in columns.values()]
+    lengths = {name: len(v) for name, v in zip(columns, values)}
+    if len(set(lengths.values())) > 1:
+        raise ValueError(f"write_csv columns differ in length: {lengths}")
+    if not any(lengths.values()):
         raise ValueError("write_csv needs at least one row")
-    columns = list(rows[0].keys())
     lines = [",".join(columns)]
-    for i, row in enumerate(rows):
-        if list(row.keys()) != columns:
-            raise ValueError(f"row {i} columns {list(row)} differ from header {columns}")
-        lines.append(",".join(str(row[c]) for c in columns))
+    lines.extend(",".join(map(str, row)) for row in zip(*values))
     with open(path, "w", encoding="utf-8", newline="") as fh:
         fh.write("\n".join(lines) + "\n")
 

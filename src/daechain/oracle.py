@@ -315,9 +315,6 @@ class ConvergenceStudy:
     max_rel_errors: tuple[float, ...]
     non_increasing: bool
 
-    def rows(self) -> list[tuple[float, float]]:
-        return list(zip(self.sigmas, self.max_rel_errors))
-
 
 def limit_convergence_study(gm: GaussianMixture, sigmas, grid) -> ConvergenceStudy:
     """Tabulate how fast (R*(x) - x) / sigma^2 approaches the true score.

@@ -10,9 +10,9 @@ chain climbs and lets it hop between modes instead of settling into one.
 
 Traces record the visited states (always including the first and last),
 per-step displacement norms, and, when a ground-truth mixture is supplied,
-the true log-density of each recorded state, which is what the diagnostics
-summarize: density series, displacement series, and mode membership via
-the argmax of mixture responsibilities.
+the true log-density of each recorded state. chain_diagnostics fills in
+the density series and the mode membership (the argmax of mixture
+responsibilities) of a trace from the mixture.
 
 States are never clamped: reconstruction outputs already live in (0, 1),
 and noise-injected encoder inputs may leave the cube by design.
@@ -21,7 +21,7 @@ and noise-injected encoder inputs may leave the cube by design.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -56,14 +56,19 @@ class ChainTrace:
     times holds the recorded step indices (always starting at 0 and ending
     at the final step); states is (n_recorded, n_chains, d); displacements
     is (steps, n_chains) with ||x_{t+1} - x_t||_2 for every step, recorded
-    or not; log_densities is (n_recorded, n_chains) when a ground-truth
-    mixture was supplied to the run, else None.
+    or not. The mixture fields are None until a ground-truth mixture is
+    supplied to the run or to chain_diagnostics: log_densities is
+    (n_recorded, n_chains), and mode_membership is (n_recorded, n_chains)
+    component indices (argmax of mixture responsibilities). mode_switches
+    counts per chain the changes between consecutive recorded states, and
+    n_chains_switched how many chains changed mode at least once.
     """
 
     times: tuple[int, ...]
     states: np.ndarray
     displacements: np.ndarray
     log_densities: np.ndarray | None
+    mode_membership: np.ndarray | None = None
 
     @property
     def n_chains(self) -> int:
@@ -74,8 +79,15 @@ class ChainTrace:
         return self.states[0]
 
     @property
-    def final(self) -> np.ndarray:
-        return self.states[-1]
+    def mode_switches(self) -> np.ndarray | None:
+        if self.mode_membership is None:
+            return None
+        return (self.mode_membership[1:] != self.mode_membership[:-1]).sum(axis=0)
+
+    @property
+    def n_chains_switched(self) -> int | None:
+        switches = self.mode_switches
+        return None if switches is None else int(np.count_nonzero(switches))
 
 
 def _as_operator(model):
@@ -168,33 +180,13 @@ def refine_from_prior(
     return run_chain(model, x0, cfg, rng, gm)
 
 
-@dataclass(frozen=True)
-class ChainDiagnostics:
-    """Density, displacement, and mode-membership summaries of a trace.
+def chain_diagnostics(trace: ChainTrace, gm: GaussianMixture | None = None) -> ChainTrace:
+    """Return the trace with its density and mode fields filled in from gm.
 
-    mode_membership is (n_recorded, n_chains) component indices (argmax of
-    mixture responsibilities), mode_switches the per-chain count of changes
-    between consecutive recorded states, and n_chains_switched how many
-    chains changed mode at least once. The mixture-based fields are None
-    when no ground-truth mixture is available.
+    Without a ground-truth mixture the trace is returned as it is.
     """
-
-    times: tuple[int, ...]
-    displacements: np.ndarray
-    log_densities: np.ndarray | None
-    mode_membership: np.ndarray | None
-    mode_switches: np.ndarray | None
-    n_chains_switched: int | None
-
-
-def chain_diagnostics(
-    trace: ChainTrace, gm: GaussianMixture | None = None
-) -> ChainDiagnostics:
-    """Summarize a trace; pass the ground-truth mixture for density/mode data."""
     if gm is None:
-        return ChainDiagnostics(
-            trace.times, trace.displacements, trace.log_densities, None, None, None
-        )
+        return trace
     log_densities = trace.log_densities
     if log_densities is None:
         log_densities = np.stack(
@@ -203,12 +195,4 @@ def chain_diagnostics(
     membership = np.stack(
         [np.argmax(responsibilities(gm, s), axis=1) for s in trace.states]
     )
-    switches = (membership[1:] != membership[:-1]).sum(axis=0)
-    return ChainDiagnostics(
-        trace.times,
-        trace.displacements,
-        log_densities,
-        membership,
-        switches,
-        int(np.count_nonzero(switches)),
-    )
+    return replace(trace, log_densities=log_densities, mode_membership=membership)

@@ -192,6 +192,19 @@ class TestChains:
         assert len(lines) == 1 + 6 * 8
         assert (trained_dir / "refine_step0000.pgm").exists()
 
+    @pytest.mark.parametrize("command", ["sample", "refine"])
+    def test_bad_image_shape_fails_before_any_chain(
+        self, config_path, trained_dir, tmp_path, capsys, command
+    ):
+        code = main(
+            [command, "--config", config_path, "--set", f"out_dir={tmp_path}",
+             "--set", f"checkpoint={trained_dir / 'model.ckpt'}",
+             "--set", "image_shape=2,3"]
+        )
+        assert code == 2
+        assert "image_shape 2,3" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
+
     def test_row_grid_for_flat_data(self, config_path, trained_dir):
         main(["sample", "--config", config_path, "--set", f"out_dir={trained_dir}"])
         canvas = read_pgm(trained_dir / "sample_step0000.pgm")

@@ -4,6 +4,7 @@ Corruption tests patch bytes at fixed offsets; the header layout is
 magic(0:4) version(4:8) kind(8) sigma(9:17) latent(17:21) dropout(21:29).
 """
 
+import math
 import struct
 
 import numpy as np
@@ -184,6 +185,30 @@ class TestPgmGrid:
         back = read_pgm(path)
         assert np.array_equal(back.reshape(-1), levels)
 
+    @settings(max_examples=100, deadline=None)
+    @given(data=st.data())
+    def test_round_trip_tiles_separators_and_shape(self, tmp_path_factory, data):
+        n = data.draw(st.integers(1, 12), label="n")
+        h, w = data.draw(st.integers(1, 5), label="h"), data.draw(st.integers(1, 5), label="w")
+        grid_cols = data.draw(st.integers(1, 15), label="grid_cols")
+        images = np.array(
+            data.draw(st.lists(st.floats(-0.5, 1.5), min_size=n * h * w, max_size=n * h * w)),
+        ).reshape(n, h * w)
+        path = tmp_path_factory.getbasetemp() / "prop.pgm"
+        write_pgm_grid(images, (h, w), grid_cols, path)
+        canvas = read_pgm(path)
+        rows, cols = math.ceil(n / grid_cols), min(grid_cols, n)
+        assert canvas.shape == (rows * (h + 1) - 1, cols * (w + 1) - 1)
+        covered = np.zeros(canvas.shape, dtype=bool)
+        for i in range(n):
+            r, c = divmod(i, grid_cols)
+            tile = np.s_[r * (h + 1) : r * (h + 1) + h, c * (w + 1) : c * (w + 1) + w]
+            want = np.rint(np.clip(images[i], 0.0, 1.0) * 255.0) / 255.0
+            assert np.array_equal(canvas[tile], want.reshape(h, w))
+            covered[tile] = True
+        # separators and unused cells are black
+        assert np.all(canvas[~covered] == 0.0)
+
     def test_rejects_bad_shape_and_grid(self, tmp_path):
         with pytest.raises(ValueError):
             write_pgm_grid(np.ones((1, 5)), (2, 2), 1, tmp_path / "x.pgm")
@@ -200,10 +225,8 @@ class TestPgmGrid:
 class TestCsv:
     def test_header_plus_one_line_per_row(self, tmp_path):
         path = tmp_path / "rows.csv"
-        write_csv(
-            [{"a": 1, "b": 2.5}, {"a": 3, "b": -1}, {"a": 0, "b": 0}],
-            path,
-        )
+        # Python sequences keep each value's own type: no shared dtype
+        write_csv({"a": [1, 3, 0], "b": [2.5, -1, 0]}, path)
         text = path.read_text(encoding="utf-8")
         lines = text.splitlines()
         assert lines == ["a,b", "1,2.5", "3,-1", "0,0"]
@@ -211,21 +234,61 @@ class TestCsv:
 
     def test_newlines_are_unix(self, tmp_path):
         path = tmp_path / "rows.csv"
-        write_csv([{"x": 1}], path)
+        write_csv({"x": np.arange(3)}, path)
         assert b"\r" not in path.read_bytes()
+        assert path.read_bytes() == b"x\n0\n1\n2\n"
 
-    def test_column_order_follows_first_row(self, tmp_path):
+    def test_column_order_follows_mapping(self, tmp_path):
         path = tmp_path / "rows.csv"
-        write_csv([{"z": 1, "a": 2}], path)
-        assert path.read_text(encoding="utf-8").splitlines()[0] == "z,a"
+        write_csv({"z": [1], "a": [2]}, path)
+        assert path.read_text(encoding="utf-8").splitlines() == ["z,a", "1,2"]
 
-    def test_rejects_mismatched_rows(self, tmp_path):
-        with pytest.raises(ValueError, match="row 1"):
-            write_csv([{"a": 1}, {"b": 2}], tmp_path / "x.csv")
+    def test_rejects_unequal_lengths(self, tmp_path):
+        with pytest.raises(ValueError, match="differ in length"):
+            write_csv({"a": [1, 2], "b": np.zeros(3)}, tmp_path / "x.csv")
 
     def test_rejects_empty(self, tmp_path):
         with pytest.raises(ValueError):
-            write_csv([], tmp_path / "x.csv")
+            write_csv({}, tmp_path / "x.csv")
+        with pytest.raises(ValueError):
+            write_csv({"a": [], "b": np.zeros(0)}, tmp_path / "x.csv")
+
+    @staticmethod
+    def row_dict_csv(rows) -> bytes:
+        """The row-dict writer the column form replaced, kept as the byte reference."""
+        columns = list(rows[0].keys())
+        lines = [",".join(columns)]
+        lines.extend(",".join(str(row[c]) for c in columns) for row in rows)
+        return ("\n".join(lines) + "\n").encode("utf-8")
+
+    @settings(max_examples=200, deadline=None)
+    @given(data=st.data())
+    def test_columns_write_the_bytes_of_row_dicts(self, tmp_path_factory, data):
+        special = st.sampled_from(
+            [-0.0, 5e-324, -2.2e-308, 1e300, -1e-300, math.inf, -math.inf, math.nan]
+        )
+        names = data.draw(
+            st.lists(st.text("abxyz_09", min_size=1, max_size=4), min_size=1, max_size=5,
+                     unique=True),
+            label="names",
+        )
+        n = data.draw(st.integers(1, 20), label="rows")
+        columns = {}
+        for name in names:
+            if data.draw(st.booleans(), label=f"{name} is float"):
+                elements = st.one_of(special, st.floats(width=64))
+                columns[name] = np.array(
+                    data.draw(st.lists(elements, min_size=n, max_size=n)), dtype=np.float64
+                )
+            else:
+                columns[name] = np.array(
+                    data.draw(st.lists(st.integers(-(2**63), 2**63 - 1), min_size=n, max_size=n)),
+                    dtype=np.int64,
+                )
+        path = tmp_path_factory.getbasetemp() / "columns.csv"
+        write_csv(columns, path)
+        rows = [{name: col[i] for name, col in columns.items()} for i in range(n)]
+        assert path.read_bytes() == self.row_dict_csv(rows)
 
 
 class TestIdx:

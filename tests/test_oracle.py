@@ -407,7 +407,7 @@ def test_convergence_study_matches_exact_error_ratio():
     sigmas = (0.2, 0.1, 0.05, 0.02, 0.01)
     study = limit_convergence_study(gm, sigmas, grid)
     assert study.non_increasing
-    for sigma, err in study.rows():
+    for sigma, err in zip(study.sigmas, study.max_rel_errors):
         want = sigma * sigma / (0.01 + sigma * sigma)
         assert abs(err - want) <= 1e-6
     # spot values quoted for orientation: about 20% at 0.05, about 1% at 0.01
@@ -418,7 +418,7 @@ def test_convergence_study_matches_exact_error_ratio():
 def test_convergence_study_single_sigma():
     gm = single()
     study = limit_convergence_study(gm, [0.1], np.array([[0.55]]))
-    assert len(study.rows()) == 1
+    assert len(list(zip(study.sigmas, study.max_rel_errors))) == 1
     assert study.non_increasing
 
 

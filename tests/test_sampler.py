@@ -11,6 +11,7 @@ from daechain.oracle import (
 )
 from daechain.sampler import (
     ChainConfig,
+    ChainTrace,
     chain_diagnostics,
     refine_from_prior,
     run_chain,
@@ -186,6 +187,26 @@ def test_diagnostics_of_a_constant_chain():
     assert diag.n_chains_switched == 0
     assert np.all(diag.mode_membership[:, 0] == 0)
     assert np.all(diag.mode_membership[:, 1] == 1)
+
+
+def test_diagnostics_fill_in_the_trace():
+    # a trace run without the mixture gets the same densities a run with
+    # it records, one mixture_log_pdf_batch call per recorded state
+    gm = two_mode()
+    x0 = Prng(3).uniform((16, 1))
+    op = exact_denoiser(gm, 0.2)
+    trace = run_chain(op, x0, ChainConfig(steps=4, record_every=2))
+    diag = chain_diagnostics(trace, gm)
+    assert isinstance(diag, ChainTrace)
+    assert diag.times == trace.times
+    assert diag.states is trace.states
+    assert diag.displacements is trace.displacements
+    want = np.stack([mixture_log_pdf_batch(gm, s) for s in trace.states])
+    assert np.array_equal(diag.log_densities, want)
+    with_gm = run_chain(op, x0, ChainConfig(steps=4, record_every=2), gm=gm)
+    assert np.array_equal(chain_diagnostics(with_gm, gm).log_densities, want)
+    assert diag.mode_membership.shape == (len(trace.times), 16)
+    assert trace.mode_membership is None  # the input trace is left as it was
 
 
 def test_diagnostics_without_ground_truth():
