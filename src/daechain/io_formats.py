@@ -216,12 +216,13 @@ def write_pgm_grid(images, image_shape, grid_cols: int, path) -> None:
     n = arr.shape[0]
     rows = math.ceil(n / grid_cols)
     cols = min(grid_cols, n)
-    canvas = np.zeros((rows * h + rows - 1, cols * w + cols - 1), dtype=np.uint8)
+    # each tile carries its right and bottom separator; the canvas drops
+    # the last separator row and column
+    tiles = np.zeros((rows * cols, h + 1, w + 1), dtype=np.uint8)
     quantized = np.rint(np.clip(arr, 0.0, 1.0) * 255.0).astype(np.uint8)
-    for i in range(n):
-        r, c = divmod(i, grid_cols)
-        top, left = r * (h + 1), c * (w + 1)
-        canvas[top : top + h, left : left + w] = quantized[i].reshape(h, w)
+    tiles[:n, :h, :w] = quantized.reshape(n, h, w)
+    canvas = tiles.reshape(rows, cols, h + 1, w + 1).transpose(0, 2, 1, 3)
+    canvas = canvas.reshape(rows * (h + 1), cols * (w + 1))[:-1, :-1]
     header = f"P5\n{canvas.shape[1]} {canvas.shape[0]}\n255\n".encode("ascii")
     with open(path, "wb") as fh:
         fh.write(header + canvas.tobytes())
@@ -243,20 +244,38 @@ def read_pgm(path) -> np.ndarray:
 # CSV
 # ---------------------------------------------------------------------------
 
+def _cells(column) -> list[str]:
+    """str() of each value of one column, each distinct float64 formatted once.
+
+    Float values are keyed by bit pattern, not by value, so 0.0 and -0.0
+    each keep their own text. A column with no repeated bit pattern is
+    formatted value by value, with no gather.
+    """
+    if isinstance(column, np.ndarray) and column.ndim == 1 and column.dtype == np.float64:
+        bits, inverse = np.unique(column.view(np.int64), return_inverse=True)
+        if len(bits) < len(column):
+            text = np.array([str(v) for v in bits.view(np.float64).tolist()], dtype=object)
+            return text[inverse].tolist()
+    values = column.tolist() if isinstance(column, np.ndarray) else column
+    return [str(v) for v in values]
+
+
 def write_csv(columns, path) -> None:
     """Write a name -> equal-length sequence mapping as CSV, '\\n' endings.
 
     The header follows the mapping's order. numpy arrays become Python
     scalars through tolist(); every cell is written as str() of its value.
+    A float64 column formats each distinct value once, because converged
+    chain states repeat the same few values many times.
     """
-    values = [c.tolist() if isinstance(c, np.ndarray) else list(c) for c in columns.values()]
-    lengths = {name: len(v) for name, v in zip(columns, values)}
+    cells = [_cells(c) for c in columns.values()]
+    lengths = {name: len(v) for name, v in zip(columns, cells)}
     if len(set(lengths.values())) > 1:
         raise ValueError(f"write_csv columns differ in length: {lengths}")
     if not any(lengths.values()):
         raise ValueError("write_csv needs at least one row")
     lines = [",".join(columns)]
-    lines.extend(",".join(map(str, row)) for row in zip(*values))
+    lines.extend(map(",".join, zip(*cells)))
     with open(path, "w", encoding="utf-8", newline="") as fh:
         fh.write("\n".join(lines) + "\n")
 

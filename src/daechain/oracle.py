@@ -150,6 +150,13 @@ def responsibilities(gm: GaussianMixture, xs) -> np.ndarray:
     return _softmax(_component_log_pdfs(gm, pts))
 
 
+def mixture_log_pdf_and_mode(gm: GaussianMixture, xs) -> tuple[np.ndarray, np.ndarray]:
+    """mixture_log_pdf_batch and argmax(responsibilities) from one evaluation."""
+    pts, _ = as_rows(np.atleast_2d(xs), gm.dim, "point", "mixture dim")
+    logc = _component_log_pdfs(gm, pts)
+    return _logsumexp(logc), np.argmax(_softmax(logc), axis=1)
+
+
 def analytic_score(gm: GaussianMixture, x) -> np.ndarray:
     """Closed-form d/dx log p(x) = sum_k resp_k(x) (mu_k - x) / v_k."""
     pts, single = as_rows(x, gm.dim, "point", "mixture dim")

@@ -10,9 +10,9 @@ chain climbs and lets it hop between modes instead of settling into one.
 
 Traces record the visited states (always including the first and last),
 per-step displacement norms, and, when a ground-truth mixture is supplied,
-the true log-density of each recorded state. chain_diagnostics fills in
-the density series and the mode membership (the argmax of mixture
-responsibilities) of a trace from the mixture.
+the true log-density and the mode membership (the argmax of mixture
+responsibilities) of each recorded state; chain_diagnostics fills both in
+for a trace run without the mixture.
 
 States are never clamped: reconstruction outputs already live in (0, 1),
 and noise-injected encoder inputs may leave the cube by design.
@@ -27,7 +27,7 @@ import numpy as np
 
 from .models import Autoencoder, decode_latent, reconstruct
 from .numeric import NumericError, Prng, ShapeError
-from .oracle import GaussianMixture, mixture_log_pdf_batch, responsibilities
+from .oracle import GaussianMixture, mixture_log_pdf_and_mode
 
 
 @dataclass(frozen=True)
@@ -108,7 +108,8 @@ def run_chain(
     `model` is a trained autoencoder or any callable mapping a (n, d) batch
     to a (n, d) batch; eta_t ~ N(0, inject_sigma^2 I) is fresh per step and
     zero when inject_sigma is 0 (in which case no rng is needed). A
-    ground-truth mixture, when given, adds true log-densities to the trace.
+    ground-truth mixture, when given, fills in the trace's log-densities and
+    mode membership.
     """
     if cfg.inject_sigma > 0.0 and rng is None:
         raise ValueError("inject_sigma > 0 requires an rng for the injected noise")
@@ -139,10 +140,8 @@ def run_chain(
             times.append(t)
             states.append(x.copy())
 
-    log_densities = None
-    if gm is not None:
-        log_densities = np.stack([mixture_log_pdf_batch(gm, s) for s in states])
-    return ChainTrace(tuple(times), np.stack(states), np.stack(displacements), log_densities)
+    trace = ChainTrace(tuple(times), np.stack(states), np.stack(displacements), None)
+    return chain_diagnostics(trace, gm)
 
 
 def sample_from_noise(
@@ -183,16 +182,10 @@ def refine_from_prior(
 def chain_diagnostics(trace: ChainTrace, gm: GaussianMixture | None = None) -> ChainTrace:
     """Return the trace with its density and mode fields filled in from gm.
 
-    Without a ground-truth mixture the trace is returned as it is.
+    Without a ground-truth mixture, or when the fields are already filled
+    in (a run given gm fills them), the trace is returned as it is.
     """
-    if gm is None:
+    if gm is None or trace.mode_membership is not None:
         return trace
-    log_densities = trace.log_densities
-    if log_densities is None:
-        log_densities = np.stack(
-            [mixture_log_pdf_batch(gm, s) for s in trace.states]
-        )
-    membership = np.stack(
-        [np.argmax(responsibilities(gm, s), axis=1) for s in trace.states]
-    )
-    return replace(trace, log_densities=log_densities, mode_membership=membership)
+    log_densities, modes = zip(*(mixture_log_pdf_and_mode(gm, s) for s in trace.states))
+    return replace(trace, log_densities=np.stack(log_densities), mode_membership=np.stack(modes))

@@ -253,6 +253,13 @@ class TestCsv:
         with pytest.raises(ValueError):
             write_csv({"a": [], "b": np.zeros(0)}, tmp_path / "x.csv")
 
+    def test_signed_zeros_and_nan_keep_their_own_text(self, tmp_path):
+        # distinct values are formatted once; 0.0 == -0.0, so only a key on
+        # the bits, not on the value, keeps the sign of each zero
+        path = tmp_path / "zeros.csv"
+        write_csv({"x": np.array([0.0, -0.0, 0.0, np.nan, -0.0])}, path)
+        assert path.read_bytes() == b"x\n0.0\n-0.0\n0.0\nnan\n-0.0\n"
+
     @staticmethod
     def row_dict_csv(rows) -> bytes:
         """The row-dict writer the column form replaced, kept as the byte reference."""
@@ -260,6 +267,19 @@ class TestCsv:
         lines = [",".join(columns)]
         lines.extend(",".join(str(row[c]) for c in columns) for row in rows)
         return ("\n".join(lines) + "\n").encode("utf-8")
+
+    @staticmethod
+    def laid_out(column, layout):
+        """The same values as a contiguous array or a strided view."""
+        if layout == "a[::2]":
+            buf = np.full(2 * len(column), 7, dtype=column.dtype)
+            buf[::2] = column
+            return buf[::2]
+        if layout == "m[:, j]":
+            m = np.full((len(column), 3), 7, dtype=column.dtype)
+            m[:, 1] = column
+            return m[:, 1]
+        return column
 
     @settings(max_examples=200, deadline=None)
     @given(data=st.data())
@@ -272,19 +292,28 @@ class TestCsv:
                      unique=True),
             label="names",
         )
-        n = data.draw(st.integers(1, 20), label="rows")
+        n = data.draw(st.integers(1, 200), label="rows")
         columns = {}
         for name in names:
             if data.draw(st.booleans(), label=f"{name} is float"):
                 elements = st.one_of(special, st.floats(width=64))
-                columns[name] = np.array(
+                if data.draw(st.booleans(), label=f"{name} repeats"):
+                    # a small pool, so values repeat as in converged chains;
+                    # signed zeros and nan always among them
+                    extra = data.draw(st.lists(elements, max_size=5), label=f"{name} pool")
+                    elements = st.sampled_from([0.0, -0.0, math.nan, *extra])
+                values = np.array(
                     data.draw(st.lists(elements, min_size=n, max_size=n)), dtype=np.float64
                 )
             else:
-                columns[name] = np.array(
+                values = np.array(
                     data.draw(st.lists(st.integers(-(2**63), 2**63 - 1), min_size=n, max_size=n)),
                     dtype=np.int64,
                 )
+            layout = data.draw(
+                st.sampled_from(["contiguous", "a[::2]", "m[:, j]"]), label=f"{name} layout"
+            )
+            columns[name] = self.laid_out(values, layout)
         path = tmp_path_factory.getbasetemp() / "columns.csv"
         write_csv(columns, path)
         rows = [{name: col[i] for name, col in columns.items()} for i in range(n)]

@@ -18,6 +18,7 @@ from daechain.oracle import (
     confined_to_unit_box,
     high_density_grid,
     limit_convergence_study,
+    mixture_log_pdf_and_mode,
     mixture_log_pdf_batch,
     optimal_reconstruction,
     responsibilities,
@@ -189,6 +190,16 @@ def test_responsibilities_match_scipy_softmax(scipy_special, case):
         scipy_special.logsumexp(_component_log_pdfs(gm, xs), axis=1),
         rtol=1e-12, atol=1e-12,
     )
+
+
+@settings(max_examples=100, deadline=None)
+@given(case=mixtures_and_points())
+def test_log_pdf_and_mode_are_the_separate_results(case):
+    # one evaluation of the component log-densities, the same bytes as two
+    gm, xs = case
+    log_p, mode = mixture_log_pdf_and_mode(gm, xs)
+    assert np.array_equal(log_p, mixture_log_pdf_batch(gm, xs))
+    assert np.array_equal(mode, np.argmax(responsibilities(gm, xs), axis=1))
 
 
 def test_score_single_gaussian_closed_form():

@@ -8,6 +8,7 @@ from daechain.oracle import (
     QuadratureSpec,
     mixture_log_pdf_batch,
     optimal_reconstruction,
+    responsibilities,
 )
 from daechain.sampler import (
     ChainConfig,
@@ -190,8 +191,9 @@ def test_diagnostics_of_a_constant_chain():
 
 
 def test_diagnostics_fill_in_the_trace():
-    # a trace run without the mixture gets the same densities a run with
-    # it records, one mixture_log_pdf_batch call per recorded state
+    # a trace run without the mixture gets the same densities and modes a
+    # run with it records: mixture_log_pdf_batch and the argmax of the
+    # responsibilities of each recorded state
     gm = two_mode()
     x0 = Prng(3).uniform((16, 1))
     op = exact_denoiser(gm, 0.2)
@@ -203,7 +205,12 @@ def test_diagnostics_fill_in_the_trace():
     assert diag.displacements is trace.displacements
     want = np.stack([mixture_log_pdf_batch(gm, s) for s in trace.states])
     assert np.array_equal(diag.log_densities, want)
+    modes = np.stack([np.argmax(responsibilities(gm, s), axis=1) for s in trace.states])
+    assert np.array_equal(diag.mode_membership, modes)
     with_gm = run_chain(op, x0, ChainConfig(steps=4, record_every=2), gm=gm)
+    assert np.array_equal(with_gm.log_densities, want)
+    assert np.array_equal(with_gm.mode_membership, modes)
+    assert chain_diagnostics(with_gm, gm) is with_gm  # nothing left to fill in
     assert np.array_equal(chain_diagnostics(with_gm, gm).log_densities, want)
     assert diag.mode_membership.shape == (len(trace.times), 16)
     assert trace.mode_membership is None  # the input trace is left as it was
