@@ -48,7 +48,7 @@ from .oracle import (
     high_density_grid,
     limit_convergence_study,
 )
-from .sampler import chain_diagnostics, refine_from_prior, sample_from_noise
+from .sampler import refine_from_prior, sample_from_noise
 
 
 class _UsageError(Exception):
@@ -169,7 +169,6 @@ def _run_chains(cfg: RunConfig, start: str) -> int:
             _out_path(cfg, f"{prefix}_step{t:04d}.pgm"),
         )
 
-    trace = chain_diagnostics(trace, gm)
     line = (
         f"{prefix}: {trace.n_chains} chains, {chain_cfg.steps} steps, "
         f"inject_sigma={chain_cfg.inject_sigma}"

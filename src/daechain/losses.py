@@ -80,7 +80,7 @@ def bce_loss(target, reconstruction) -> LossValue:
     value and gradient stay finite even at saturated outputs.
     """
     x, r = _check_pair(target, reconstruction)
-    if np.min(x) < 0.0 or np.max(x) > 1.0:
+    if not np.all((x >= 0.0) & (x <= 1.0)):
         raise ValueError("bce targets must lie in [0, 1]")
     r = np.clip(r, BCE_CLAMP, 1.0 - BCE_CLAMP)
     value = float(np.mean(-(x * np.log(r) + (1.0 - x) * np.log1p(-r))))

@@ -346,12 +346,10 @@ def daae_train_step(
     z_encoded, enc_cache = mlp_forward(model.encoder, x_noisy)
     z_prior = rng.normal(z_encoded.shape, 1.0)
     scores_prior, cache_prior = mlp_forward(
-        model.discriminator, z_prior, train_mode=True,
-        dropout_rate=model.dropout_rate, rng=rng,
+        model.discriminator, z_prior, dropout_rate=model.dropout_rate, rng=rng
     )
     scores_encoded, cache_encoded = mlp_forward(
-        model.discriminator, z_encoded, train_mode=True,
-        dropout_rate=model.dropout_rate, rng=rng,
+        model.discriminator, z_encoded, dropout_rate=model.dropout_rate, rng=rng
     )
     adv = adversarial_losses(scores_prior, scores_encoded)
     _check_finite(adv.disc_value, "discriminator loss")
@@ -362,7 +360,7 @@ def daae_train_step(
     disc_grads.flat += grads_encoded.flat
     adam_step(model.discriminator, disc_grads, opt.discriminator)
 
-    # phase 3: encoder fools the updated discriminator (eval mode, no dropout);
+    # phase 3: encoder fools the updated discriminator (no dropout);
     # only the discriminator changed since phase 2, so its encoder pass is
     # reused; the prior half of this loss call is ignored
     scores_fool, cache_fool = mlp_forward(model.discriminator, z_encoded)
@@ -399,7 +397,7 @@ def train(
     data = np.asarray(dataset, dtype=np.float64)
     if data.ndim != 2 or data.shape[0] == 0:
         raise ValueError(f"dataset must be a nonempty (n, d) array, got shape {data.shape}")
-    if np.any(data < 0.0) or np.any(data > 1.0):
+    if not np.all((data >= 0.0) & (data <= 1.0)):
         raise ValueError("dataset values must lie in [0, 1]")
 
     rng = Prng(cfg.seed)

@@ -4,9 +4,9 @@ Each network's parameters are one contiguous float64 vector, laid out layer
 by layer (weights row-major as an (out, in) matrix, then biases), with
 per-layer views into it; a forward pass computes z_i = h @ W_i.T + b_i.
 Gradients and Adam's moments share that layout, so an update is one
-vectorised operation over the whole network. Hidden layers use relu or
-leaky_relu with optional inverted dropout in train mode; the output head
-is sigmoid or identity.
+vectorised operation over the whole network; a gradient is itself an Mlp.
+Hidden layers use relu or leaky_relu, with inverted dropout when a dropout
+rate > 0 is given; the output head is sigmoid or identity.
 """
 
 from __future__ import annotations
@@ -16,17 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .numeric import (
-    NumericError,
-    Prng,
-    ShapeError,
-    derivative_of_leaky_relu,
-    derivative_of_relu,
-    derivative_of_sigmoid,
-    leaky_relu,
-    relu,
-    sigmoid,
-)
+from .numeric import NumericError, Prng, ShapeError, derivative_of_sigmoid, sigmoid
 
 HIDDEN_ACTIVATIONS = ("relu", "leaky_relu")
 OUTPUT_ACTIVATIONS = ("sigmoid", "identity")
@@ -81,22 +71,17 @@ class MlpSpec:
         return sum(math.prod(shape) for shape in self.param_shapes)
 
 
-def _bind(obj, flat: np.ndarray, shapes) -> None:
-    """Point obj.weights / obj.biases at per-layer views into flat."""
+def _bind(mlp: Mlp, flat: np.ndarray, spec: MlpSpec) -> None:
+    """Point mlp.weights / mlp.biases at per-layer views into flat, in spec's layout."""
     views, at = [], 0
-    for shape in shapes:
+    for shape in spec.param_shapes:
         size = math.prod(shape)
         views.append(flat[at : at + size].reshape(shape))
         at += size
     if at != flat.shape[0]:
         raise ShapeError(f"parameter vector has {flat.shape[0]} values, layers need {at}")
-    obj.flat = flat
-    obj.weights, obj.biases = views[0::2], views[1::2]
-
-
-def _pack(weights, biases) -> np.ndarray:
-    parts = [np.ravel(a) for pair in zip(weights, biases) for a in pair]
-    return np.concatenate(parts).astype(np.float64, copy=False)
+    mlp.spec, mlp.flat = spec, flat
+    mlp.weights, mlp.biases = views[0::2], views[1::2]
 
 
 class Mlp:
@@ -106,7 +91,8 @@ class Mlp:
     each layer's weights row-major, then its biases. ``weights[i]`` and
     ``biases[i]`` are views into it, so an in-place update of either side
     shows on the other. The constructor copies the given arrays in;
-    ``from_flat`` wraps an existing vector.
+    ``from_flat`` wraps an existing vector. Gradients (from mlp_backward,
+    or built by hand for adam_step) are Mlps in the same layout.
     """
 
     def __init__(self, spec: MlpSpec, weights, biases):
@@ -121,30 +107,15 @@ class Mlp:
                 raise ShapeError(
                     f"layer {i} bias shape {np.shape(b)}, spec wants ({sizes[i + 1]},)"
                 )
-        self.spec = spec
-        _bind(self, _pack(weights, biases), spec.param_shapes)
+        parts = [np.ravel(a) for pair in zip(weights, biases) for a in pair]
+        _bind(self, np.concatenate(parts).astype(np.float64, copy=False), spec)
 
     @classmethod
     def from_flat(cls, spec: MlpSpec, flat: np.ndarray) -> Mlp:
         """Wrap a float64 parameter vector in spec's layout, without copying it."""
         mlp = cls.__new__(cls)
-        mlp.spec = spec
-        _bind(mlp, flat, spec.param_shapes)
+        _bind(mlp, flat, spec)
         return mlp
-
-
-class MlpGrads:
-    """Gradients in the Mlp's layout: one flat vector with per-layer views."""
-
-    def __init__(self, weights, biases):
-        shapes = [np.shape(a) for pair in zip(weights, biases) for a in pair]
-        _bind(self, _pack(weights, biases), shapes)
-
-    @classmethod
-    def from_flat(cls, flat: np.ndarray, shapes) -> MlpGrads:
-        grads = cls.__new__(cls)
-        _bind(grads, flat, shapes)
-        return grads
 
 
 @dataclass
@@ -167,30 +138,34 @@ def init_mlp(spec: MlpSpec, rng: Prng) -> Mlp:
     return mlp
 
 
-def _hidden_act(spec: MlpSpec, z: np.ndarray) -> np.ndarray:
+def _activate(spec: MlpSpec, z: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """The hidden activation of z: relu, or leaky_relu with spec's slope.
+
+    relu writes into out when one is given; leaky_relu returns a new array.
+    """
     if spec.hidden_activation == "relu":
-        return relu(z)
-    return leaky_relu(z, spec.leaky_slope)
+        return np.maximum(z, 0.0, out=out)
+    return np.where(z >= 0, z, spec.leaky_slope * z)
 
 
-def _hidden_act_derivative(spec: MlpSpec, z: np.ndarray) -> np.ndarray:
-    if spec.hidden_activation == "relu":
-        return derivative_of_relu(z)
-    return derivative_of_leaky_relu(z, spec.leaky_slope)
+def _activation_derivative(spec: MlpSpec, z: np.ndarray) -> np.ndarray:
+    """Subgradient of _activate; at exactly 0 the positive branch (1) is used."""
+    slope = spec.leaky_slope if spec.hidden_activation == "leaky_relu" else 0.0
+    return np.where(z >= 0, 1.0, slope)
 
 
 def mlp_forward(
     mlp: Mlp,
     x,
-    train_mode: bool = False,
     dropout_rate: float = 0.0,
     rng: Prng | None = None,
 ) -> tuple[np.ndarray, ForwardCache]:
     """Run the network on a (batch, in_dim) matrix.
 
-    In train mode with dropout_rate > 0, hidden activations are masked with
-    inverted dropout (kept units scaled by 1/(1-rate)), which needs an rng.
-    Eval mode applies no masks, so train-mode expectations match eval output.
+    With dropout_rate > 0, hidden activations are masked with inverted
+    dropout (kept units scaled by 1/(1-rate)), which needs an rng; masked
+    outputs match the rate-0 output in expectation. At rate 0 no mask is
+    drawn, so a given rng is left untouched.
     """
     x = np.asarray(x, dtype=np.float64)
     spec = mlp.spec
@@ -200,9 +175,9 @@ def mlp_forward(
         )
     if not 0.0 <= dropout_rate < 1.0:
         raise ValueError(f"dropout rate must lie in [0, 1), got {dropout_rate}")
-    use_dropout = train_mode and dropout_rate > 0.0
+    use_dropout = dropout_rate > 0.0
     if use_dropout and rng is None:
-        raise ValueError("train-mode dropout requires an rng")
+        raise ValueError("dropout requires an rng")
 
     inputs: list[np.ndarray] = []
     preacts: list[np.ndarray] = []
@@ -214,7 +189,7 @@ def mlp_forward(
         z = h @ mlp.weights[i].T + mlp.biases[i]
         preacts.append(z)
         if i < last:
-            a = _hidden_act(spec, z)
+            a = _activate(spec, z)
             if use_dropout:
                 keep = rng.uniform(a.shape) >= dropout_rate
                 mask = keep / (1.0 - dropout_rate)
@@ -233,7 +208,7 @@ def mlp_forward(
 
 
 def _eval_rows(mlp: Mlp, h: np.ndarray, bufs: list[np.ndarray]) -> np.ndarray:
-    """Eval-mode mlp_forward on one block of rows: the same operations, no cache.
+    """mlp_forward without dropout on one block of rows: the same operations, no cache.
 
     Layer i works in place in bufs[i], a float64 buffer of >= rows rows; the
     result may be a view into the last one.
@@ -244,18 +219,16 @@ def _eval_rows(mlp: Mlp, h: np.ndarray, bufs: list[np.ndarray]) -> np.ndarray:
         z += b
         if i == spec.n_layers - 1:
             return sigmoid(z) if spec.output_activation == "sigmoid" else z
-        if spec.hidden_activation == "relu":
-            h = np.maximum(z, 0.0, out=z)
-        else:
-            h = np.where(z >= 0, z, spec.leaky_slope * z)
+        h = _activate(spec, z, out=z)
 
 
 def mlp_backward(
     mlp: Mlp, cache: ForwardCache, grad_output: np.ndarray
-) -> tuple[MlpGrads, np.ndarray]:
+) -> tuple[Mlp, np.ndarray]:
     """Backpropagate d(loss)/d(output) through the cached forward pass.
 
-    Returns parameter gradients and the gradient with respect to the input.
+    Returns the parameter gradients, as an Mlp in this network's layout, and
+    the gradient with respect to the input.
     """
     spec = mlp.spec
     n = spec.n_layers
@@ -278,7 +251,7 @@ def mlp_backward(
     else:
         g = grad_output
 
-    grads = MlpGrads.from_flat(np.empty_like(mlp.flat), spec.param_shapes)
+    grads = Mlp.from_flat(spec, np.empty_like(mlp.flat))
     for i in reversed(range(n)):
         # g holds d(loss)/d(z_i) here
         grads.weights[i][...] = g.T @ cache.inputs[i]
@@ -288,7 +261,7 @@ def mlp_backward(
             mask = cache.masks[i - 1]
             if mask is not None:
                 g = g * mask
-            g = g * _hidden_act_derivative(spec, cache.preacts[i - 1])
+            g = g * _activation_derivative(spec, cache.preacts[i - 1])
     return grads, g
 
 
@@ -330,7 +303,7 @@ def init_adam(
     )
 
 
-def adam_step(mlp: Mlp, grads: MlpGrads, state: AdamState) -> None:
+def adam_step(mlp: Mlp, grads: Mlp, state: AdamState) -> None:
     """One bias-corrected Adam update over the whole parameter vector, in place.
 
     A non-finite gradient raises NumericError naming the first bad layer,

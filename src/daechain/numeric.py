@@ -1,4 +1,4 @@
-"""Deterministic numeric core: float64 arrays, activations, seeded sampling.
+"""Deterministic numeric core: float64 arrays, the sigmoid, seeded sampling.
 
 All values are C-order float64 ndarrays. Randomness flows through ``Prng``,
 which owns a PCG64 uniform stream; normal draws are produced from that stream
@@ -19,10 +19,6 @@ __all__ = [
     "as_rows",
     "sigmoid",
     "derivative_of_sigmoid",
-    "relu",
-    "derivative_of_relu",
-    "leaky_relu",
-    "derivative_of_leaky_relu",
 ]
 
 
@@ -133,32 +129,3 @@ def derivative_of_sigmoid(y) -> np.ndarray:
     """Derivative expressed through the sigmoid output y: y * (1 - y)."""
     y = np.asarray(y, dtype=np.float64)
     return y * (1.0 - y)
-
-
-def relu(x) -> np.ndarray:
-    x = np.asarray(x, dtype=np.float64)
-    return np.maximum(x, 0.0)
-
-
-def derivative_of_relu(x) -> np.ndarray:
-    """Subgradient of relu; at exactly 0 the positive branch (1) is used."""
-    x = np.asarray(x, dtype=np.float64)
-    return np.where(x >= 0, 1.0, 0.0)
-
-
-def leaky_relu(x, slope: float) -> np.ndarray:
-    _check_slope(slope)
-    x = np.asarray(x, dtype=np.float64)
-    return np.where(x >= 0, x, slope * x)
-
-
-def derivative_of_leaky_relu(x, slope: float) -> np.ndarray:
-    """Subgradient of leaky_relu; at exactly 0 the positive branch (1) is used."""
-    _check_slope(slope)
-    x = np.asarray(x, dtype=np.float64)
-    return np.where(x >= 0, 1.0, slope)
-
-
-def _check_slope(slope: float) -> None:
-    if not 0.0 <= slope < 1.0:
-        raise ValueError(f"leaky slope must lie in [0, 1), got {slope}")

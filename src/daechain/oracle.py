@@ -151,10 +151,16 @@ def responsibilities(gm: GaussianMixture, xs) -> np.ndarray:
 
 
 def mixture_log_pdf_and_mode(gm: GaussianMixture, xs) -> tuple[np.ndarray, np.ndarray]:
-    """mixture_log_pdf_batch and argmax(responsibilities) from one evaluation."""
+    """mixture_log_pdf_batch and the most responsible component, from one evaluation.
+
+    The mode is the argmax of the component log-densities. The softmax keeps
+    their order, so the mode always has the largest responsibility; where
+    the softmax rounds two components to one probability, the mode is the
+    one with the larger log-density rather than the lower index.
+    """
     pts, _ = as_rows(np.atleast_2d(xs), gm.dim, "point", "mixture dim")
     logc = _component_log_pdfs(gm, pts)
-    return _logsumexp(logc), np.argmax(_softmax(logc), axis=1)
+    return _logsumexp(logc), np.argmax(logc, axis=1)
 
 
 def analytic_score(gm: GaussianMixture, x) -> np.ndarray:

@@ -33,7 +33,7 @@ from daechain.io_formats import (
 )
 from daechain.losses import adversarial_losses, bce_loss, kl_to_standard_normal, mse_loss
 from daechain.models import build_model, reconstruct
-from daechain.nn import MlpGrads, MlpSpec, init_mlp, mlp_backward, mlp_forward
+from daechain.nn import Mlp, MlpSpec, init_mlp, mlp_backward, mlp_forward
 from daechain.numeric import Prng
 from daechain.oracle import (
     GaussianMixture,
@@ -183,7 +183,8 @@ def _adversarial_instance(rng, side: str):
         if side == "disc":
             g1, _ = mlp_backward(disc, cache_prior, adv.grad_disc_prior)
             g2, _ = mlp_backward(disc, cache_encoded, adv.grad_disc_encoded)
-            return MlpGrads(
+            return Mlp(
+                disc.spec,
                 [a + b for a, b in zip(g1.weights, g2.weights)],
                 [a + b for a, b in zip(g1.biases, g2.biases)],
             )

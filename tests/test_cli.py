@@ -5,7 +5,10 @@ bytes are checked without subprocesses. Training setups are kept tiny;
 statistical quality of the results is covered elsewhere.
 """
 
+import re
 import struct
+import types
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -318,6 +321,21 @@ def test_exported_errors_are_the_nine_error_types():
         "ShapeError",
         "UnderflowError",
     ]
+
+
+def test_public_names_are_the_readme_python_api():
+    # the bullets of README's "Python API" section name every public,
+    # non-module name of the package; the count grows only with a capability
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    section = readme.split("## Python API", 1)[1].split("\n## ", 1)[0]
+    bullets = section[section.index("\n- "):]
+    listed = set(re.findall(r"`(\w+)`", bullets))
+    public = {
+        name for name, obj in vars(daechain).items()
+        if not name.startswith("_") and not isinstance(obj, types.ModuleType)
+    }
+    assert public == listed
+    assert len(public) == 33
 
 
 @pytest.mark.parametrize("error", _exported_errors(), ids=lambda cls: cls.__name__)

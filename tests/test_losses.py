@@ -58,6 +58,8 @@ def test_bce_rejects_targets_outside_unit_interval():
         bce_loss(np.array([[1.2]]), np.array([[0.5]]))
     with pytest.raises(ValueError):
         bce_loss(np.array([[-0.1]]), np.array([[0.5]]))
+    with pytest.raises(ValueError):
+        bce_loss(np.array([[0.5], [np.nan]]), np.array([[0.5], [0.5]]))
 
 
 def test_loss_shape_mismatch():

@@ -436,6 +436,8 @@ def test_train_rejects_bad_datasets():
         train("dae", np.array([0.5, 0.5]), cfg)
     with pytest.raises(ValueError):
         train("dae", np.array([[1.5]]), cfg)
+    with pytest.raises(ValueError, match=r"\[0, 1\]"):
+        train("dae", np.array([[0.5], [np.nan]]), cfg)
 
 
 def test_train_trace_shape_and_keys():

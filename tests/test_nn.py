@@ -7,8 +7,8 @@ from daechain.numeric import NumericError, Prng, ShapeError
 from daechain.nn import (
     AdamState,
     Mlp,
-    MlpGrads,
     MlpSpec,
+    _eval_rows,
     adam_step,
     init_adam,
     init_mlp,
@@ -36,8 +36,9 @@ def test_spec_validation():
         MlpSpec((4, 2), hidden_activation="tanh")
     with pytest.raises(ValueError):
         MlpSpec((4, 2), output_activation="softmax")
-    with pytest.raises(ValueError):
-        MlpSpec((4, 2), leaky_slope=1.0)
+    for bad_slope in (-0.1, 1.0, 1.5):
+        with pytest.raises(ValueError):
+            MlpSpec((4, 2), leaky_slope=bad_slope)
 
 
 def test_init_shapes_and_glorot_bound():
@@ -116,15 +117,28 @@ def test_forward_shape_error_names_both_shapes():
 def test_forward_dropout_requires_rng():
     mlp = small_net()
     with pytest.raises(ValueError):
-        mlp_forward(mlp, np.ones((2, 3)), train_mode=True, dropout_rate=0.5)
+        mlp_forward(mlp, np.ones((2, 3)), dropout_rate=0.5)
 
 
-def test_eval_mode_ignores_dropout_rate():
-    mlp = small_net()
-    x = Prng(2).uniform((4, 3))
-    a, _ = mlp_forward(mlp, x)
-    b, _ = mlp_forward(mlp, x, train_mode=False, dropout_rate=0.9, rng=Prng(0))
-    assert np.array_equal(a, b)
+@pytest.mark.parametrize("hidden,slope", [("relu", 0.0), ("leaky_relu", 0.1)])
+def test_hidden_activation_values_kink_and_rate_zero(hidden, slope):
+    # a 1-1-1 net with unit weights and an identity head outputs the hidden
+    # activation of its input
+    spec = MlpSpec((1, 1, 1), hidden, "identity", leaky_slope=0.1)
+    mlp = Mlp(spec, [np.ones((1, 1))] * 2, [np.zeros(1)] * 2)
+    x = np.array([[-2.0], [-0.5], [0.0], [0.5], [2.0]])
+    y, cache = mlp_forward(mlp, x)
+    np.testing.assert_array_equal(y, [[-2.0 * slope], [-0.5 * slope], [0.0], [0.5], [2.0]])
+    blocked = _eval_rows(mlp, x, [np.empty((5, 1)), np.empty((5, 1))])
+    assert blocked.tobytes() == y.tobytes()
+    # z = 0 exactly at the middle row takes the positive branch (1)
+    _, grad_in = mlp_backward(mlp, cache, np.ones_like(y))
+    np.testing.assert_array_equal(grad_in, [[slope], [slope], [1.0], [1.0], [1.0]])
+    # rate 0 draws no mask, even given an rng
+    rng = Prng(2)
+    masked, _ = mlp_forward(mlp, x, dropout_rate=0.0, rng=rng)
+    assert masked.tobytes() == y.tobytes()
+    assert np.array_equal(rng.uniform(4), Prng(2).uniform(4))
 
 
 def test_dropout_expectation_matches_eval_activation():
@@ -135,7 +149,7 @@ def test_dropout_expectation_matches_eval_activation():
     row = np.array([[0.7, -1.2, 0.4]])
     n = 20_000
     x = np.repeat(row, n, axis=0)
-    _, cache_train = mlp_forward(mlp, x, train_mode=True, dropout_rate=0.4, rng=Prng(77))
+    _, cache_train = mlp_forward(mlp, x, dropout_rate=0.4, rng=Prng(77))
     _, cache_eval = mlp_forward(mlp, row)
     # hidden activation = input of the final layer
     h_train = cache_train.inputs[-1].mean(axis=0)
@@ -149,8 +163,8 @@ def test_dropout_expectation_matches_eval_activation():
 def test_dropout_masks_are_seed_deterministic():
     mlp = small_net()
     x = Prng(3).uniform((8, 3))
-    a, _ = mlp_forward(mlp, x, train_mode=True, dropout_rate=0.5, rng=Prng(9))
-    b, _ = mlp_forward(mlp, x, train_mode=True, dropout_rate=0.5, rng=Prng(9))
+    a, _ = mlp_forward(mlp, x, dropout_rate=0.5, rng=Prng(9))
+    b, _ = mlp_forward(mlp, x, dropout_rate=0.5, rng=Prng(9))
     assert np.array_equal(a, b)
 
 
@@ -203,7 +217,7 @@ def test_backward_with_dropout_uses_cached_mask():
     spec = MlpSpec((3, 16, 2), output_activation="identity")
     mlp = init_mlp(spec, Prng(8))
     x = Prng(31).normal((4, 3), 1.0)
-    y, cache = mlp_forward(mlp, x, train_mode=True, dropout_rate=0.5, rng=Prng(40))
+    y, cache = mlp_forward(mlp, x, dropout_rate=0.5, rng=Prng(40))
     grads, gin = mlp_backward(mlp, cache, np.ones_like(y))
     mask = cache.masks[0]
 
@@ -252,9 +266,7 @@ def scalar_net():
 def test_adam_first_step_magnitude_is_alpha():
     mlp = scalar_net()
     state = init_adam(mlp, alpha=1e-3)
-    from daechain.nn import MlpGrads
-
-    grads = MlpGrads([np.array([[1.0]])], [np.array([0.0])])
+    grads = Mlp(mlp.spec, [np.array([[1.0]])], [np.array([0.0])])
     adam_step(mlp, grads, state)
     assert state.t == 1
     # m_hat = g, v_hat = g^2, so the step is alpha * g / (|g| + eps) ~ alpha
@@ -264,9 +276,7 @@ def test_adam_first_step_magnitude_is_alpha():
 def test_adam_zero_gradients_leave_params_unchanged():
     mlp = scalar_net()
     state = init_adam(mlp)
-    from daechain.nn import MlpGrads
-
-    grads = MlpGrads([np.zeros((1, 1))], [np.zeros(1)])
+    grads = Mlp(mlp.spec, [np.zeros((1, 1))], [np.zeros(1)])
     adam_step(mlp, grads, state)
     assert state.t == 1
     assert mlp.weights[0][0, 0] == 2.0
@@ -276,9 +286,7 @@ def test_adam_zero_gradients_leave_params_unchanged():
 def test_adam_rejects_non_finite_gradients():
     mlp = scalar_net()
     state = init_adam(mlp)
-    from daechain.nn import MlpGrads
-
-    grads = MlpGrads([np.array([[np.nan]])], [np.zeros(1)])
+    grads = Mlp(mlp.spec, [np.array([[np.nan]])], [np.zeros(1)])
     with pytest.raises(NumericError) as err:
         adam_step(mlp, grads, state)
     assert "layer 0 weight" in str(err.value)
@@ -288,7 +296,8 @@ def test_adam_rejected_step_changes_nothing():
     mlp = small_net()
     state = init_adam(mlp)
     before = mlp.flat.copy()
-    grads = MlpGrads(
+    grads = Mlp(
+        mlp.spec,
         [np.zeros_like(w) for w in mlp.weights], [np.zeros_like(b) for b in mlp.biases]
     )
     grads.biases[1][0] = np.inf
@@ -309,7 +318,8 @@ def test_adam_step_matches_per_layer_reference():
     vs = [np.zeros_like(p) for p in params]
     rng = Prng(6)
     for t in range(1, 6):
-        grads = MlpGrads(
+        grads = Mlp(
+            mlp.spec,
             [rng.normal(w.shape, 1.0) for w in mlp.weights],
             [rng.normal(b.shape, 1.0) for b in mlp.biases],
         )
@@ -327,11 +337,9 @@ def test_adam_descends_a_quadratic():
     # minimize (w*x - 3)^2 for fixed x=1: gradient 2(w - 3)
     mlp = scalar_net()
     state = init_adam(mlp, alpha=0.05)
-    from daechain.nn import MlpGrads
-
     for _ in range(500):
         w = mlp.weights[0][0, 0]
-        grads = MlpGrads([np.array([[2.0 * (w - 3.0)]])], [np.zeros(1)])
+        grads = Mlp(mlp.spec, [np.array([[2.0 * (w - 3.0)]])], [np.zeros(1)])
         adam_step(mlp, grads, state)
     assert abs(mlp.weights[0][0, 0] - 3.0) < 1e-2
 

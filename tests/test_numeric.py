@@ -9,11 +9,7 @@ from daechain.numeric import (
     NumericError,
     Prng,
     ShapeError,
-    derivative_of_leaky_relu,
-    derivative_of_relu,
     derivative_of_sigmoid,
-    leaky_relu,
-    relu,
     sample_gaussian,
     sample_uniform,
     sigmoid,
@@ -49,38 +45,14 @@ def test_sigmoid_derivative_from_output():
     np.testing.assert_allclose(derivative_of_sigmoid(y), y * (1 - y))
 
 
-def test_relu_and_leaky_relu_values():
-    x = np.array([-2.0, -0.5, 0.0, 0.5, 2.0])
-    np.testing.assert_array_equal(relu(x), [0.0, 0.0, 0.0, 0.5, 2.0])
-    np.testing.assert_allclose(leaky_relu(x, 0.1), [-0.2, -0.05, 0.0, 0.5, 2.0])
-
-
-def test_relu_derivatives_use_positive_branch_at_zero():
-    assert derivative_of_relu(0.0) == 1.0
-    assert derivative_of_leaky_relu(0.0, 0.3) == 1.0
-    x = np.array([-1.0, 1.0])
-    np.testing.assert_array_equal(derivative_of_relu(x), [0.0, 1.0])
-    np.testing.assert_array_equal(derivative_of_leaky_relu(x, 0.3), [0.3, 1.0])
-
-
-def test_leaky_slope_domain():
-    for bad in (-0.1, 1.0, 1.5):
-        with pytest.raises(ValueError):
-            leaky_relu(1.0, bad)
-
-
 @pytest.mark.parametrize(
     "fn,dfn",
     [
         (sigmoid, lambda x: derivative_of_sigmoid(sigmoid(x))),
-        (relu, derivative_of_relu),
-        (lambda x: leaky_relu(x, 0.2), lambda x: derivative_of_leaky_relu(x, 0.2)),
     ],
 )
 def test_activation_derivatives_match_finite_differences(fn, dfn):
-    # 100 points over [-5, 5]; the grid never lands on the relu kink at 0
     x = np.linspace(-5.0, 5.0, 100)
-    assert np.min(np.abs(x)) > 1e-3
     h = 1e-6
     fd = (fn(x + h) - fn(x - h)) / (2 * h)
     analytic = dfn(x)

@@ -195,11 +195,17 @@ def test_responsibilities_match_scipy_softmax(scipy_special, case):
 @settings(max_examples=100, deadline=None)
 @given(case=mixtures_and_points())
 def test_log_pdf_and_mode_are_the_separate_results(case):
-    # one evaluation of the component log-densities, the same bytes as two
+    # one evaluation of the component log-densities: log p has the bytes of
+    # mixture_log_pdf_batch, and the mode has maximal responsibility, so it
+    # is argmax(responsibilities) wherever that maximum is unique
     gm, xs = case
     log_p, mode = mixture_log_pdf_and_mode(gm, xs)
     assert np.array_equal(log_p, mixture_log_pdf_batch(gm, xs))
-    assert np.array_equal(mode, np.argmax(responsibilities(gm, xs), axis=1))
+    resp = responsibilities(gm, xs)
+    rows = np.arange(len(xs))
+    assert np.array_equal(resp[rows, mode], resp.max(axis=1))
+    unique = (resp == resp.max(axis=1, keepdims=True)).sum(axis=1) == 1
+    assert np.array_equal(mode[unique], np.argmax(resp, axis=1)[unique])
 
 
 def test_score_single_gaussian_closed_form():
