@@ -22,6 +22,7 @@ the trained parameters bitwise.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -44,8 +45,9 @@ from .numeric import NumericError, Prng, ShapeError, as_rows
 MODEL_KINDS = ("dae", "dvae", "daae")
 LOSS_KINDS = ("bce", "mse")
 # Rows per inference block: about as fast as 2048 or 4096 rows, with the least
-# memory. The last block takes the remainder (B to 2B - 1 rows): shorter
-# products, 512 rows included, take BLAS kernels whose last bits differ.
+# memory. The last block takes the remainder (B to 2B - 1 rows). Blocks must
+# not shrink, say to fit a smaller cache: a 64->2 product on 600 rows or fewer
+# takes an OpenBLAS kernel whose last bits differ from a longer product's.
 _BLOCK_ROWS = 1024
 
 
@@ -220,14 +222,21 @@ def build_model(
 def _infer(x, stages, what: str) -> np.ndarray:
     """Eval-mode output of (network, kept output columns) stages, in row blocks.
 
-    No cache is kept and layers work in place in buffers sized for the last,
-    longest block, so memory does not grow with the batch.
+    No cache is kept. Layers take turns writing into two workspaces, each
+    sized for the widest layer of the last, longest block, so each layer
+    reads the other's output; memory does not grow with the batch, and a
+    block's working set stays in cache.
     """
     rows, single = as_rows(x, stages[0][0].spec.in_dim, what)
     n = rows.shape[0]
     out = np.empty((n, stages[-1][1]))
     edges = [_BLOCK_ROWS * i for i in range(max(n // _BLOCK_ROWS, 1))] + [n]
-    bufs = [[np.empty((n - edges[-2], w)) for w in mlp.spec.layer_sizes[1:]] for mlp, _ in stages]
+    longest = n - edges[-2]
+    widths = [mlp.spec.layer_sizes[1:] for mlp, _ in stages]
+    spaces = [np.empty(longest * max(map(max, widths))) for _ in range(2)]
+    turn = itertools.count()
+    bufs = [[spaces[next(turn) % 2][: longest * w].reshape(longest, w) for w in ws]
+            for ws in widths]
     for start, stop in zip(edges, edges[1:]):
         h = rows[start:stop]
         for (mlp, keep), buf in zip(stages, bufs):

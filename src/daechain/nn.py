@@ -210,13 +210,22 @@ def mlp_forward(
 def _eval_rows(mlp: Mlp, h: np.ndarray, bufs: list[np.ndarray]) -> np.ndarray:
     """mlp_forward without dropout on one block of rows: the same operations, no cache.
 
-    Layer i works in place in bufs[i], a float64 buffer of >= rows rows; the
-    result may be a view into the last one.
+    Layer i works in place in bufs[i], a C-contiguous float64 buffer of >=
+    rows rows apart from layer i's input; the result may be a view into the
+    last one. A layer with fan-in 1 is the broadcast product h * w.T, about
+    twice as fast as the gemm and equal to it bit for bit: the gemm sums
+    from +0.0, so it differs from the bare product only where a -0.0 product
+    meets a -0.0 bias, and b + 0.0 makes that bias +0.0.
     """
     spec = mlp.spec
     for i, (w, b, buf) in enumerate(zip(mlp.weights, mlp.biases, bufs)):
-        z = np.matmul(h, w.T, out=buf[: h.shape[0]])
-        z += b
+        z = buf[: h.shape[0]]
+        if w.shape[1] == 1:
+            np.multiply(h, w[:, 0], out=z)
+            z += b + 0.0
+        else:
+            np.matmul(h, w.T, out=z)
+            z += b
         if i == spec.n_layers - 1:
             return sigmoid(z) if spec.output_activation == "sigmoid" else z
         h = _activate(spec, z, out=z)

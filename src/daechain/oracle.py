@@ -112,13 +112,38 @@ def confined_to_unit_box(gm: GaussianMixture, span: float = 4.0) -> bool:
 def _logsumexp(a: np.ndarray) -> np.ndarray:
     """Stable row-wise log(sum(exp(a))) of an (n, k) array.
 
-    Folds each row with np.logaddexp, which shifts every pairwise sum by its
-    larger term: max + log1p(exp(min - max)). Nothing overflows, and a row
-    that is all -inf gives -inf (not nan). For k <= 2 this is the expression
-    scipy.special.logsumexp evaluates, so results agree to the last bit in
-    all but rare rows, where they differ by one ulp.
+    Folds the columns left to right with np.logaddexp, which shifts every
+    pairwise sum by its larger term: max + log1p(exp(min - max)). Nothing
+    overflows, and a row that is all -inf gives -inf (not nan). For k <= 2
+    this is the expression scipy.special.logsumexp evaluates, so results
+    agree to the last bit in all but rare rows, where they differ by one ulp.
+    The k - 1 whole-column calls give the bits of np.logaddexp.reduce(a,
+    axis=1), about twice as fast as reducing each short row (k = 2, 1e5
+    rows). The reduction starts from its identity -inf, which turns a lone
+    -0.0 into +0.0, hence the + 0.0 when k = 1.
     """
-    return np.logaddexp.reduce(a, axis=1)
+    k = a.shape[1]
+    out = np.logaddexp(a[:, 0], a[:, 1]) if k > 1 else a[:, 0] + 0.0
+    for j in range(2, k):
+        np.logaddexp(out, a[:, j], out=out)
+    return out
+
+
+def _argmax_rows(a: np.ndarray) -> np.ndarray:
+    """np.argmax(a, axis=1) of an (n, k) array, folded over columns like _logsumexp.
+
+    A column takes a row only where it is strictly larger than every column
+    before it, so ties go to the lower index, as with np.argmax.
+    """
+    k = a.shape[1]
+    if k == 1:
+        return np.zeros(a.shape[0], dtype=np.intp)
+    mode = (a[:, 1] > a[:, 0]).astype(np.intp)
+    best = a[:, 0]
+    for j in range(2, k):
+        best = np.maximum(best, a[:, j - 1])
+        np.copyto(mode, j, where=a[:, j] > best)
+    return mode
 
 
 def _softmax(logc: np.ndarray) -> np.ndarray:
@@ -153,14 +178,15 @@ def responsibilities(gm: GaussianMixture, xs) -> np.ndarray:
 def mixture_log_pdf_and_mode(gm: GaussianMixture, xs) -> tuple[np.ndarray, np.ndarray]:
     """mixture_log_pdf_batch and the most responsible component, from one evaluation.
 
-    The mode is the argmax of the component log-densities. The softmax keeps
-    their order, so the mode always has the largest responsibility; where
-    the softmax rounds two components to one probability, the mode is the
-    one with the larger log-density rather than the lower index.
+    The mode is the argmax of the component log-densities (ties to the lower
+    index). The softmax keeps their order, so the mode always has the largest
+    responsibility; where the softmax rounds two components to one
+    probability, the mode is the one with the larger log-density rather than
+    the lower index.
     """
     pts, _ = as_rows(np.atleast_2d(xs), gm.dim, "point", "mixture dim")
     logc = _component_log_pdfs(gm, pts)
-    return _logsumexp(logc), np.argmax(logc, axis=1)
+    return _logsumexp(logc), _argmax_rows(logc)
 
 
 def analytic_score(gm: GaussianMixture, x) -> np.ndarray:

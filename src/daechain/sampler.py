@@ -122,9 +122,12 @@ def run_chain(
     if not np.all(np.isfinite(x)):
         raise NumericError("non-finite chain state at step 0")
 
-    times = [0]
-    states = [x.copy()]
-    displacements = []
+    every = cfg.record_every
+    times = (0, *(t for t in range(1, cfg.steps + 1) if t % every == 0 or t == cfg.steps))
+    states = np.empty((len(times), *x.shape))
+    displacements = np.empty((cfg.steps, x.shape[0]))
+    states[0] = x
+    saved = 1
     for t in range(1, cfg.steps + 1):
         fed = x + rng.normal(x.shape, cfg.inject_sigma) if cfg.inject_sigma > 0.0 else x
         nxt = np.asarray(op(fed), dtype=np.float64)
@@ -134,13 +137,13 @@ def run_chain(
             )
         if not np.all(np.isfinite(nxt)):
             raise NumericError(f"non-finite chain state at step {t}")
-        displacements.append(np.linalg.norm(nxt - x, axis=1))
+        displacements[t - 1] = np.linalg.norm(nxt - x, axis=1)
         x = nxt
-        if t % cfg.record_every == 0 or t == cfg.steps:
-            times.append(t)
-            states.append(x.copy())
+        if t == times[saved]:
+            states[saved] = x
+            saved += 1
 
-    trace = ChainTrace(tuple(times), np.stack(states), np.stack(displacements), None)
+    trace = ChainTrace(times, states, displacements, None)
     return chain_diagnostics(trace, gm)
 
 
@@ -159,7 +162,9 @@ def sample_from_noise(
     """
     if batch < 1:
         raise ValueError(f"batch must be >= 1, got {batch}")
-    dim = data_dim if data_dim is not None else model.data_dim
+    dim = data_dim if data_dim is not None else getattr(model, "data_dim", None)
+    if dim is None:
+        raise ValueError("a bare callable operator needs data_dim, the dimension of its points")
     x0 = rng.uniform((batch, dim))
     return run_chain(model, x0, cfg, rng, gm)
 

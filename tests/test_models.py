@@ -274,6 +274,20 @@ def test_reconstruct_peak_memory_does_not_grow_with_the_batch():
     assert peak <= 16e6
 
 
+def test_reconstruct_runs_in_two_workspaces():
+    # two ping-pong workspaces of 1696 x 64 (the last block, widest layer)
+    # and the output come to ~2.6 MB; a buffer per layer came to ~4.4 MB
+    model = build_model("dae", 1, 2, Prng(0))
+    x = np.random.default_rng(0).random((100_000, 1))
+    tracemalloc.start()
+    try:
+        reconstruct(model, x)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 4e6
+
+
 # ---------------------------------------------------------------------------
 # single training steps
 # ---------------------------------------------------------------------------

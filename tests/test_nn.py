@@ -5,6 +5,8 @@ import pytest
 
 from daechain.numeric import NumericError, Prng, ShapeError
 from daechain.nn import (
+    HIDDEN_ACTIVATIONS,
+    OUTPUT_ACTIVATIONS,
     AdamState,
     Mlp,
     MlpSpec,
@@ -139,6 +141,37 @@ def test_hidden_activation_values_kink_and_rate_zero(hidden, slope):
     masked, _ = mlp_forward(mlp, x, dropout_rate=0.0, rng=rng)
     assert masked.tobytes() == y.tobytes()
     assert np.array_equal(rng.uniform(4), Prng(2).uniform(4))
+
+
+# signed zeros, subnormals, and values whose products overflow
+RANK1_VALUES = (0.0, -0.0, 5e-324, -5e-324, 1e-310, -2.5e-309, 1.0, -0.75, 3.5, 1e300, -1e300)
+
+
+@pytest.mark.parametrize("rows", [7, 100, 1200])
+@pytest.mark.parametrize("sizes", [(1, 5), (1, 1, 4), (1, 6, 3)])
+@pytest.mark.parametrize("hidden", HIDDEN_ACTIVATIONS)
+@pytest.mark.parametrize("out", OUTPUT_ACTIVATIONS)
+def test_fan_in_one_layers_match_the_gemm_bit_for_bit(out, hidden, sizes, rows):
+    # _eval_rows takes a broadcast product for a fan-in-1 layer; mlp_forward
+    # always takes the gemm
+    gen = np.random.default_rng(rows)
+    spec = MlpSpec(sizes, hidden, out, leaky_slope=0.1)
+    weights, biases = [], []
+    for fan_out, fan_in in spec.param_shapes[0::2]:
+        w = gen.choice([0.0, -0.0, 2.0, -1.5, 1e10, -3e-10, 1e-300], (fan_out, fan_in))
+        # both signed zeros, except in a 1 -> 1 layer, which passes a scaled input
+        w.flat[:2] = (0.0, -0.0) if w.size > 1 else (-1.5,)
+        b = gen.choice([0.0, -0.0, 0.5, -1.0], fan_out)
+        b[0] = -0.0
+        weights.append(w)
+        biases.append(b)
+    mlp = Mlp(spec, weights, biases)
+    x = gen.choice(RANK1_VALUES, (rows, 1))
+    x[: len(RANK1_VALUES), 0] = RANK1_VALUES[:rows]
+    bufs = [np.empty((rows, w)) for w in sizes[1:]]
+    with np.errstate(over="ignore", invalid="ignore"):
+        want, _ = mlp_forward(mlp, x)
+        assert _eval_rows(mlp, x, bufs).tobytes() == want.tobytes()
 
 
 def test_dropout_expectation_matches_eval_activation():

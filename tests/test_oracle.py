@@ -12,6 +12,7 @@ from daechain.oracle import (
     GaussianMixture,
     QuadratureSpec,
     UnderflowError,
+    _argmax_rows,
     _component_log_pdfs,
     _logsumexp,
     analytic_score,
@@ -154,11 +155,13 @@ def log_value_rows(draw):
 @settings(max_examples=300, deadline=None)
 @given(a=log_value_rows())
 @example(a=np.array([[-np.inf, -np.inf, -np.inf], [0.0, -np.inf, -np.inf]]))
+@example(a=np.array([[-0.0], [0.0], [-np.inf]]))
 def test_logsumexp_matches_scipy(scipy_special, a):
     # relative 1e-12; the absolute floor covers rows whose sum cancels to ~0
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         got = _logsumexp(a)
+    assert got.tobytes() == np.logaddexp.reduce(a, axis=1).tobytes()
     want = scipy_special.logsumexp(a, axis=1)
     np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-12)
     assert np.all(got[np.all(a == -np.inf, axis=1)] == -np.inf)
@@ -206,6 +209,45 @@ def test_log_pdf_and_mode_are_the_separate_results(case):
     assert np.array_equal(resp[rows, mode], resp.max(axis=1))
     unique = (resp == resp.max(axis=1, keepdims=True)).sum(axis=1) == 1
     assert np.array_equal(mode[unique], np.argmax(resp, axis=1)[unique])
+
+
+@st.composite
+def folded_cases(draw):
+    """A k-component mixture in d dims, some components repeated, and points
+    that include ones so far from the mass that every component is -inf."""
+    k = draw(st.integers(1, 6))
+    d = draw(st.integers(1, 4))
+    means = draw(arrays(np.float64, (k, d), elements=st.floats(-1.0, 2.0)))
+    variances = draw(arrays(np.float64, (k, d), elements=st.floats(1e-3, 1.0)))
+    for j in range(1, k):
+        source = draw(st.integers(0, j))
+        if source < j:
+            means[j], variances[j] = means[source], variances[source]
+    gm = GaussianMixture(np.full(k, 1.0 / k), means, variances)
+    n = draw(st.integers(1, 6))
+    points = draw(arrays(np.float64, (n, d), elements=st.floats(-3.0, 4.0)))
+    far = draw(arrays(np.bool_, n))
+    points[far] = draw(st.sampled_from([1e160, -1e160]))
+    return gm, np.concatenate([points, means[:1]])
+
+
+@settings(max_examples=300, deadline=None)
+@given(case=folded_cases())
+def test_column_folds_have_the_bits_of_the_row_reductions(case):
+    gm, xs = case
+    with np.errstate(over="ignore"):  # far points square to inf
+        logc = _component_log_pdfs(gm, xs)
+        log_p, mode = mixture_log_pdf_and_mode(gm, xs)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert _logsumexp(logc).tobytes() == log_p.tobytes()
+        assert np.array_equal(_argmax_rows(logc), mode)
+    assert log_p.tobytes() == np.logaddexp.reduce(logc, axis=1).tobytes()
+    assert mode.dtype == np.intp
+    assert np.array_equal(mode, np.argmax(logc, axis=1))
+    # ties, repeated components and all -inf rows included, go to the lower index
+    first_max = (logc == logc.max(axis=1, keepdims=True)).argmax(axis=1)
+    assert np.array_equal(mode, first_max)
 
 
 def test_score_single_gaussian_closed_form():

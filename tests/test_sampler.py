@@ -165,6 +165,11 @@ def test_sample_from_noise_accepts_bare_callables():
     assert trace.states.shape == (3, 8, 1)
 
 
+def test_sample_from_noise_asks_a_bare_callable_for_data_dim():
+    with pytest.raises(ValueError, match="data_dim"):
+        sample_from_noise(lambda x: 0.5 * x + 0.25, 4, ChainConfig(2), Prng(0))
+
+
 def test_refine_from_prior_decodes_then_iterates():
     model = build_model("dvae", 1, 2, Prng(3), sigma=0.1)
     trace = refine_from_prior(model, 32, ChainConfig(steps=1), Prng(7))
