@@ -122,8 +122,7 @@ def run_chain(
     if not np.all(np.isfinite(x)):
         raise NumericError("non-finite chain state at step 0")
 
-    every = cfg.record_every
-    times = (0, *(t for t in range(1, cfg.steps + 1) if t % every == 0 or t == cfg.steps))
+    times = (*range(0, cfg.steps, cfg.record_every), cfg.steps)
     states = np.empty((len(times), *x.shape))
     displacements = np.empty((cfg.steps, x.shape[0]))
     states[0] = x
