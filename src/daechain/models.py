@@ -24,16 +24,18 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
+from collections import defaultdict
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from .losses import adversarial_losses, bce_loss, kl_to_standard_normal, mse_loss
 from .nn import (
     AdamState,
+    ForwardCache,
     Mlp,
     MlpSpec,
-    _eval_rows,
+    _forward,
     adam_step,
     init_adam,
     init_mlp,
@@ -158,11 +160,16 @@ class TrainConfig:
 
 @dataclass
 class OptStates:
-    """One Adam state per trainable network."""
+    """One Adam state per trainable network, and the forward caches each step refills.
+
+    With these buffers kept across steps, a 1-D step frees no large array,
+    so its speed does not hinge on when malloc returns memory to the system.
+    """
 
     encoder: AdamState
     decoder: AdamState
     discriminator: AdamState | None = None
+    caches: dict[str, ForwardCache] = field(default_factory=lambda: defaultdict(ForwardCache))
 
 
 def init_opt_states(model: Autoencoder, cfg: TrainConfig) -> OptStates:
@@ -240,7 +247,7 @@ def _infer(x, stages, what: str) -> np.ndarray:
     for start, stop in zip(edges, edges[1:]):
         h = rows[start:stop]
         for (mlp, keep), buf in zip(stages, bufs):
-            h = _eval_rows(mlp, h, buf)[:, :keep]
+            h = _forward(mlp, h, buf)[:, :keep]
         out[start:stop] = h
     return out[0] if single else out
 
@@ -279,8 +286,8 @@ def _denoise_step(
     opt: OptStates,
 ) -> float:
     """Reconstruct x from x_noisy, backpropagate, and update encoder and decoder."""
-    z, enc_cache = mlp_forward(model.encoder, x_noisy)
-    r, dec_cache = mlp_forward(model.decoder, z)
+    z, enc_cache = mlp_forward(model.encoder, x_noisy, cache=opt.caches["encoder"])
+    r, dec_cache = mlp_forward(model.decoder, z, cache=opt.caches["decoder"])
     loss = _loss_fn(cfg)(x, r)
     _check_finite(loss.value, f"{cfg.loss_kind} loss")
     dec_grads, grad_z = mlp_backward(model.decoder, dec_cache, loss.grad)
@@ -314,12 +321,12 @@ def dvae_train_step(
     x = np.asarray(batch, dtype=np.float64)
     latent = model.latent_dim
     x_noisy = corrupt(x, model.corruption, rng)
-    h, enc_cache = mlp_forward(model.encoder, x_noisy)
+    h, enc_cache = mlp_forward(model.encoder, x_noisy, cache=opt.caches["encoder"])
     mu, logvar = h[:, :latent], h[:, latent:]
     std = np.exp(0.5 * logvar)
     eta = rng.normal(mu.shape, 1.0)
     z = mu + std * eta
-    r, dec_cache = mlp_forward(model.decoder, z)
+    r, dec_cache = mlp_forward(model.decoder, z, cache=opt.caches["decoder"])
     recon = _loss_fn(cfg)(x, r)
     kl = kl_to_standard_normal(mu, logvar)
     w = cfg.regularizer_weight
@@ -352,30 +359,25 @@ def daae_train_step(
     recon = _denoise_step(model, x, x_noisy, cfg, opt)
 
     # phase 2: discriminator on prior draws vs fresh encodings
-    z_encoded, enc_cache = mlp_forward(model.encoder, x_noisy)
+    disc, rate = model.discriminator, model.dropout_rate
+    z_encoded, enc_cache = mlp_forward(model.encoder, x_noisy, cache=opt.caches["encoder"])
     z_prior = rng.normal(z_encoded.shape, 1.0)
-    scores_prior, cache_prior = mlp_forward(
-        model.discriminator, z_prior, dropout_rate=model.dropout_rate, rng=rng
-    )
-    scores_encoded, cache_encoded = mlp_forward(
-        model.discriminator, z_encoded, dropout_rate=model.dropout_rate, rng=rng
-    )
+    scores_prior, cache_prior = mlp_forward(disc, z_prior, rate, rng, opt.caches["prior"])
+    scores_encoded, cache_encoded = mlp_forward(disc, z_encoded, rate, rng, opt.caches["encoded"])
     adv = adversarial_losses(scores_prior, scores_encoded)
     _check_finite(adv.disc_value, "discriminator loss")
-    disc_grads, _ = mlp_backward(model.discriminator, cache_prior, adv.grad_disc_prior)
-    grads_encoded, _ = mlp_backward(
-        model.discriminator, cache_encoded, adv.grad_disc_encoded
-    )
+    disc_grads, _ = mlp_backward(disc, cache_prior, adv.grad_disc_prior)
+    grads_encoded, _ = mlp_backward(disc, cache_encoded, adv.grad_disc_encoded)
     disc_grads.flat += grads_encoded.flat
-    adam_step(model.discriminator, disc_grads, opt.discriminator)
+    adam_step(disc, disc_grads, opt.discriminator)
 
     # phase 3: encoder fools the updated discriminator (no dropout);
     # only the discriminator changed since phase 2, so its encoder pass is
     # reused; the prior half of this loss call is ignored
-    scores_fool, cache_fool = mlp_forward(model.discriminator, z_encoded)
+    scores_fool, cache_fool = mlp_forward(disc, z_encoded, cache=opt.caches["encoded"])
     fool = adversarial_losses(scores_prior, scores_fool)
     _check_finite(fool.enc_value, "encoder adversarial loss")
-    _, grad_z_fool = mlp_backward(model.discriminator, cache_fool, fool.grad_enc_encoded)
+    _, grad_z_fool = mlp_backward(disc, cache_fool, fool.grad_enc_encoded)
     enc_grads_fool, _ = mlp_backward(model.encoder, enc_cache, grad_z_fool)
     adam_step(model.encoder, enc_grads_fool, opt.encoder)
 

@@ -12,7 +12,7 @@ rate > 0 is given; the output head is sigmoid or identity.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -120,12 +120,17 @@ class Mlp:
 
 @dataclass
 class ForwardCache:
-    """Intermediates kept by mlp_forward for the matching backward pass."""
+    """What mlp_forward keeps for the matching backward pass, in workspaces it reuses.
 
-    inputs: list[np.ndarray]       # input to each affine layer
-    preacts: list[np.ndarray]      # z_i before activation
-    masks: list[np.ndarray | None]  # dropout mask per hidden layer (scaled), or None
-    output: np.ndarray             # final activated output
+    work[i] holds layer i's output, activation derivative and dropout mask,
+    in len(x) of its rows. mlp_backward writes over the outputs, and into grads.
+    """
+
+    x: np.ndarray | None = None  # the input
+    output: np.ndarray | None = None  # final activated output
+    dropout: bool = False
+    work: list[list[np.ndarray]] = field(default_factory=list)  # [z, derivative, mask] per layer
+    grads: Mlp | None = None
 
 
 def init_mlp(spec: MlpSpec, rng: Prng) -> Mlp:
@@ -138,20 +143,49 @@ def init_mlp(spec: MlpSpec, rng: Prng) -> Mlp:
     return mlp
 
 
-def _activate(spec: MlpSpec, z: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
-    """The hidden activation of z: relu, or leaky_relu with spec's slope.
+def _activation_derivative(spec: MlpSpec, z: np.ndarray, out=None) -> np.ndarray:
+    """Subgradient of _activate: 1 where z >= 0 (the kink included), else the slope."""
+    d = np.greater_equal(z, 0.0, out=out)
+    return d if spec.hidden_activation == "relu" else np.maximum(d, spec.leaky_slope, out=out)
 
-    relu writes into out when one is given; leaky_relu returns a new array.
-    """
+
+def _activate(spec: MlpSpec, z: np.ndarray, derivative: np.ndarray | None = None) -> np.ndarray:
+    """The hidden activation, written into z: relu, or leaky_relu = z * its derivative."""
     if spec.hidden_activation == "relu":
-        return np.maximum(z, 0.0, out=out)
-    return np.where(z >= 0, z, spec.leaky_slope * z)
+        return np.maximum(z, 0.0, out=z)
+    if derivative is None:
+        derivative = _activation_derivative(spec, z)
+    return np.multiply(z, derivative, out=z)
 
 
-def _activation_derivative(spec: MlpSpec, z: np.ndarray) -> np.ndarray:
-    """Subgradient of _activate; at exactly 0 the positive branch (1) is used."""
-    slope = spec.leaky_slope if spec.hidden_activation == "leaky_relu" else 0.0
-    return np.where(z >= 0, 1.0, slope)
+def _forward(mlp: Mlp, h: np.ndarray, bufs, work=None, dropout_rate=0.0, rng=None):
+    """The layer loop of training and inference, on a (rows, in_dim) matrix.
+
+    Layer i writes into bufs[i], a C-contiguous float64 buffer of >= rows
+    rows apart from layer i's input; the result may be a view into the last
+    one. Given a cache's work, each hidden layer's derivative and dropout
+    mask go into it. A fan-in-1 layer is the broadcast product h * w.T,
+    about twice as fast as the gemm and equal to it bit for bit: the gemm
+    sums from +0.0, so it differs from the bare product only where a -0.0
+    product meets a -0.0 bias, and b + 0.0 makes that bias +0.0.
+    """
+    spec, rows, last = mlp.spec, h.shape[0], len(mlp.weights) - 1
+    for i, (w, b) in enumerate(zip(mlp.weights, mlp.biases)):
+        z = bufs[i][:rows]
+        if w.shape[1] == 1:
+            np.multiply(h, w[:, 0], out=z)
+            z += b + 0.0
+        else:
+            np.matmul(h, w.T, out=z)
+            z += b
+        if i == last:
+            return sigmoid(z) if spec.output_activation == "sigmoid" else z
+        derivative = None if work is None else _activation_derivative(spec, z, work[i][1][:rows])
+        h = _activate(spec, z, derivative)
+        if dropout_rate > 0.0:
+            mask = np.greater_equal(rng.uniform(h.shape), dropout_rate, out=work[i][2][:rows])
+            mask /= 1.0 - dropout_rate
+            h *= mask
 
 
 def mlp_forward(
@@ -159,13 +193,15 @@ def mlp_forward(
     x,
     dropout_rate: float = 0.0,
     rng: Prng | None = None,
+    cache: ForwardCache | None = None,
 ) -> tuple[np.ndarray, ForwardCache]:
-    """Run the network on a (batch, in_dim) matrix.
+    """Run the network on a (batch, in_dim) matrix, keeping the cache for mlp_backward.
 
     With dropout_rate > 0, hidden activations are masked with inverted
     dropout (kept units scaled by 1/(1-rate)), which needs an rng; masked
     outputs match the rate-0 output in expectation. At rate 0 no mask is
-    drawn, so a given rng is left untouched.
+    drawn, so a given rng is left untouched. A cache from an earlier call
+    on this network is refilled, reusing its workspaces.
     """
     x = np.asarray(x, dtype=np.float64)
     spec = mlp.spec
@@ -175,79 +211,28 @@ def mlp_forward(
         )
     if not 0.0 <= dropout_rate < 1.0:
         raise ValueError(f"dropout rate must lie in [0, 1), got {dropout_rate}")
-    use_dropout = dropout_rate > 0.0
-    if use_dropout and rng is None:
+    if dropout_rate > 0.0 and rng is None:
         raise ValueError("dropout requires an rng")
-
-    inputs: list[np.ndarray] = []
-    preacts: list[np.ndarray] = []
-    masks: list[np.ndarray | None] = []
-    h = x
-    last = spec.n_layers - 1
-    for i in range(spec.n_layers):
-        inputs.append(h)
-        z = h @ mlp.weights[i].T + mlp.biases[i]
-        preacts.append(z)
-        if i < last:
-            a = _activate(spec, z)
-            if use_dropout:
-                keep = rng.uniform(a.shape) >= dropout_rate
-                mask = keep / (1.0 - dropout_rate)
-                a = a * mask
-                masks.append(mask)
-            else:
-                masks.append(None)
-            h = a
-        else:
-            if spec.output_activation == "sigmoid":
-                out = sigmoid(z)
-            else:
-                out = z
-    cache = ForwardCache(inputs, preacts, masks, out)
-    return out, cache
+    cache = ForwardCache() if cache is None else cache
+    widths = spec.layer_sizes[1:]
+    if [a[0].shape[1] for a in cache.work] != list(widths) or len(cache.work[0][0]) < len(x):
+        # relu's derivative is its z >= 0 mask, which multiplies as 1.0 and 0.0
+        kinds = (float, bool if spec.hidden_activation == "relu" else float, float)
+        cache.work = [[np.empty((len(x), w), kind) for kind in kinds] for w in widths]
+    cache.x, cache.dropout = x, dropout_rate > 0.0
+    cache.output = _forward(mlp, x, [a[0] for a in cache.work], cache.work, dropout_rate, rng)
+    return cache.output, cache
 
 
-def _eval_rows(mlp: Mlp, h: np.ndarray, bufs: list[np.ndarray]) -> np.ndarray:
-    """mlp_forward without dropout on one block of rows: the same operations, no cache.
-
-    Layer i works in place in bufs[i], a C-contiguous float64 buffer of >=
-    rows rows apart from layer i's input; the result may be a view into the
-    last one. A layer with fan-in 1 is the broadcast product h * w.T, about
-    twice as fast as the gemm and equal to it bit for bit: the gemm sums
-    from +0.0, so it differs from the bare product only where a -0.0 product
-    meets a -0.0 bias, and b + 0.0 makes that bias +0.0.
-    """
-    spec = mlp.spec
-    for i, (w, b, buf) in enumerate(zip(mlp.weights, mlp.biases, bufs)):
-        z = buf[: h.shape[0]]
-        if w.shape[1] == 1:
-            np.multiply(h, w[:, 0], out=z)
-            z += b + 0.0
-        else:
-            np.matmul(h, w.T, out=z)
-            z += b
-        if i == spec.n_layers - 1:
-            return sigmoid(z) if spec.output_activation == "sigmoid" else z
-        h = _activate(spec, z, out=z)
-
-
-def mlp_backward(
-    mlp: Mlp, cache: ForwardCache, grad_output: np.ndarray
-) -> tuple[Mlp, np.ndarray]:
+def mlp_backward(mlp: Mlp, cache: ForwardCache, grad_output: np.ndarray) -> tuple[Mlp, np.ndarray]:
     """Backpropagate d(loss)/d(output) through the cached forward pass.
 
-    Returns the parameter gradients, as an Mlp in this network's layout, and
-    the gradient with respect to the input.
+    Returns the parameter gradients, as an Mlp in this network's layout kept
+    in the cache, and the gradient with respect to the input.
     """
-    spec = mlp.spec
-    n = spec.n_layers
-    if len(cache.inputs) != n or len(cache.preacts) != n:
-        raise ValueError("stale cache: layer count does not match this network")
-    for i in range(n):
-        if cache.inputs[i].shape[1] != mlp.weights[i].shape[1] or (
-            cache.preacts[i].shape[1] != mlp.weights[i].shape[0]
-        ):
-            raise ValueError(f"stale cache: layer {i} shapes do not match this network")
+    spec, rows = mlp.spec, len(cache.x)
+    if [cache.x.shape[1], *(a[0].shape[1] for a in cache.work)] != list(spec.layer_sizes):
+        raise ValueError("stale cache: its shapes do not match this network")
     grad_output = np.asarray(grad_output, dtype=np.float64)
     if grad_output.shape != cache.output.shape:
         raise ShapeError(
@@ -260,18 +245,20 @@ def mlp_backward(
     else:
         g = grad_output
 
-    grads = Mlp.from_flat(spec, np.empty_like(mlp.flat))
-    for i in reversed(range(n)):
-        # g holds d(loss)/d(z_i) here
-        grads.weights[i][...] = g.T @ cache.inputs[i]
-        grads.biases[i][...] = g.sum(axis=0)
-        g = g @ mlp.weights[i]
-        if i > 0:
-            mask = cache.masks[i - 1]
-            if mask is not None:
-                g = g * mask
-            g = g * _activation_derivative(spec, cache.preacts[i - 1])
-    return grads, g
+    if cache.grads is None or cache.grads.spec is not spec:
+        cache.grads = Mlp.from_flat(spec, np.empty_like(mlp.flat))
+    grads = cache.grads
+    for i in reversed(range(spec.n_layers)):
+        # g = d(loss)/d(z_i); d(loss)/d(z_i-1) goes over the spent input h of layer i
+        h, derivative, mask = [a[:rows] for a in cache.work[i - 1]] if i else (cache.x, None, None)
+        np.matmul(g.T, h, out=grads.weights[i])
+        g.sum(axis=0, out=grads.biases[i])
+        if i == 0:
+            return grads, g @ mlp.weights[0]
+        g = np.matmul(g, mlp.weights[i], out=h)
+        if cache.dropout:
+            g *= mask
+        g *= derivative
 
 
 # ---------------------------------------------------------------------------
@@ -280,10 +267,11 @@ def mlp_backward(
 
 @dataclass
 class AdamState:
-    """First/second moment vectors (in Mlp.flat's layout), step count, hyperparameters."""
+    """Moments (in Mlp.flat's layout), step count, hyperparameters, update workspace."""
 
     m: np.ndarray
     v: np.ndarray
+    work: np.ndarray  # the update's two temporaries
     t: int = 0
     alpha: float = 2e-4
     beta1: float = 0.5
@@ -302,9 +290,12 @@ def init_adam(
         raise ValueError(f"alpha must be finite and >= 0, got {alpha}")
     if not (0.0 <= beta1 < 1.0 and 0.0 <= beta2 < 1.0):
         raise ValueError("beta1 and beta2 must lie in [0, 1)")
+    if not (math.isfinite(eps) and eps > 0):
+        raise ValueError(f"eps must be finite and > 0, got {eps}")
     return AdamState(
         m=np.zeros_like(mlp.flat),
         v=np.zeros_like(mlp.flat),
+        work=np.empty((2, mlp.flat.size)),
         alpha=alpha,
         beta1=beta1,
         beta2=beta2,
@@ -315,21 +306,28 @@ def init_adam(
 def adam_step(mlp: Mlp, grads: Mlp, state: AdamState) -> None:
     """One bias-corrected Adam update over the whole parameter vector, in place.
 
-    A non-finite gradient raises NumericError naming the first bad layer,
-    before anything (the step count included) is changed.
+    Moments and temporaries are written in place, by the textbook formulas'
+    operations in their order. A non-finite gradient raises NumericError
+    naming the first bad layer, before anything (the step count included)
+    is changed.
     """
     g = grads.flat
     if g.shape != mlp.flat.shape:
         raise ShapeError("gradient size does not match the network")
-    if not np.all(np.isfinite(g)):
+    if not np.isfinite(g).all():
         for i, (w, b) in enumerate(zip(grads.weights, grads.biases)):
             for kind, part in (("weight", w), ("bias", b)):
                 if not np.all(np.isfinite(part)):
                     raise NumericError(f"layer {i} {kind} gradient is not finite")
     state.t += 1
     b1, b2 = state.beta1, state.beta2
-    state.m = b1 * state.m + (1.0 - b1) * g
-    state.v = b2 * state.v + (1.0 - b2) * (g * g)
-    m_hat = state.m / (1.0 - b1**state.t)
-    v_hat = state.v / (1.0 - b2**state.t)
-    mlp.flat -= state.alpha * m_hat / (np.sqrt(v_hat) + state.eps)
+    m, v, (step, root) = state.m, state.v, state.work
+    m *= b1
+    m += np.multiply(g, 1.0 - b1, out=step)
+    v *= b2
+    v += np.multiply(np.multiply(g, g, out=root), 1.0 - b2, out=root)
+    np.divide(m, 1.0 - b1**state.t, out=step)  # m_hat
+    step *= state.alpha
+    np.sqrt(np.divide(v, 1.0 - b2**state.t, out=root), out=root)  # sqrt(v_hat)
+    root += state.eps
+    mlp.flat -= np.divide(step, root, out=step)

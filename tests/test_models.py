@@ -5,6 +5,7 @@ import pytest
 
 from daechain.losses import bce_loss, kl_to_standard_normal
 from daechain.models import (
+    LOSS_KINDS,
     MODEL_KINDS,
     Autoencoder,
     CorruptionSpec,
@@ -20,8 +21,9 @@ from daechain.models import (
     reconstruct,
     train,
 )
-from daechain.nn import MlpSpec, _eval_rows, init_mlp, mlp_forward
+from daechain.nn import MlpSpec, _forward, init_mlp, mlp_forward
 from daechain.numeric import NumericError, Prng, ShapeError
+import _reference_training as reference_training
 
 
 def mixture_data(n, seed=1):
@@ -239,7 +241,7 @@ def test_blocked_inference_honours_leaky_layers_and_identity_heads():
     x = np.random.default_rng(4).standard_normal((1500, 3))
     bufs = [np.empty((x.shape[0], w)) for w in spec.layer_sizes[1:]]
     want, _ = mlp_forward(mlp, x)
-    assert np.array_equal(_eval_rows(mlp, x, bufs), want)
+    assert np.array_equal(_forward(mlp, x, bufs), want)
 
     decoder = init_mlp(MlpSpec((2, 16, 3), "leaky_relu", "identity"), Prng(5))
     model = Autoencoder("dae", mlp, decoder, CorruptionSpec(0.1))
@@ -291,6 +293,25 @@ def test_reconstruct_runs_in_two_workspaces():
 # ---------------------------------------------------------------------------
 # single training steps
 # ---------------------------------------------------------------------------
+
+def test_daae_step_reuses_its_workspaces():
+    # after a warm-up step a batch-100 DAAE step peaks at ~161 kB, mostly a
+    # dropout draw's 100 x 64 uniforms and their scaled copies; with new
+    # activations, masks, gradient vectors and Adam temporaries on every
+    # step it peaked at ~1.56 MB
+    model = build_model("daae", 1, 2, Prng(0))
+    cfg = TrainConfig(epochs=1)
+    opt = init_opt_states(model, cfg)
+    x, rng = mixture_data(100), Prng(1)
+    daae_train_step(model, x, cfg, rng, opt)
+    tracemalloc.start()
+    try:
+        daae_train_step(model, x, cfg, rng, opt)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 0.3e6
+
 
 def test_dae_step_changes_parameters_and_counts():
     cfg = TrainConfig(epochs=1, batch_size=8)
@@ -492,6 +513,29 @@ def test_train_is_bitwise_deterministic():
     for a, b in zip(m1.encoder.weights + m1.decoder.weights,
                     m2.encoder.weights + m2.decoder.weights):
         assert np.array_equal(a, b)
+
+
+# (kind, loss, latent, data dim, dropout): every kind x loss; latent 1, where
+# the decoder's and the discriminator's input layers have fan-in 1 (as the
+# encoder's does on 1-D data); 3-D data; the DAAE with and without dropout
+REFERENCE_FITS = [(kind, loss, 2, 1, 0.2) for kind in MODEL_KINDS for loss in LOSS_KINDS] + [
+    (kind, loss, latent, d, 0.2)
+    for kind in MODEL_KINDS
+    for loss, latent, d in (("bce", 1, 1), ("mse", 1, 3), ("bce", 2, 3))
+] + [("daae", "bce", 1, 3, 0.0), ("daae", "mse", 2, 1, 0.5)]
+
+
+@pytest.mark.parametrize("kind,loss,latent,d,dropout", REFERENCE_FITS)
+def test_fits_match_the_reference_training_byte_for_byte(kind, loss, latent, d, dropout):
+    # 250 rows in batches of 100: every epoch ends on a short batch of 50
+    data = np.random.default_rng(d).random((250, d))
+    cfg = TrainConfig(loss_kind=loss, epochs=2, batch_size=100, seed=latent + 7)
+    kwargs = dict(latent_dim=latent, hidden=(64, 64), sigma=0.5, dropout_rate=dropout)
+    model, trace = train(kind, data, cfg, **kwargs)
+    want_model, want_trace = reference_training.train(kind, data, cfg, **kwargs)
+    assert repr(trace) == repr(want_trace)
+    for have, want in zip(model.networks, want_model.networks, strict=True):
+        assert have.flat.tobytes() == want.flat.tobytes()
 
 
 def test_train_reduces_loss_on_mixture_data():

@@ -1,16 +1,17 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
-from daechain.numeric import NumericError, Prng, ShapeError
+from daechain.numeric import NumericError, Prng, ShapeError, sigmoid
 from daechain.nn import (
     HIDDEN_ACTIVATIONS,
     OUTPUT_ACTIVATIONS,
     AdamState,
     Mlp,
     MlpSpec,
-    _eval_rows,
+    _forward,
     adam_step,
     init_adam,
     init_mlp,
@@ -131,7 +132,7 @@ def test_hidden_activation_values_kink_and_rate_zero(hidden, slope):
     x = np.array([[-2.0], [-0.5], [0.0], [0.5], [2.0]])
     y, cache = mlp_forward(mlp, x)
     np.testing.assert_array_equal(y, [[-2.0 * slope], [-0.5 * slope], [0.0], [0.5], [2.0]])
-    blocked = _eval_rows(mlp, x, [np.empty((5, 1)), np.empty((5, 1))])
+    blocked = _forward(mlp, x, [np.empty((5, 1)), np.empty((5, 1))])
     assert blocked.tobytes() == y.tobytes()
     # z = 0 exactly at the middle row takes the positive branch (1)
     _, grad_in = mlp_backward(mlp, cache, np.ones_like(y))
@@ -147,13 +148,26 @@ def test_hidden_activation_values_kink_and_rate_zero(hidden, slope):
 RANK1_VALUES = (0.0, -0.0, 5e-324, -5e-324, 1e-310, -2.5e-309, 1.0, -0.75, 3.5, 1e300, -1e300)
 
 
+def gemm_forward(mlp, x):
+    """Every layer as h @ w.T + b into a new array: (output, each layer's input)."""
+    spec, h, inputs = mlp.spec, x, []
+    for i, (w, b) in enumerate(zip(mlp.weights, mlp.biases)):
+        inputs.append(h)
+        z = h @ w.T + b
+        if i == spec.n_layers - 1:
+            return (sigmoid(z) if spec.output_activation == "sigmoid" else z), inputs
+        h = np.maximum(z, 0.0) if spec.hidden_activation == "relu" else (
+            np.where(z >= 0, z, spec.leaky_slope * z)
+        )
+
+
 @pytest.mark.parametrize("rows", [7, 100, 1200])
 @pytest.mark.parametrize("sizes", [(1, 5), (1, 1, 4), (1, 6, 3)])
 @pytest.mark.parametrize("hidden", HIDDEN_ACTIVATIONS)
 @pytest.mark.parametrize("out", OUTPUT_ACTIVATIONS)
 def test_fan_in_one_layers_match_the_gemm_bit_for_bit(out, hidden, sizes, rows):
-    # _eval_rows takes a broadcast product for a fan-in-1 layer; mlp_forward
-    # always takes the gemm
+    # the layer loop takes a broadcast product for a fan-in-1 layer, with a
+    # cache (training) and without (inference, in workspaces)
     gen = np.random.default_rng(rows)
     spec = MlpSpec(sizes, hidden, out, leaky_slope=0.1)
     weights, biases = [], []
@@ -170,8 +184,11 @@ def test_fan_in_one_layers_match_the_gemm_bit_for_bit(out, hidden, sizes, rows):
     x[: len(RANK1_VALUES), 0] = RANK1_VALUES[:rows]
     bufs = [np.empty((rows, w)) for w in sizes[1:]]
     with np.errstate(over="ignore", invalid="ignore"):
-        want, _ = mlp_forward(mlp, x)
-        assert _eval_rows(mlp, x, bufs).tobytes() == want.tobytes()
+        want, want_inputs = gemm_forward(mlp, x)
+        cached, cache = mlp_forward(mlp, x)
+        assert cached.tobytes() == want.tobytes()
+        assert [a[0].tobytes() for a in cache.work[:-1]] == [a.tobytes() for a in want_inputs[1:]]
+        assert _forward(mlp, x, bufs).tobytes() == want.tobytes()
 
 
 def test_dropout_expectation_matches_eval_activation():
@@ -184,9 +201,9 @@ def test_dropout_expectation_matches_eval_activation():
     x = np.repeat(row, n, axis=0)
     _, cache_train = mlp_forward(mlp, x, dropout_rate=0.4, rng=Prng(77))
     _, cache_eval = mlp_forward(mlp, row)
-    # hidden activation = input of the final layer
-    h_train = cache_train.inputs[-1].mean(axis=0)
-    h_eval = cache_eval.inputs[-1][0]
+    # hidden activation = output of the hidden layer
+    h_train = cache_train.work[0][0].mean(axis=0)
+    h_eval = cache_eval.work[0][0][0]
     active = np.abs(h_eval) > 0.05
     assert active.any()
     rel = np.abs(h_train[active] - h_eval[active]) / np.abs(h_eval[active])
@@ -252,7 +269,7 @@ def test_backward_with_dropout_uses_cached_mask():
     x = Prng(31).normal((4, 3), 1.0)
     y, cache = mlp_forward(mlp, x, dropout_rate=0.5, rng=Prng(40))
     grads, gin = mlp_backward(mlp, cache, np.ones_like(y))
-    mask = cache.masks[0]
+    mask = cache.work[0][2].copy()
 
     def replay(xv):
         z = xv @ mlp.weights[0].T + mlp.biases[0]
@@ -366,6 +383,22 @@ def test_adam_step_matches_per_layer_reference():
     assert all(np.array_equal(a, b) for a, b in zip(got, params))
 
 
+def test_adam_step_allocates_no_parameter_sized_vector():
+    # 4,418 parameters: the in-place update peaks at ~5.4 kB (the finiteness
+    # check's boolean vector); new moment and temporary arrays peaked at 248 kB
+    mlp = small_net(seed=7, sizes=(1, 64, 64, 2))
+    state = init_adam(mlp)
+    grads = Mlp.from_flat(mlp.spec, Prng(8).normal(mlp.flat.shape, 1.0))
+    adam_step(mlp, grads, state)
+    tracemalloc.start()
+    try:
+        adam_step(mlp, grads, state)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 16e3
+
+
 def test_adam_descends_a_quadratic():
     # minimize (w*x - 3)^2 for fixed x=1: gradient 2(w - 3)
     mlp = scalar_net()
@@ -383,3 +416,7 @@ def test_adam_hyperparameter_validation():
         init_adam(mlp, alpha=-1.0)
     with pytest.raises(ValueError):
         init_adam(mlp, beta1=1.0)
+    # eps = 0 divides 0 by 0 where a gradient is 0; NaN reaches every parameter
+    for bad_eps in (0.0, -1e-8, math.nan, math.inf):
+        with pytest.raises(ValueError, match="eps"):
+            init_adam(mlp, eps=bad_eps)
