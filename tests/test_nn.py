@@ -289,6 +289,21 @@ def test_backward_with_dropout_uses_cached_mask():
     assert relative_error(gin, fd) <= 1e-6
 
 
+def test_a_refilled_cache_gives_the_bytes_of_a_fresh_one():
+    # a cache handed back grows to more rows, keeps its size for fewer, is
+    # rebuilt for a network of other widths, and drops a stale dropout mask
+    a, b = small_net(seed=1), small_net(seed=2, sizes=(3, 5, 2))
+    cache = None
+    for mlp, rows, rate in ((a, 3, 0.3), (a, 7, 0.0), (a, 5, 0.3), (b, 4, 0.0), (a, 6, 0.0)):
+        x = Prng(rows).normal((rows, 3), 1.0)
+        y, cache = mlp_forward(mlp, x, rate, Prng(9), cache)
+        grads, gin = mlp_backward(mlp, cache, np.ones_like(y))
+        want_y, want_cache = mlp_forward(mlp, x, rate, Prng(9))
+        want_grads, want_gin = mlp_backward(mlp, want_cache, np.ones_like(y))
+        assert y.tobytes() == want_y.tobytes() and gin.tobytes() == want_gin.tobytes()
+        assert grads.flat.tobytes() == want_grads.flat.tobytes()
+
+
 def test_backward_rejects_mismatched_cache():
     a = small_net(seed=1, sizes=(3, 8, 2))
     b = small_net(seed=2, sizes=(3, 6, 2))
