@@ -25,7 +25,6 @@ from .models import Autoencoder, TrainConfig, build_model, reconstruct, train
 from .numeric import NumericError, Prng, ShapeError
 from .oracle import (
     GaussianMixture,
-    UnderflowError,
     analytic_score,
     limit_convergence_study,
     optimal_reconstruction,

@@ -47,6 +47,7 @@ from .oracle import (
     analytic_score,
     high_density_grid,
     limit_convergence_study,
+    score_from_reconstruction,
 )
 from .sampler import refine_from_prior, sample_from_noise
 
@@ -202,11 +203,8 @@ def _cmd_score_check(cfg: RunConfig) -> int:
     """compare model score estimates with the analytic score"""
     model = load_checkpoint(_checkpoint_path(cfg))
     gm = mixture_from_config(cfg)
-    sigma = model.corruption.sigma
-    if sigma <= 0.0:
-        raise ValueError("score-check needs a model trained with sigma > 0")
     grid = high_density_grid(gm, cfg.grid_points)
-    estimate = (reconstruct(model, grid) - grid) / (sigma * sigma)
+    estimate = score_from_reconstruction(reconstruct(model, grid), grid, model.corruption.sigma)
     truth = analytic_score(gm, grid)
     columns = {"x": grid[:, 0], "estimated_score": estimate[:, 0], "analytic_score": truth[:, 0]}
     write_csv(columns, _out_path(cfg, "score.csv"))
@@ -243,7 +241,8 @@ _COMMANDS = {
 }
 
 # ConfigError, CheckpointError, IdxFormatError and ShapeError are
-# ValueErrors; UnderflowError is an ArithmeticError
+# ValueErrors; ArithmeticError keeps Python's own OverflowError and
+# ZeroDivisionError at exit 2
 _RUNTIME_ERRORS = (ValueError, ArithmeticError, NumericError, OSError)
 
 

@@ -23,8 +23,11 @@ v_k + sigma^2, and
 
 where r_k are the component responsibilities under the smoothed mixture.
 optimal_reconstruction evaluates this closed form, vectorised over rows.
-The smoothed density (the denominator above) is checked in the log domain:
-below 1e-300 it raises UnderflowError instead of returning garbage. The
+The responsibilities come from a softmax of log-densities shifted by each
+row's largest, so R* stays finite and exact however far a point lies from
+the mass, with no density floor. Only a row with no finite component
+log-density (a NaN or infinite coordinate, or |x - mu| beyond ~1e154,
+where the squared distance overflows) raises NumericError. The
 Gauss-Hermite and Monte-Carlo estimators of the two expectations remain
 available through an explicit QuadratureSpec, as an independent numerical
 cross-check of the closed form.
@@ -43,15 +46,17 @@ from functools import lru_cache
 import numpy as np
 from numpy.polynomial.hermite import hermgauss
 
-from .numeric import Prng, ShapeError, as_rows
-
-LOG_UNDERFLOW = math.log(1e-300)
+from .numeric import NumericError, Prng, ShapeError, as_rows
 
 QUADRATURE_METHODS = ("gauss_hermite", "monte_carlo")
 
-
-class UnderflowError(ArithmeticError):
-    """The smoothed density underflowed; the point is too far from the mass."""
+# high_density_grid scans GRID_CANDIDATES evenly spaced points of
+# [GRID_LO, GRID_HI] and keeps those within HIGH_DENSITY_NATS of the peak
+# log-density; limit_convergence_study holds its grid to the same region
+GRID_LO = 0.0
+GRID_HI = 1.0
+GRID_CANDIDATES = 4001
+HIGH_DENSITY_NATS = 4.0
 
 
 @dataclass(frozen=True)
@@ -147,8 +152,20 @@ def _argmax_rows(a: np.ndarray) -> np.ndarray:
 
 
 def _softmax(logc: np.ndarray) -> np.ndarray:
-    """Row-wise exp(logc) / sum(exp(logc)), shifted by each row's max."""
-    e = np.exp(logc - logc.max(axis=1, keepdims=True))
+    """Row-wise exp(logc) / sum(exp(logc)), shifted by each row's max.
+
+    Raises NumericError for a row whose largest entry is not finite: then
+    no component has a finite log-density and the row has no softmax.
+    """
+    top = logc.max(axis=1, keepdims=True)
+    bad = ~np.isfinite(top[:, 0])
+    if bad.any():
+        i = int(np.argmax(bad))
+        raise NumericError(
+            f"no finite component log-density in row {i} (largest {top[i, 0]}); "
+            "the point is NaN, infinite or too far from the mixture mass"
+        )
+    e = np.exp(logc - top)
     return e / e.sum(axis=1, keepdims=True)
 
 
@@ -198,23 +215,16 @@ def analytic_score(gm: GaussianMixture, x) -> np.ndarray:
     return score[0] if single else score
 
 
-def high_density_grid(
-    gm: GaussianMixture,
-    n: int,
-    lo: float = 0.0,
-    hi: float = 1.0,
-    nats: float = 4.0,
-    candidates: int = 4001,
-) -> np.ndarray:
-    """Evenly pick n 1-D points whose log-density is within `nats` of the peak."""
+def high_density_grid(gm: GaussianMixture, n: int) -> np.ndarray:
+    """Evenly pick n points of [0, 1] within HIGH_DENSITY_NATS of the peak log-density."""
     if gm.dim != 1:
         raise ValueError("high_density_grid supports 1-D mixtures only")
     if n < 1:
         raise ValueError(f"need n >= 1 grid points, got {n}")
-    xs = np.linspace(lo, hi, candidates)[:, None]
+    xs = np.linspace(GRID_LO, GRID_HI, GRID_CANDIDATES)[:, None]
     logp = mixture_log_pdf_batch(gm, xs)
     peak = max(float(logp.max()), float(mixture_log_pdf_batch(gm, gm.means).max()))
-    keep = xs[logp >= peak - nats]
+    keep = xs[logp >= peak - HIGH_DENSITY_NATS]
     if keep.shape[0] < n:
         raise ValueError("not enough candidate points inside the high-density region")
     idx = np.linspace(0, keep.shape[0] - 1, n).round().astype(int)
@@ -265,8 +275,9 @@ def optimal_reconstruction(
     With no `quad` this is the exact conjugate posterior mean, vectorised
     over rows: x of shape (d,) gives (d,), and (n, d) gives (n, d). The
     responsibilities use the smoothed variances v + sigma^2 and weight the
-    shrunken means (v x + sigma^2 mu) / (v + sigma^2). Raises UnderflowError
-    when the smoothed density of any row falls below 1e-300.
+    shrunken means (v x + sigma^2 mu) / (v + sigma^2). A point far from the
+    mass gets the exact, finite R*; a row with no finite smoothed component
+    log-density raises NumericError (see _softmax).
 
     An explicit QuadratureSpec estimates the same ratio numerically at one
     point instead, as an independent cross-check; see _quadrature_estimate.
@@ -282,22 +293,10 @@ def optimal_reconstruction(
 
     s2 = sigma * sigma
     smoothed = gm.variances + s2  # (k, d)
-    logc = _component_log_pdfs(gm, pts, smoothed)
-    log_density = _logsumexp(logc)
-    low = log_density < LOG_UNDERFLOW
-    if low.any():
-        i = int(np.argmax(low))
-        raise _underflow(pts[i], float(log_density[i]))
+    resp = _softmax(_component_log_pdfs(gm, pts, smoothed))  # (n, k)
     shrunk = (gm.variances * pts[:, None, :] + s2 * gm.means) / smoothed  # (n, k, d)
-    recon = (_softmax(logc)[:, :, None] * shrunk).sum(axis=1)
+    recon = (resp[:, :, None] * shrunk).sum(axis=1)
     return recon[0] if single else recon
-
-
-def _underflow(xv: np.ndarray, log_density: float) -> UnderflowError:
-    return UnderflowError(
-        f"smoothed density underflow at x={xv.tolist()} (log value "
-        f"{log_density:.1f}); the point is too far from the mixture mass"
-    )
 
 
 def _quadrature_estimate(
@@ -310,29 +309,22 @@ def _quadrature_estimate(
     draws eps from a Prng seeded with quad.mc_seed. In both cases the ratio
     is computed as a weighted average of the shifted points with weights
     exp(log w_i + log p(x - eps_i) - max), which keeps it stable in the
-    tails. Raises UnderflowError when the estimated smoothed density
-    E[p(x - eps)] falls below 1e-300.
+    tails; the normalising constants cancel in the ratio.
     """
     d = gm.dim
     if quad.method == "gauss_hermite":
         u, logw = _gh_nodes(quad.nodes_per_dim, d)
         eps = sigma * math.sqrt(2.0) * u
-        log_norm = -0.5 * d * math.log(math.pi)
     else:
         rng = Prng(quad.mc_seed)
         eps = rng.normal((quad.n_samples, d), sigma)
         logw = np.zeros(eps.shape[0])
-        log_norm = -math.log(eps.shape[0])
 
     shifted = xv[None, :] - eps  # candidate clean points x - eps
     logq = logw + mixture_log_pdf_batch(gm, shifted)
     m = float(logq.max())
     tau = np.exp(logq - m)
-    tau_sum = float(tau.sum())
-    log_denominator = m + math.log(tau_sum) + log_norm
-    if log_denominator < LOG_UNDERFLOW:
-        raise _underflow(xv, log_denominator)
-    return (tau[:, None] * shifted).sum(axis=0) / tau_sum
+    return (tau[:, None] * shifted).sum(axis=0) / float(tau.sum())
 
 
 def score_from_reconstruction(r_of_x, x, sigma: float) -> np.ndarray:
@@ -359,9 +351,9 @@ def limit_convergence_study(gm: GaussianMixture, sigmas, grid) -> ConvergenceStu
     """Tabulate how fast (R*(x) - x) / sigma^2 approaches the true score.
 
     For each sigma (strictly decreasing) and each grid point x (which must
-    lie in the high-density region, log p(x) >= peak - 4), computes the
-    relative error ||est - score|| / ||score||; points with a vanishing true
-    score contribute their absolute error instead. The `non_increasing` flag
+    lie in the high-density region, log p(x) >= peak - HIGH_DENSITY_NATS),
+    computes the relative error ||est - score|| / ||score||; points with a
+    vanishing true score contribute their absolute error instead. The `non_increasing` flag
     reports whether the error column is monotone up to rounding.
     """
     sig = [float(s) for s in sigmas]
@@ -372,8 +364,10 @@ def limit_convergence_study(gm: GaussianMixture, sigmas, grid) -> ConvergenceStu
     pts, _ = as_rows(np.atleast_2d(grid), gm.dim, "point", "mixture dim")
     logp = mixture_log_pdf_batch(gm, pts)
     peak = max(float(mixture_log_pdf_batch(gm, gm.means).max()), float(logp.max()))
-    if np.any(logp < peak - 4.0 - 1e-9):
-        raise ValueError("grid leaves the high-density region (log p >= peak - 4)")
+    if np.any(logp < peak - HIGH_DENSITY_NATS - 1e-9):
+        raise ValueError(
+            f"grid leaves the high-density region (log p >= peak - {HIGH_DENSITY_NATS:g})"
+        )
 
     truth = analytic_score(gm, pts)
     truth_norm = np.linalg.norm(truth, axis=1)

@@ -226,8 +226,23 @@ class TestScoreCheck:
         assert lines[0] == "x,estimated_score,analytic_score"
         assert len(lines) == 1 + 10
 
+    def test_sigma_zero_checkpoint_exits_2(self, config_path, tmp_path, capsys):
+        base = ["--config", config_path, "--set", f"out_dir={tmp_path}", "--set", "epochs=1"]
+        assert main(["train", *base, "--set", "sigma=0"]) == 0
+        capsys.readouterr()
+        assert main(["score-check", *base]) == 2
+        assert "sigma must be nonzero" in capsys.readouterr().err
+        assert not (tmp_path / "score.csv").exists()
+
 
 class TestOracleCheck:
+    def test_sigma_with_no_finite_smoothed_density_exits_2(self, tmp_path, capsys):
+        # sigma^2 overflows, so every smoothed component log-density is -inf
+        args = ["oracle-check", "--set", f"out_dir={tmp_path}", "--set", "check_sigmas=1e200"]
+        assert main(args) == 2
+        assert "no finite component log-density" in capsys.readouterr().err
+        assert not (tmp_path / "convergence.csv").exists()
+
     def test_single_gaussian_error_is_variance_ratio(self, tmp_path, capsys):
         code = main(
             ["oracle-check", "--set", f"out_dir={tmp_path}",
@@ -309,7 +324,7 @@ def _exported_errors():
     )
 
 
-def test_exported_errors_are_the_nine_error_types():
+def test_exported_errors_are_the_eight_error_types():
     assert [cls.__name__ for cls in _exported_errors()] == [
         "CheckpointError",
         "CheckpointFormatError",
@@ -319,7 +334,6 @@ def test_exported_errors_are_the_nine_error_types():
         "IdxFormatError",
         "NumericError",
         "ShapeError",
-        "UnderflowError",
     ]
 
 
@@ -335,7 +349,7 @@ def test_public_names_are_the_readme_python_api():
         if not name.startswith("_") and not isinstance(obj, types.ModuleType)
     }
     assert public == listed
-    assert len(public) == 33
+    assert len(public) == 32
 
 
 @pytest.mark.parametrize("error", _exported_errors(), ids=lambda cls: cls.__name__)

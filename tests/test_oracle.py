@@ -7,11 +7,10 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from daechain.numeric import ShapeError
+from daechain.numeric import NumericError, Prng, ShapeError
 from daechain.oracle import (
     GaussianMixture,
     QuadratureSpec,
-    UnderflowError,
     _argmax_rows,
     _component_log_pdfs,
     _logsumexp,
@@ -391,10 +390,90 @@ def test_reconstruction_2d_tensor_quadrature():
     assert abs(got[1] - want1) < 1e-9
 
 
-def test_reconstruction_underflows_far_from_mass():
+def test_reconstruction_is_exact_far_from_mass():
+    # log p_sigma(50) is about -96,000: the density itself underflows, yet
+    # R* is the nearer component's shrunken mean (0.0025 * 50 + 0.01 * 0.65) / 0.0125
     gm = two_mode()
-    with pytest.raises(UnderflowError):
-        optimal_reconstruction(gm, 0.1, np.array([50.0]))
+    got = optimal_reconstruction(gm, 0.1, np.array([50.0]))
+    assert abs(got[0] - 10.52) <= 1e-12
+    assert np.array_equal(got, mixture_posterior_mean(gm, 0.1, [[50.0]])[0])
+
+
+@st.composite
+def far_points(draw):
+    """A mixture (d 1-3, k 1-5) on [0, 1], sigma in [0.01, 2], and points up
+    to 1e3 from a component mean, far below any density floor."""
+    k = draw(st.integers(1, 5))
+    d = draw(st.integers(1, 3))
+    raw = draw(arrays(np.float64, k, elements=st.floats(0.05, 1.0)))
+    means = draw(arrays(np.float64, (k, d), elements=st.floats(0.0, 1.0)))
+    stds = draw(arrays(np.float64, (k, d), elements=st.floats(0.01, 0.5)))
+    sigma = draw(st.floats(0.01, 2.0))
+    n = draw(st.integers(1, 5))
+    anchors = draw(arrays(np.intp, n, elements=st.integers(0, k - 1)))
+    offsets = draw(arrays(np.float64, (n, d), elements=st.floats(-1e3, 1e3)))
+    return GaussianMixture(raw / raw.sum(), means, stds * stds), sigma, means[anchors] + offsets
+
+
+@settings(max_examples=200, deadline=None)
+@given(case=far_points())
+@example(case=(two_component_2d(), 0.01, np.array([[1e3, -1e3], [0.5, 0.5]])))
+def test_reconstruction_is_exact_far_from_mass_on_random_mixtures(case):
+    gm, sigma, xs = case
+    got = optimal_reconstruction(gm, sigma, xs)
+    want = mixture_posterior_mean(gm, sigma, xs)
+    assert np.all(np.isfinite(got))
+    scale = 1.0 + np.abs(xs).max(axis=1, keepdims=True)
+    assert np.all(np.abs(got - want) <= 1e-7 * scale)
+
+
+def blob_template_mixture():
+    """49 equal-weight 8x8 blob templates 0.1 + 0.8 * bump, centres on a
+    7x7 grid over [2, 5]^2, bump std 1.2 pixels, pixel std 0.02."""
+    pixels = np.arange(8.0)
+    templates = []
+    for row in np.linspace(2.0, 5.0, 7):
+        for col in np.linspace(2.0, 5.0, 7):
+            r2 = (pixels[:, None] - row) ** 2 + (pixels[None, :] - col) ** 2
+            templates.append(0.1 + 0.8 * np.exp(-r2 / (2.0 * 1.2**2)).reshape(64))
+    return GaussianMixture(np.full(49, 1.0 / 49), np.array(templates), np.full((49, 64), 0.02**2))
+
+
+def test_reconstruction_is_exact_for_uniform_noise_in_64d():
+    # the smoothed log-density of each point is in the thousands of nats
+    # below zero, yet the responsibilities are well defined
+    gm = blob_template_mixture()
+    assert confined_to_unit_box(gm)
+    xs = Prng(0).uniform((4, 64))
+    got = optimal_reconstruction(gm, 0.05, xs)
+    assert np.max(np.abs(got - mixture_posterior_mean(gm, 0.05, xs))) <= 1e-12
+
+
+_NO_FINITE_ROW = [
+    np.nan,
+    np.inf,
+    -np.inf,
+    # the squared distance overflows to inf: numpy warns, and the error follows
+    pytest.param(1e200, marks=pytest.mark.filterwarnings("ignore::RuntimeWarning")),
+]
+_ROW_FUNCTIONS = {
+    "optimal_reconstruction": lambda gm, x: optimal_reconstruction(gm, 0.1, x),
+    "responsibilities": responsibilities,
+    "analytic_score": analytic_score,
+}
+
+
+@pytest.mark.parametrize("name", sorted(_ROW_FUNCTIONS))
+@pytest.mark.parametrize("bad", _NO_FINITE_ROW)
+def test_row_with_no_finite_log_density_raises_numeric_error(name, bad):
+    fn = _ROW_FUNCTIONS[name]
+    gm = two_mode()
+    with pytest.raises(NumericError, match="row 0"):
+        fn(gm, np.array([bad]))
+    with pytest.raises(NumericError, match="row 1"):
+        fn(gm, np.array([[0.5], [bad], [0.4]]))
+    with pytest.raises(NumericError, match="row 1"):
+        fn(two_component_2d(), np.array([[0.5, 0.5], [0.3, bad]]))
 
 
 def test_reconstruction_is_exact_at_every_sigma_per_point_and_batched():
@@ -411,8 +490,10 @@ def test_reconstruction_is_exact_at_every_sigma_per_point_and_batched():
             batch = optimal_reconstruction(gm, sigma, xs)
             assert batch.shape == xs.shape
             assert np.array_equal(batch, points)
-    with pytest.raises(UnderflowError):
-        optimal_reconstruction(two_mode(), 0.1, np.array([[0.5], [50.0], [0.6]]))
+    far = np.array([[0.5], [50.0], [0.6]])
+    batch = optimal_reconstruction(two_mode(), 0.1, far)
+    assert np.max(np.abs(batch - mixture_posterior_mean(two_mode(), 0.1, far))) <= 1e-12
+    assert np.array_equal(batch, [optimal_reconstruction(two_mode(), 0.1, x) for x in far])
 
 
 def test_quadrature_estimator_runs_only_when_asked_for_single_points():
