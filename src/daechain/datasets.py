@@ -42,13 +42,14 @@ def generate_mixture_dataset(gm: GaussianMixture, n: int, rng: Prng) -> np.ndarr
     return np.clip(samples, 0.0, 1.0)
 
 
-def blob_image(center_col: float, center_row: float) -> np.ndarray:
-    """One noiseless flat 8x8 blob: peak 0.9, spatial std 1.2 pixels."""
+def blob_images(centers) -> np.ndarray:
+    """Noiseless flat 8x8 blobs, one per (col, row) center: peak 0.9, spatial std 1.2 pixels."""
+    c = np.asarray(centers, dtype=np.float64)
     grid = np.arange(8, dtype=np.float64)
-    dc = grid[None, :] - center_col
-    dr = grid[:, None] - center_row
-    bump = BLOB_PEAK * np.exp(-(dr * dr + dc * dc) / (2.0 * BLOB_SPATIAL_STD**2))
-    return bump.reshape(64)
+    dc = grid[None, None, :] - c[:, 0, None, None]  # (n, 1, 8) column offsets
+    dr = grid[None, :, None] - c[:, 1, None, None]  # (n, 8, 1) row offsets
+    bumps = BLOB_PEAK * np.exp(-(dr * dr + dc * dc) / (2.0 * BLOB_SPATIAL_STD**2))
+    return bumps.reshape(len(c), 64)
 
 
 def generate_blobs8x8(n: int, rng: Prng) -> np.ndarray:
@@ -62,11 +63,7 @@ def generate_blobs8x8(n: int, rng: Prng) -> np.ndarray:
         raise ValueError(f"sample count must be >= 1, got {n}")
     lo, hi = BLOB_CENTER_BOX
     centers = rng.uniform((n, 2), lo, hi)  # (col, row) per sample
-    grid = np.arange(8, dtype=np.float64)
-    dc = grid[None, None, :] - centers[:, 0, None, None]  # (n, 1, 8) column offsets
-    dr = grid[None, :, None] - centers[:, 1, None, None]  # (n, 8, 1) row offsets
-    bumps = BLOB_PEAK * np.exp(-(dr * dr + dc * dc) / (2.0 * BLOB_SPATIAL_STD**2))
-    noisy = bumps.reshape(n, 64) + rng.normal((n, 64), BLOB_PIXEL_NOISE_STD)
+    noisy = blob_images(centers) + rng.normal((n, 64), BLOB_PIXEL_NOISE_STD)
     return np.clip(noisy, 0.0, 1.0)
 
 

@@ -147,7 +147,7 @@ def _read_spec(reader: _Reader) -> MlpSpec:
 
 def _read_mlp(reader: _Reader, spec: MlpSpec) -> Mlp:
     flat = np.frombuffer(reader.take(8 * spec.n_params), dtype="<f8")
-    return Mlp.from_flat(spec, flat.astype(np.float64))
+    return Mlp(spec, flat.astype(np.float64))
 
 
 def load_checkpoint(path) -> Autoencoder:

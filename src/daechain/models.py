@@ -26,6 +26,8 @@ import itertools
 import math
 from collections import defaultdict
 from dataclasses import dataclass, field
+from functools import reduce
+from operator import add
 
 import numpy as np
 
@@ -198,13 +200,9 @@ def build_model(
     decoder mirrors the hidden stack back to the data dim under a sigmoid
     head. The DAAE discriminator maps the latent through leaky-ReLU layers
     with dropout to a single sigmoid score; the other kinds ignore
-    dropout_rate and disc_hidden.
+    dropout_rate and disc_hidden. Autoencoder checks the kind, and MlpSpec
+    the sizes.
     """
-    if kind not in MODEL_KINDS:
-        raise ValueError(f"model kind must be one of {MODEL_KINDS}, got {kind!r}")
-    if data_dim < 1 or latent_dim < 1:
-        raise ValueError("data_dim and latent_dim must be >= 1")
-    hidden = tuple(int(h) for h in hidden)
     enc_out = 2 * latent_dim if kind == "dvae" else latent_dim
     encoder = init_mlp(
         MlpSpec((data_dim, *hidden, enc_out), "relu", "identity"), rng
@@ -215,7 +213,6 @@ def build_model(
     corruption = CorruptionSpec(sigma)
     if kind != "daae":
         return Autoencoder(kind, encoder, decoder, corruption)
-    disc_hidden = tuple(int(h) for h in disc_hidden)
     discriminator = init_mlp(
         MlpSpec((latent_dim, *disc_hidden, 1), "leaky_relu", "sigmoid"), rng
     )
@@ -299,24 +296,25 @@ def _denoise_step(
 
 def dae_train_step(
     model: Autoencoder, batch, cfg: TrainConfig, rng: Prng, opt: OptStates
-) -> float:
+) -> dict[str, float]:
     """Corrupt, reconstruct, backpropagate, and apply one Adam update.
 
     Mutates the model parameters and optimizer state in place and returns
-    the pre-update loss value.
+    the trace row {"loss"}: the pre-update loss value.
     """
     x = np.asarray(batch, dtype=np.float64)
-    return _denoise_step(model, x, corrupt(x, model.corruption, rng), cfg, opt)
+    return {"loss": _denoise_step(model, x, corrupt(x, model.corruption, rng), cfg, opt)}
 
 
 def dvae_train_step(
     model: Autoencoder, batch, cfg: TrainConfig, rng: Prng, opt: OptStates
-) -> tuple[float, float]:
+) -> dict[str, float]:
     """One reparameterized step: z = mu + exp(logvar/2) * eta, eta ~ N(0, I).
 
     The objective is recon + regularizer_weight * KL(q(z|x_noisy) || N(0, I)).
     Draw order per step: corruption noise first, then the latent eta.
-    Returns (recon_loss, kl_loss); mutates model and optimizer in place.
+    Returns the trace row {"loss": recon, "kl": kl}; mutates model and
+    optimizer in place.
     """
     x = np.asarray(batch, dtype=np.float64)
     latent = model.latent_dim
@@ -339,18 +337,19 @@ def dvae_train_step(
     )
     adam_step(model.encoder, enc_grads, opt.encoder)
     adam_step(model.decoder, dec_grads, opt.decoder)
-    return recon.value, kl.value
+    return {"loss": recon.value, "kl": kl.value}
 
 
 def daae_train_step(
     model: Autoencoder, batch, cfg: TrainConfig, rng: Prng, opt: OptStates
-) -> tuple[float, float, float]:
+) -> dict[str, float]:
     """Three updates in a fixed order: autoencoder, discriminator, encoder.
 
     The same corrupted batch feeds all three phases. Phase 2 trains the
     discriminator (dropout on) to score prior draws above encodings; phase 3
     nudges the encoder to fool the updated discriminator, evaluated without
-    dropout. Returns (recon_loss, disc_loss, enc_loss).
+    dropout. Returns the trace row {"loss": recon, "disc": discriminator
+    loss, "enc": encoder adversarial loss}.
     """
     x = np.asarray(batch, dtype=np.float64)
     x_noisy = corrupt(x, model.corruption, rng)
@@ -381,7 +380,7 @@ def daae_train_step(
     enc_grads_fool, _ = mlp_backward(model.encoder, enc_cache, grad_z_fool)
     adam_step(model.encoder, enc_grads_fool, opt.encoder)
 
-    return recon, adv.disc_value, fool.enc_value
+    return {"loss": recon, "disc": adv.disc_value, "enc": fool.enc_value}
 
 
 # ---------------------------------------------------------------------------
@@ -402,8 +401,9 @@ def train(
 
     Epochs are shuffled with a seeded permutation and consumed in contiguous
     minibatches (the last one may be short). The trace holds one dict per
-    epoch with the mean per-step losses: always "loss" (reconstruction),
-    plus "kl" for the DVAE and "disc"/"enc" for the DAAE.
+    epoch: "epoch", then the mean of each key of the step's trace rows,
+    summed in step order: always "loss" (reconstruction), plus "kl" for the
+    DVAE and "disc"/"enc" for the DAAE.
     """
     data = np.asarray(dataset, dtype=np.float64)
     if data.ndim != 2 or data.shape[0] == 0:
@@ -417,27 +417,15 @@ def train(
         hidden=hidden, sigma=sigma,
         dropout_rate=dropout_rate, disc_hidden=disc_hidden,
     )
+    # built per call from the module attributes, so a wrapper set on one sees every step
+    step = {"dae": dae_train_step, "dvae": dvae_train_step, "daae": daae_train_step}[model.kind]
     opt = init_opt_states(model, cfg)
-    n = data.shape[0]
+    n, b = data.shape[0], cfg.batch_size
     trace: list[dict] = []
     for epoch in range(cfg.epochs):
         order = rng.permutation(n)
-        sums: dict[str, float] = {}
-        steps = 0
-        for start in range(0, n, cfg.batch_size):
-            batch = data[order[start : start + cfg.batch_size]]
-            if model_kind == "dae":
-                row = {"loss": dae_train_step(model, batch, cfg, rng, opt)}
-            elif model_kind == "dvae":
-                recon, kl = dvae_train_step(model, batch, cfg, rng, opt)
-                row = {"loss": recon, "kl": kl}
-            else:
-                recon, disc, enc = daae_train_step(model, batch, cfg, rng, opt)
-                row = {"loss": recon, "disc": disc, "enc": enc}
-            for key, value in row.items():
-                sums[key] = sums.get(key, 0.0) + value
-            steps += 1
-        entry = {"epoch": epoch}
-        entry.update({key: value / steps for key, value in sums.items()})
-        trace.append(entry)
+        rows = [step(model, data[order[at : at + b]], cfg, rng, opt) for at in range(0, n, b)]
+        # a left fold from 0.0: sum() compensates from Python 3.12 on, changing the bits
+        means = {key: reduce(add, (row[key] for row in rows), 0.0) / len(rows) for key in rows[0]}
+        trace.append({"epoch": epoch, **means})
     return model, trace

@@ -71,51 +71,23 @@ class MlpSpec:
         return sum(math.prod(shape) for shape in self.param_shapes)
 
 
-def _bind(mlp: Mlp, flat: np.ndarray, spec: MlpSpec) -> None:
-    """Point mlp.weights / mlp.biases at per-layer views into flat, in spec's layout."""
-    views, at = [], 0
-    for shape in spec.param_shapes:
-        size = math.prod(shape)
-        views.append(flat[at : at + size].reshape(shape))
-        at += size
-    if at != flat.shape[0]:
-        raise ShapeError(f"parameter vector has {flat.shape[0]} values, layers need {at}")
-    mlp.spec, mlp.flat = spec, flat
-    mlp.weights, mlp.biases = views[0::2], views[1::2]
-
-
 class Mlp:
     """Parameters bound to their spec. Weight i has shape (sizes[i+1], sizes[i]).
 
-    All parameters live in one float64 vector, ``flat``: layer by layer,
-    each layer's weights row-major, then its biases. ``weights[i]`` and
-    ``biases[i]`` are views into it, so an in-place update of either side
-    shows on the other. The constructor copies the given arrays in;
-    ``from_flat`` wraps an existing vector. Gradients (from mlp_backward,
-    or built by hand for adam_step) are Mlps in the same layout.
+    ``Mlp(spec, flat)`` wraps a float64 vector of spec.n_params values,
+    without copying it: layer by layer, each layer's weights row-major,
+    then its biases. ``weights[i]`` and ``biases[i]`` are views into it, so
+    an in-place update of either side shows on the other. Gradients (from
+    mlp_backward, or built by hand for adam_step) are Mlps in the same layout.
     """
 
-    def __init__(self, spec: MlpSpec, weights, biases):
-        sizes = spec.layer_sizes
-        if len(weights) != spec.n_layers or len(biases) != spec.n_layers:
-            raise ShapeError("parameter count does not match spec layer count")
-        for i, (w, b) in enumerate(zip(weights, biases)):
-            expect = (sizes[i + 1], sizes[i])
-            if np.shape(w) != expect:
-                raise ShapeError(f"layer {i} weight shape {np.shape(w)}, spec wants {expect}")
-            if np.shape(b) != (sizes[i + 1],):
-                raise ShapeError(
-                    f"layer {i} bias shape {np.shape(b)}, spec wants ({sizes[i + 1]},)"
-                )
-        parts = [np.ravel(a) for pair in zip(weights, biases) for a in pair]
-        _bind(self, np.concatenate(parts).astype(np.float64, copy=False), spec)
-
-    @classmethod
-    def from_flat(cls, spec: MlpSpec, flat: np.ndarray) -> Mlp:
-        """Wrap a float64 parameter vector in spec's layout, without copying it."""
-        mlp = cls.__new__(cls)
-        _bind(mlp, flat, spec)
-        return mlp
+    def __init__(self, spec: MlpSpec, flat: np.ndarray):
+        if flat.shape != (spec.n_params,):
+            raise ShapeError(f"parameter vector shape {flat.shape}, layers need ({spec.n_params},)")
+        parts = np.split(flat, np.cumsum([math.prod(s) for s in spec.param_shapes])[:-1])
+        views = [part.reshape(shape) for part, shape in zip(parts, spec.param_shapes)]
+        self.spec, self.flat = spec, flat
+        self.weights, self.biases = views[0::2], views[1::2]
 
 
 @dataclass
@@ -135,7 +107,7 @@ class ForwardCache:
 
 def init_mlp(spec: MlpSpec, rng: Prng) -> Mlp:
     """Glorot-uniform weights, zero biases: W_ij ~ U(-a, a), a = sqrt(6/(fan_in+fan_out))."""
-    mlp = Mlp.from_flat(spec, np.zeros(spec.n_params))
+    mlp = Mlp(spec, np.zeros(spec.n_params))
     for w in mlp.weights:
         fan_out, fan_in = w.shape
         bound = math.sqrt(6.0 / (fan_in + fan_out))
@@ -246,7 +218,7 @@ def mlp_backward(mlp: Mlp, cache: ForwardCache, grad_output: np.ndarray) -> tupl
         g = grad_output
 
     if cache.grads is None or cache.grads.spec is not spec:
-        cache.grads = Mlp.from_flat(spec, np.empty_like(mlp.flat))
+        cache.grads = Mlp(spec, np.empty_like(mlp.flat))
     grads = cache.grads
     for i in reversed(range(spec.n_layers)):
         # g = d(loss)/d(z_i); d(loss)/d(z_i-1) goes over the spent input h of layer i

@@ -75,7 +75,9 @@ def sample_uniform(rng: Prng, shape, lo: float, hi: float) -> np.ndarray:
     shape = _as_shape(shape)
     n = int(np.prod(shape))
     u = rng._gen.random(n)
-    return (lo + (hi - lo) * u).reshape(shape)
+    u *= hi - lo  # lo + (hi - lo) * u, in place
+    u += lo
+    return u.reshape(shape)
 
 
 def sample_gaussian(rng: Prng, shape, sigma: float) -> np.ndarray:

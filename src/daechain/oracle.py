@@ -307,35 +307,35 @@ def _quadrature_estimate(
     Gauss-Hermite uses the change of variables eps = sigma * sqrt(2) * u so
     that E[f(eps)] = pi^(-d/2) sum_i w_i f(sigma sqrt(2) u_i); Monte Carlo
     draws eps from a Prng seeded with quad.mc_seed. In both cases the ratio
-    is computed as a weighted average of the shifted points with weights
-    exp(log w_i + log p(x - eps_i) - max), which keeps it stable in the
-    tails; the normalising constants cancel in the ratio.
+    is an average of the shifted points x - eps_i, weighted by one softmax
+    over log w_i + log(w_k N(x - eps_i; mu_k, v_k)) for all nodes i and
+    components k: stable in the tails, and, as in the closed form, raising
+    NumericError where no term is finite.
     """
-    d = gm.dim
     if quad.method == "gauss_hermite":
-        u, logw = _gh_nodes(quad.nodes_per_dim, d)
+        u, logw = _gh_nodes(quad.nodes_per_dim, gm.dim)
         eps = sigma * math.sqrt(2.0) * u
     else:
         rng = Prng(quad.mc_seed)
-        eps = rng.normal((quad.n_samples, d), sigma)
+        eps = rng.normal((quad.n_samples, gm.dim), sigma)
         logw = np.zeros(eps.shape[0])
 
     shifted = xv[None, :] - eps  # candidate clean points x - eps
-    logq = logw + mixture_log_pdf_batch(gm, shifted)
-    m = float(logq.max())
-    tau = np.exp(logq - m)
-    return (tau[:, None] * shifted).sum(axis=0) / float(tau.sum())
+    logq = logw[:, None] + _component_log_pdfs(gm, shifted)  # (nodes, k)
+    tau = _softmax(logq.reshape(1, -1)).reshape(logq.shape).sum(axis=1)
+    return (tau[:, None] * shifted).sum(axis=0)
 
 
 def score_from_reconstruction(r_of_x, x, sigma: float) -> np.ndarray:
     """Score estimate (R(x) - x) / sigma^2 implied by a reconstruction."""
-    if sigma == 0.0:
-        raise ValueError("sigma must be nonzero to convert a reconstruction to a score")
+    s2 = float(sigma) * float(sigma)
+    if not 0.0 < s2 < math.inf:
+        raise ValueError(f"sigma must be nonzero, its square finite and nonzero; got {sigma!r}")
     r = np.asarray(r_of_x, dtype=np.float64)
     xv = np.asarray(x, dtype=np.float64)
     if r.shape != xv.shape:
         raise ShapeError(f"reconstruction shape {r.shape} does not match x shape {xv.shape}")
-    return (r - xv) / (sigma * sigma)
+    return (r - xv) / s2
 
 
 @dataclass(frozen=True)

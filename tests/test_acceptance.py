@@ -183,11 +183,7 @@ def _adversarial_instance(rng, side: str):
         if side == "disc":
             g1, _ = mlp_backward(disc, cache_prior, adv.grad_disc_prior)
             g2, _ = mlp_backward(disc, cache_encoded, adv.grad_disc_encoded)
-            return Mlp(
-                disc.spec,
-                [a + b for a, b in zip(g1.weights, g2.weights)],
-                [a + b for a, b in zip(g1.biases, g2.biases)],
-            )
+            return Mlp(disc.spec, g1.flat + g2.flat)
         grads, _ = mlp_backward(disc, cache_encoded, adv.grad_enc_encoded)
         return grads
 

@@ -243,6 +243,12 @@ class TestOracleCheck:
         assert "no finite component log-density" in capsys.readouterr().err
         assert not (tmp_path / "convergence.csv").exists()
 
+    def test_sigma_whose_square_underflows_exits_2(self, tmp_path, capsys):
+        args = ["oracle-check", "--set", f"out_dir={tmp_path}", "--set", "check_sigmas=1,1e-200"]
+        assert main(args) == 2
+        assert "sigma must be nonzero" in capsys.readouterr().err
+        assert not (tmp_path / "convergence.csv").exists()
+
     def test_single_gaussian_error_is_variance_ratio(self, tmp_path, capsys):
         code = main(
             ["oracle-check", "--set", f"out_dir={tmp_path}",

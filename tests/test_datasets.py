@@ -8,8 +8,9 @@ import pytest
 from daechain.datasets import (
     BLOB_CENTER_BOX,
     BLOB_PEAK,
+    BLOB_PIXEL_NOISE_STD,
     DatasetSpec,
-    blob_image,
+    blob_images,
     build_dataset,
     generate_blobs8x8,
     generate_mixture_dataset,
@@ -88,13 +89,13 @@ class TestMixtureDataset:
 
 class TestBlobImage:
     def test_shape_and_peak_value(self):
-        img = blob_image(3.0, 3.0)
+        img = blob_images([[3.0, 3.0]])[0]
         assert img.shape == (64,)
         assert img[3 * 8 + 3] == pytest.approx(BLOB_PEAK, abs=1e-15)
         assert np.argmax(img) == 3 * 8 + 3
 
     def test_centered_blob_brightest_in_middle(self):
-        img = blob_image(3.5, 3.5).reshape(8, 8)
+        img = blob_images([[3.5, 3.5]]).reshape(8, 8)
         flat_order = np.argsort(img.reshape(-1))[::-1]
         central = {3 * 8 + 3, 3 * 8 + 4, 4 * 8 + 3, 4 * 8 + 4}
         assert set(flat_order[:4]) == central
@@ -102,8 +103,16 @@ class TestBlobImage:
         assert np.ptp(img[3:5, 3:5]) <= 1e-15
 
     def test_decays_away_from_center(self):
-        img = blob_image(3.5, 3.5).reshape(8, 8)
+        img = blob_images([[3.5, 3.5]]).reshape(8, 8)
         assert img[0, 0] < img[2, 2] < img[3, 3]
+
+    def test_blobs_dataset_is_the_noisy_clipped_images(self):
+        rng = Prng(3)
+        centers = rng.uniform((5, 2), *BLOB_CENTER_BOX)  # (col, row) per image
+        noisy = blob_images(centers) + rng.normal((5, 64), BLOB_PIXEL_NOISE_STD)
+        assert generate_blobs8x8(5, Prng(3)).tobytes() == np.clip(noisy, 0.0, 1.0).tobytes()
+        img = blob_images([[1.0, 6.0]]).reshape(8, 8)
+        assert np.argmax(img) == 6 * 8 + 1
 
 
 class TestBlobsDataset:

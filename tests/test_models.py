@@ -1,8 +1,10 @@
+import math
 import tracemalloc
 
 import numpy as np
 import pytest
 
+from daechain import models
 from daechain.losses import bce_loss, kl_to_standard_normal
 from daechain.models import (
     LOSS_KINDS,
@@ -295,10 +297,10 @@ def test_reconstruct_runs_in_two_workspaces():
 # ---------------------------------------------------------------------------
 
 def test_daae_step_reuses_its_workspaces():
-    # after a warm-up step a batch-100 DAAE step peaks at ~161 kB, mostly a
-    # dropout draw's 100 x 64 uniforms and their scaled copies; with new
-    # activations, masks, gradient vectors and Adam temporaries on every
-    # step it peaked at ~1.56 MB
+    # after a warm-up step a batch-100 DAAE step peaks at ~106 kB, mostly a
+    # dropout draw's 100 x 64 uniforms (~161 kB while the draw was scaled
+    # into new arrays); with new activations, masks, gradient vectors and
+    # Adam temporaries on every step it peaked at ~1.56 MB
     model = build_model("daae", 1, 2, Prng(0))
     cfg = TrainConfig(epochs=1)
     opt = init_opt_states(model, cfg)
@@ -318,7 +320,7 @@ def test_dae_step_changes_parameters_and_counts():
     model = build_model("dae", 1, 2, Prng(0), sigma=0.1)
     opt = init_opt_states(model, cfg)
     before = clone_params(model.encoder)
-    loss = dae_train_step(model, mixture_data(8), cfg, Prng(1), opt)
+    loss = dae_train_step(model, mixture_data(8), cfg, Prng(1), opt)["loss"]
     assert np.isfinite(loss) and loss > 0.0
     assert not params_equal(model.encoder, before)
     assert opt.encoder.t == 1 and opt.decoder.t == 1
@@ -332,7 +334,7 @@ def test_dae_step_sigma_zero_is_plain_autoencoder():
     r, _ = mlp_forward(model.decoder, z)
     want = bce_loss(batch, r).value
     got = dae_train_step(model, batch, cfg, Prng(1), init_opt_states(model, cfg))
-    assert got == want
+    assert got == {"loss": want}
 
 
 def test_dae_step_raises_on_nonfinite_loss():
@@ -350,9 +352,9 @@ def test_dvae_step_kl_nonnegative_over_training():
     rng = Prng(9)
     data = mixture_data(320, seed=2)
     for start in range(0, 320, 32):
-        recon, kl = dvae_train_step(model, data[start : start + 32], cfg, rng, opt)
-        assert kl >= 0.0
-        assert np.isfinite(recon)
+        row = dvae_train_step(model, data[start : start + 32], cfg, rng, opt)
+        assert row["kl"] >= 0.0
+        assert np.isfinite(row["loss"])
 
 
 def test_dvae_step_gradient_signs_match_finite_differences():
@@ -402,8 +404,8 @@ def test_daae_step_counts_one_update_per_phase():
     cfg = TrainConfig(epochs=1, batch_size=16)
     model = build_model("daae", 1, 2, Prng(0), sigma=0.1)
     opt = init_opt_states(model, cfg)
-    recon, disc, enc = daae_train_step(model, mixture_data(16), cfg, Prng(1), opt)
-    assert np.isfinite(recon) and np.isfinite(disc) and np.isfinite(enc)
+    row = daae_train_step(model, mixture_data(16), cfg, Prng(1), opt)
+    assert all(np.isfinite(value) for value in row.values())
     assert opt.decoder.t == 1
     assert opt.discriminator.t == 1
     assert opt.encoder.t == 2  # phase 1 and phase 3 both touch the encoder
@@ -453,8 +455,7 @@ def test_daae_phase_one_learns_under_frozen_discriminator():
     losses = []
     for step in range(200):
         start = (step * 100) % 2000
-        recon, _, _ = daae_train_step(model, data[start : start + 100], cfg, rng, opt)
-        losses.append(recon)
+        losses.append(daae_train_step(model, data[start : start + 100], cfg, rng, opt)["loss"])
     assert params_equal(model.discriminator, disc_before)
     assert np.mean(losses[-20:]) < np.mean(losses[:20])
 
@@ -486,6 +487,32 @@ def test_train_trace_shape_and_keys():
     assert set(trace[0]) == {"epoch", "loss", "disc", "enc"}
 
 
+@pytest.mark.parametrize(
+    "kind,keys", [("dae", ["loss"]), ("dvae", ["loss", "kl"]), ("daae", ["loss", "disc", "enc"])]
+)
+def test_each_step_returns_its_trace_row(kind, keys):
+    cfg = TrainConfig(epochs=1, batch_size=16)
+    model = build_model(kind, 1, 2, Prng(0), sigma=0.1)
+    step = getattr(models, f"{kind}_train_step")
+    row = step(model, mixture_data(16), cfg, Prng(1), init_opt_states(model, cfg))
+    assert list(row) == keys and all(isinstance(value, float) for value in row.values())
+
+
+@pytest.mark.parametrize("kind", ["dae", "dvae", "daae"])
+def test_train_calls_each_step_through_its_module_attribute(kind, monkeypatch):
+    # perfbench traces the steps by wrapping these attributes
+    name, calls = f"{kind}_train_step", []
+    step = getattr(models, name)
+
+    def counted(*args):
+        calls.append(1)
+        return step(*args)
+
+    monkeypatch.setattr(models, name, counted)
+    train(kind, mixture_data(130), TrainConfig(epochs=1, batch_size=50), sigma=0.1)
+    assert len(calls) == math.ceil(130 / 50)
+
+
 def test_train_single_epoch_single_batch_matches_manual_step():
     data = mixture_data(64)
     cfg = TrainConfig(loss_kind="bce", epochs=1, batch_size=64, seed=17)
@@ -495,7 +522,7 @@ def test_train_single_epoch_single_batch_matches_manual_step():
     manual = build_model("dae", 1, 2, rng, hidden=(8, 8), sigma=0.1)
     opt = init_opt_states(manual, cfg)
     order = rng.permutation(64)
-    loss = dae_train_step(manual, data[order], cfg, rng, opt)
+    loss = dae_train_step(manual, data[order], cfg, rng, opt)["loss"]
 
     assert opt.encoder.t == 1
     assert trace == [{"epoch": 0, "loss": loss}]

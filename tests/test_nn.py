@@ -21,6 +21,11 @@ from daechain.nn import (
 from _oracles import finite_diff_param_grads, relative_error
 
 
+def mlp_from_layers(spec, weights, biases):
+    parts = [np.ravel(a) for pair in zip(weights, biases) for a in pair]  # parameter order
+    return Mlp(spec, np.concatenate(parts, dtype=np.float64))
+
+
 def small_net(seed=0, sizes=(3, 8, 8, 2), out="identity", hidden="relu"):
     spec = MlpSpec(sizes, hidden_activation=hidden, output_activation=out)
     return init_mlp(spec, Prng(seed))
@@ -63,20 +68,24 @@ def test_init_is_seed_deterministic():
 
 
 def test_mlp_rejects_inconsistent_params():
-    spec = MlpSpec((3, 2))
-    with pytest.raises(ShapeError):
-        Mlp(spec, [np.zeros((2, 4))], [np.zeros(2)])
+    spec = MlpSpec((3, 2))  # 6 weights and 2 biases
+    for bad in (np.zeros(7), np.zeros(9), np.zeros((1, 8))):
+        with pytest.raises(ShapeError, match=r"layers need \(8,\)"):
+            Mlp(spec, bad)
 
 
 def test_parameters_are_views_into_one_flat_vector():
     w0, b0 = np.arange(6.0).reshape(2, 3), np.array([10.0, 11.0])
     w1, b1 = np.array([[20.0, 21.0]]), np.array([30.0])
-    mlp = Mlp(MlpSpec((3, 2, 1)), [w0, w1], [b0, b1])
+    mlp = mlp_from_layers(MlpSpec((3, 2, 1)), [w0, w1], [b0, b1])
     # layer by layer, weights row-major then biases: the checkpoint order
     expected = [0.0, 1.0, 2.0, 3.0, 4.0, 5.0, 10.0, 11.0, 20.0, 21.0, 30.0]
     assert mlp.flat.dtype == np.float64 and mlp.flat.tolist() == expected
-    w0[0, 0] = -1.0  # the constructor copied its inputs
-    assert mlp.flat[0] == 0.0
+    flat = mlp.flat.copy()
+    wrapped = Mlp(mlp.spec, flat)  # wraps the vector, does not copy it
+    assert wrapped.flat is flat
+    flat[0] = -1.0
+    assert wrapped.weights[0][0, 0] == -1.0
     mlp.flat[7] = 99.0
     assert mlp.biases[0][1] == 99.0
     mlp.weights[1][0, 1] = -5.0
@@ -99,7 +108,8 @@ def test_backward_writes_one_gradient_vector_in_parameter_order():
 
 def test_forward_identity_head_linear_net_is_affine():
     spec = MlpSpec((2, 3), output_activation="identity")
-    mlp = Mlp(spec, [np.array([[1.0, 0.0], [0.0, 1.0], [1.0, 1.0]])], [np.array([0.0, 1.0, -1.0])])
+    weights = [np.array([[1.0, 0.0], [0.0, 1.0], [1.0, 1.0]])]
+    mlp = mlp_from_layers(spec, weights, [np.array([0.0, 1.0, -1.0])])
     out, _ = mlp_forward(mlp, np.array([[2.0, 5.0]]))
     np.testing.assert_allclose(out, [[2.0, 6.0, 6.0]])
 
@@ -128,7 +138,7 @@ def test_hidden_activation_values_kink_and_rate_zero(hidden, slope):
     # a 1-1-1 net with unit weights and an identity head outputs the hidden
     # activation of its input
     spec = MlpSpec((1, 1, 1), hidden, "identity", leaky_slope=0.1)
-    mlp = Mlp(spec, [np.ones((1, 1))] * 2, [np.zeros(1)] * 2)
+    mlp = mlp_from_layers(spec, [np.ones((1, 1))] * 2, [np.zeros(1)] * 2)
     x = np.array([[-2.0], [-0.5], [0.0], [0.5], [2.0]])
     y, cache = mlp_forward(mlp, x)
     np.testing.assert_array_equal(y, [[-2.0 * slope], [-0.5 * slope], [0.0], [0.5], [2.0]])
@@ -179,7 +189,7 @@ def test_fan_in_one_layers_match_the_gemm_bit_for_bit(out, hidden, sizes, rows):
         b[0] = -0.0
         weights.append(w)
         biases.append(b)
-    mlp = Mlp(spec, weights, biases)
+    mlp = mlp_from_layers(spec, weights, biases)
     x = gen.choice(RANK1_VALUES, (rows, 1))
     x[: len(RANK1_VALUES), 0] = RANK1_VALUES[:rows]
     bufs = [np.empty((rows, w)) for w in sizes[1:]]
@@ -325,13 +335,13 @@ def test_backward_rejects_wrong_grad_shape():
 
 def scalar_net():
     spec = MlpSpec((1, 1), output_activation="identity")
-    return Mlp(spec, [np.array([[2.0]])], [np.array([0.5])])
+    return mlp_from_layers(spec, [np.array([[2.0]])], [np.array([0.5])])
 
 
 def test_adam_first_step_magnitude_is_alpha():
     mlp = scalar_net()
     state = init_adam(mlp, alpha=1e-3)
-    grads = Mlp(mlp.spec, [np.array([[1.0]])], [np.array([0.0])])
+    grads = mlp_from_layers(mlp.spec, [np.array([[1.0]])], [np.array([0.0])])
     adam_step(mlp, grads, state)
     assert state.t == 1
     # m_hat = g, v_hat = g^2, so the step is alpha * g / (|g| + eps) ~ alpha
@@ -341,7 +351,7 @@ def test_adam_first_step_magnitude_is_alpha():
 def test_adam_zero_gradients_leave_params_unchanged():
     mlp = scalar_net()
     state = init_adam(mlp)
-    grads = Mlp(mlp.spec, [np.zeros((1, 1))], [np.zeros(1)])
+    grads = Mlp(mlp.spec, np.zeros_like(mlp.flat))
     adam_step(mlp, grads, state)
     assert state.t == 1
     assert mlp.weights[0][0, 0] == 2.0
@@ -351,7 +361,7 @@ def test_adam_zero_gradients_leave_params_unchanged():
 def test_adam_rejects_non_finite_gradients():
     mlp = scalar_net()
     state = init_adam(mlp)
-    grads = Mlp(mlp.spec, [np.array([[np.nan]])], [np.zeros(1)])
+    grads = mlp_from_layers(mlp.spec, [np.array([[np.nan]])], [np.zeros(1)])
     with pytest.raises(NumericError) as err:
         adam_step(mlp, grads, state)
     assert "layer 0 weight" in str(err.value)
@@ -361,10 +371,7 @@ def test_adam_rejected_step_changes_nothing():
     mlp = small_net()
     state = init_adam(mlp)
     before = mlp.flat.copy()
-    grads = Mlp(
-        mlp.spec,
-        [np.zeros_like(w) for w in mlp.weights], [np.zeros_like(b) for b in mlp.biases]
-    )
+    grads = Mlp(mlp.spec, np.zeros_like(mlp.flat))
     grads.biases[1][0] = np.inf
     with pytest.raises(NumericError, match="layer 1 bias"):
         adam_step(mlp, grads, state)
@@ -383,7 +390,7 @@ def test_adam_step_matches_per_layer_reference():
     vs = [np.zeros_like(p) for p in params]
     rng = Prng(6)
     for t in range(1, 6):
-        grads = Mlp(
+        grads = mlp_from_layers(
             mlp.spec,
             [rng.normal(w.shape, 1.0) for w in mlp.weights],
             [rng.normal(b.shape, 1.0) for b in mlp.biases],
@@ -403,7 +410,7 @@ def test_adam_step_allocates_no_parameter_sized_vector():
     # check's boolean vector); new moment and temporary arrays peaked at 248 kB
     mlp = small_net(seed=7, sizes=(1, 64, 64, 2))
     state = init_adam(mlp)
-    grads = Mlp.from_flat(mlp.spec, Prng(8).normal(mlp.flat.shape, 1.0))
+    grads = Mlp(mlp.spec, Prng(8).normal(mlp.flat.shape, 1.0))
     adam_step(mlp, grads, state)
     tracemalloc.start()
     try:
@@ -420,7 +427,7 @@ def test_adam_descends_a_quadratic():
     state = init_adam(mlp, alpha=0.05)
     for _ in range(500):
         w = mlp.weights[0][0, 0]
-        grads = Mlp(mlp.spec, [np.array([[2.0 * (w - 3.0)]])], [np.zeros(1)])
+        grads = mlp_from_layers(mlp.spec, [np.array([[2.0 * (w - 3.0)]])], [np.zeros(1)])
         adam_step(mlp, grads, state)
     assert abs(mlp.weights[0][0, 0] - 3.0) < 1e-2
 

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -95,6 +97,26 @@ def test_uniform_rejects_bad_range():
         sample_uniform(Prng(0), (2,), 1.0, 1.0)
     with pytest.raises(ValueError):
         sample_uniform(Prng(0), (2,), 2.0, 1.0)
+
+
+def test_uniform_is_the_scaled_and_shifted_stream():
+    for lo, hi in ((0.0, 1.0), (-2.0, 5.0), (-0.3, 0.3), (1e-3, 1e3)):
+        u = np.random.Generator(np.random.PCG64(4)).random(21)
+        got = sample_uniform(Prng(4), (7, 3), lo, hi)
+        assert got.tobytes() == (lo + (hi - lo) * u).reshape(7, 3).tobytes()
+
+
+def test_uniform_draw_allocates_only_its_output():
+    # 100 x 64 draws are 51,200 bytes; lo + (hi - lo) * u in new arrays peaked at 3x that
+    rng = Prng(0)
+    sample_uniform(rng, (100, 64), -1.0, 3.0)
+    tracemalloc.start()
+    try:
+        sample_uniform(rng, (100, 64), -1.0, 3.0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.25 * 51_200
 
 
 def test_same_seed_reproduces_streams_bitwise():

@@ -9,6 +9,7 @@ from hypothesis.extra.numpy import arrays
 
 from daechain.numeric import NumericError, Prng, ShapeError
 from daechain.oracle import (
+    QUADRATURE_METHODS,
     GaussianMixture,
     QuadratureSpec,
     _argmax_rows,
@@ -496,6 +497,16 @@ def test_reconstruction_is_exact_at_every_sigma_per_point_and_batched():
     assert np.array_equal(batch, [optimal_reconstruction(two_mode(), 0.1, x) for x in far])
 
 
+@pytest.mark.parametrize("method", QUADRATURE_METHODS)
+@pytest.mark.parametrize("bad", _NO_FINITE_ROW)
+def test_quadrature_raises_numeric_error_where_the_closed_form_does(method, bad):
+    quad = QuadratureSpec(method=method, n_samples=10_000)
+    with pytest.raises(NumericError, match="no finite component log-density"):
+        optimal_reconstruction(two_mode(), 0.1, np.array([bad]), quad)
+    with pytest.raises(NumericError, match="no finite component log-density"):
+        optimal_reconstruction(two_component_2d(), 0.1, np.array([0.3, bad]), quad)
+
+
 def test_quadrature_estimator_runs_only_when_asked_for_single_points():
     gm = two_mode()
     x = np.array([[0.4]])
@@ -524,6 +535,12 @@ def test_score_from_reconstruction_fixed_point_and_linearity():
 def test_score_from_reconstruction_rejects_zero_sigma():
     with pytest.raises(ValueError):
         score_from_reconstruction(np.array([0.5]), np.array([0.4]), 0.0)
+
+
+@pytest.mark.parametrize("sigma", [1e-200, -1e-200, 1e200, math.inf, math.nan])
+def test_score_from_reconstruction_rejects_a_sigma_whose_square_is_zero_or_not_finite(sigma):
+    with pytest.raises(ValueError, match="sigma must be nonzero"):
+        score_from_reconstruction(np.array([0.5]), np.array([0.4]), sigma)
 
 
 def test_score_estimate_matches_conjugate_form():
