@@ -288,7 +288,7 @@ def _denoise_step(
     loss = _loss_fn(cfg)(x, r)
     _check_finite(loss.value, f"{cfg.loss_kind} loss")
     dec_grads, grad_z = mlp_backward(model.decoder, dec_cache, loss.grad)
-    enc_grads, _ = mlp_backward(model.encoder, enc_cache, grad_z)
+    enc_grads, _ = mlp_backward(model.encoder, enc_cache, grad_z, input_grad=False)
     adam_step(model.encoder, enc_grads, opt.encoder)
     adam_step(model.decoder, dec_grads, opt.decoder)
     return loss.value
@@ -333,7 +333,8 @@ def dvae_train_step(
     grad_mu = grad_z + w * kl.grad_mu
     grad_logvar = grad_z * eta * (0.5 * std) + w * kl.grad_logvar
     enc_grads, _ = mlp_backward(
-        model.encoder, enc_cache, np.concatenate([grad_mu, grad_logvar], axis=1)
+        model.encoder, enc_cache, np.concatenate([grad_mu, grad_logvar], axis=1),
+        input_grad=False,
     )
     adam_step(model.encoder, enc_grads, opt.encoder)
     adam_step(model.decoder, dec_grads, opt.decoder)
@@ -365,8 +366,10 @@ def daae_train_step(
     scores_encoded, cache_encoded = mlp_forward(disc, z_encoded, rate, rng, opt.caches["encoded"])
     adv = adversarial_losses(scores_prior, scores_encoded)
     _check_finite(adv.disc_value, "discriminator loss")
-    disc_grads, _ = mlp_backward(disc, cache_prior, adv.grad_disc_prior)
-    grads_encoded, _ = mlp_backward(disc, cache_encoded, adv.grad_disc_encoded)
+    disc_grads, _ = mlp_backward(disc, cache_prior, adv.grad_disc_prior, input_grad=False)
+    grads_encoded, _ = mlp_backward(
+        disc, cache_encoded, adv.grad_disc_encoded, input_grad=False
+    )
     disc_grads.flat += grads_encoded.flat
     adam_step(disc, disc_grads, opt.discriminator)
 
@@ -377,7 +380,7 @@ def daae_train_step(
     fool = adversarial_losses(scores_prior, scores_fool)
     _check_finite(fool.enc_value, "encoder adversarial loss")
     _, grad_z_fool = mlp_backward(disc, cache_fool, fool.grad_enc_encoded)
-    enc_grads_fool, _ = mlp_backward(model.encoder, enc_cache, grad_z_fool)
+    enc_grads_fool, _ = mlp_backward(model.encoder, enc_cache, grad_z_fool, input_grad=False)
     adam_step(model.encoder, enc_grads_fool, opt.encoder)
 
     return {"loss": recon, "disc": adv.disc_value, "enc": fool.enc_value}

@@ -196,11 +196,16 @@ def mlp_forward(
     return cache.output, cache
 
 
-def mlp_backward(mlp: Mlp, cache: ForwardCache, grad_output: np.ndarray) -> tuple[Mlp, np.ndarray]:
+def mlp_backward(
+    mlp: Mlp, cache: ForwardCache, grad_output: np.ndarray, *, input_grad: bool = True
+) -> tuple[Mlp, np.ndarray | None]:
     """Backpropagate d(loss)/d(output) through the cached forward pass.
 
     Returns the parameter gradients, as an Mlp in this network's layout kept
-    in the cache, and the gradient with respect to the input.
+    in the cache, and the gradient with respect to the input. A caller that
+    has no use for the input gradient (the training steps' encoder and
+    phase-2 discriminator passes) passes input_grad=False, which skips its
+    product and returns None in its place.
     """
     spec, rows = mlp.spec, len(cache.x)
     if [cache.x.shape[1], *(a[0].shape[1] for a in cache.work)] != list(spec.layer_sizes):
@@ -226,7 +231,7 @@ def mlp_backward(mlp: Mlp, cache: ForwardCache, grad_output: np.ndarray) -> tupl
         np.matmul(g.T, h, out=grads.weights[i])
         g.sum(axis=0, out=grads.biases[i])
         if i == 0:
-            return grads, g @ mlp.weights[0]
+            return grads, (g @ mlp.weights[0] if input_grad else None)
         g = np.matmul(g, mlp.weights[i], out=h)
         if cache.dropout:
             g *= mask

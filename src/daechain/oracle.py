@@ -27,10 +27,24 @@ The responsibilities come from a softmax of log-densities shifted by each
 row's largest, so R* stays finite and exact however far a point lies from
 the mass, with no density floor. Only a row with no finite component
 log-density (a NaN or infinite coordinate, or |x - mu| beyond ~1e154,
-where the squared distance overflows) raises NumericError. The
-Gauss-Hermite and Monte-Carlo estimators of the two expectations remain
-available through an explicit QuadratureSpec, as an independent numerical
-cross-check of the closed form.
+where the squared distance overflows) raises NumericError; a NaN row
+raises it from the log-density functions too, where an infinitely far
+point has log p = -inf. The Gauss-Hermite and Monte-Carlo estimators of the
+two expectations remain available through an explicit QuadratureSpec, as an
+independent numerical cross-check of the closed form.
+
+One evaluation path serves the log-density, its mode, the
+responsibilities, the score and R*. A GaussianMixture holds read-only
+copies of its arrays, so what a caller later writes to its own arrays
+cannot reach them, and computes once what depends on the mixture alone:
+log w and the log-normalisers of its variances. It also keeps the smoothed
+constants v + sigma^2, their log-normalisers and sigma^2 mu of the last
+sigma R* was evaluated at, so a sweep over points at one sigma computes
+them once. Each call then works in place on arrays it allocates once, and
+takes its rows in blocks whose (rows, k, d) workspace fits
+_WORKSPACE_BYTES, so memory stays bounded at any number of rows. The
+arithmetic is the formulas' own, in their order, so every result has the
+bits of the plain whole-batch expressions (tests/_reference_oracle.py).
 
 For a single Gaussian N(mu, s^2) the relative error of (R*(x) - x) / sigma^2
 against the true score (mu - x) / s^2 is exactly sigma^2 / (s^2 + sigma^2),
@@ -58,19 +72,39 @@ GRID_HI = 1.0
 GRID_CANDIDATES = 4001
 HIGH_DENSITY_NATS = 4.0
 
+# The closed form takes its rows in blocks whose (rows, k, d) float64
+# workspace fits in this many bytes, as models._BLOCK_ROWS bounds inference.
+# Every result is a function of its own row, so the block size changes no
+# bits. A 1-D two-component mixture takes 65,536 rows per block, a 64-d
+# 49-component one 41.
+_WORKSPACE_BYTES = 1 << 20
+
+
+def _log_normalisers(var: np.ndarray) -> np.ndarray:
+    # (1, k) log det(2 pi diag(v_k)) of a (1, k, d) variance table
+    return np.log(2.0 * np.pi * var).sum(axis=2)
+
+
+def _read_only(a: np.ndarray) -> np.ndarray:
+    a.flags.writeable = False
+    return a
+
 
 @dataclass(frozen=True)
 class GaussianMixture:
-    """Mixture of diagonal Gaussians: weights (k,), means (k, d), variances (k, d)."""
+    """Mixture of diagonal Gaussians: weights (k,), means (k, d), variances (k, d).
+
+    The arrays are read-only copies of the ones given.
+    """
 
     weights: np.ndarray
     means: np.ndarray
     variances: np.ndarray
 
     def __post_init__(self):
-        w = np.asarray(self.weights, dtype=np.float64)
-        m = np.asarray(self.means, dtype=np.float64)
-        v = np.asarray(self.variances, dtype=np.float64)
+        w = np.array(self.weights, dtype=np.float64, order="C")
+        m = np.array(self.means, dtype=np.float64, order="C")
+        v = np.array(self.variances, dtype=np.float64, order="C")
         if m.ndim == 1:
             m = m[:, None]
         if v.ndim == 1:
@@ -93,9 +127,17 @@ class GaussianMixture:
             raise ValueError("mixture variances must be finite and positive")
         if not np.all(np.isfinite(m)):
             raise ValueError("mixture means must be finite")
-        object.__setattr__(self, "weights", w)
-        object.__setattr__(self, "means", m)
-        object.__setattr__(self, "variances", v)
+        object.__setattr__(self, "weights", _read_only(w))
+        object.__setattr__(self, "means", _read_only(m))
+        object.__setattr__(self, "variances", _read_only(v))
+        # The per-component constants carry a leading axis of length 1, so a
+        # one-row block meets them shape for shape: numpy's same-shape loop
+        # is about twice as fast as its broadcasting one on such tiny arrays.
+        object.__setattr__(self, "_log_weights", _read_only(np.log(w)[None, :]))
+        object.__setattr__(
+            self, "_unsmoothed", (self.variances[None], _read_only(_log_normalisers(v[None])))
+        )
+        object.__setattr__(self, "_last_smoothing", (None, None))
 
     @property
     def n_components(self) -> int:
@@ -104,6 +146,20 @@ class GaussianMixture:
     @property
     def dim(self) -> int:
         return self.means.shape[1]
+
+    def _smoothed(self, sigma: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """v + sigma^2, its log-normalisers and sigma^2 mu, kept for the last sigma only."""
+        last, consts = self._last_smoothing
+        if last == sigma:
+            return consts
+        s2 = sigma * sigma
+        var = self.variances[None] + s2
+        # sigma^2 = inf makes every row raise NumericError before s2mu is read
+        with np.errstate(invalid="ignore"):
+            s2mu = s2 * self.means[None]
+        consts = (_read_only(var), _read_only(_log_normalisers(var)), _read_only(s2mu))
+        object.__setattr__(self, "_last_smoothing", (sigma, consts))
+        return consts
 
 
 def confined_to_unit_box(gm: GaussianMixture, span: float = 4.0) -> bool:
@@ -114,8 +170,8 @@ def confined_to_unit_box(gm: GaussianMixture, span: float = 4.0) -> bool:
     return bool(np.all(lo > 0.0) and np.all(hi < 1.0))
 
 
-def _logsumexp(a: np.ndarray) -> np.ndarray:
-    """Stable row-wise log(sum(exp(a))) of an (n, k) array.
+def _logsumexp(a: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """Stable row-wise log(sum(exp(a))) of an (n, k) array, into out if given.
 
     Folds the columns left to right with np.logaddexp, which shifts every
     pairwise sum by its larger term: max + log1p(exp(min - max)). Nothing
@@ -128,7 +184,7 @@ def _logsumexp(a: np.ndarray) -> np.ndarray:
     -0.0 into +0.0, hence the + 0.0 when k = 1.
     """
     k = a.shape[1]
-    out = np.logaddexp(a[:, 0], a[:, 1]) if k > 1 else a[:, 0] + 0.0
+    out = np.logaddexp(a[:, 0], a[:, 1], out=out) if k > 1 else np.add(a[:, 0], 0.0, out=out)
     for j in range(2, k):
         np.logaddexp(out, a[:, j], out=out)
     return out
@@ -151,45 +207,100 @@ def _argmax_rows(a: np.ndarray) -> np.ndarray:
     return mode
 
 
-def _softmax(logc: np.ndarray) -> np.ndarray:
-    """Row-wise exp(logc) / sum(exp(logc)), shifted by each row's max.
+def _raise_no_finite_row(bad: np.ndarray, largest: np.ndarray, first_row: int):
+    i = int(np.argmax(bad))
+    raise NumericError(
+        f"no finite component log-density in row {first_row + i} (largest {largest[i]}); "
+        "the point is NaN, infinite or too far from the mixture mass"
+    )
+
+
+def _softmax(logc: np.ndarray, first_row: int = 0) -> np.ndarray:
+    """Row-wise exp(logc) / sum(exp(logc)) in place, shifted by each row's max.
 
     Raises NumericError for a row whose largest entry is not finite: then
-    no component has a finite log-density and the row has no softmax.
+    no component has a finite log-density and the row has no softmax. The
+    message counts rows from first_row, the block's first row in the batch.
     """
-    top = logc.max(axis=1, keepdims=True)
-    bad = ~np.isfinite(top[:, 0])
-    if bad.any():
-        i = int(np.argmax(bad))
-        raise NumericError(
-            f"no finite component log-density in row {i} (largest {top[i, 0]}); "
-            "the point is NaN, infinite or too far from the mixture mass"
-        )
-    e = np.exp(logc - top)
-    return e / e.sum(axis=1, keepdims=True)
+    # the ufuncs' own reductions: ndarray.max and .sum add a Python layer
+    top = np.maximum.reduce(logc, axis=1, keepdims=True)
+    if not np.isfinite(top).all():
+        _raise_no_finite_row(~np.isfinite(top[:, 0]), top[:, 0], first_row)
+    logc -= top
+    np.exp(logc, out=logc)
+    logc /= np.add.reduce(logc, axis=1, keepdims=True)
+    return logc
 
 
-def _component_log_pdfs(gm: GaussianMixture, xs: np.ndarray, variances=None) -> np.ndarray:
-    # xs: (n, d) -> (n, k) log w_k + log N(x; mu_k, diag(v_k)); the variances
-    # default to the mixture's own
-    var = gm.variances if variances is None else variances
-    diff = xs[:, None, :] - gm.means[None, :, :]
-    quad = (diff * diff) / var[None, :, :]
-    logdet = np.log(2.0 * np.pi * var).sum(axis=1)
-    comp = -0.5 * (quad.sum(axis=2) + logdet[None, :])
-    return comp + np.log(gm.weights)[None, :]
+def _log_density_blocks(gm: GaussianMixture, pts: np.ndarray, var, logdet, logc=None):
+    """Yield (rows, x, logc, work) for each block of rows of the (n, d) batch pts.
+
+    x is the block's points as (rows, 1, d). logc holds their (rows, k)
+    component log-densities -0.5 * (sum_d (x - mu_k)^2 / var_k + logdet_k)
+    + log w_k, where var and logdet are the mixture's own (gm._unsmoothed)
+    or smoothed ones (gm._smoothed). work is the block's (rows, k, d)
+    workspace, the caller's once the block is yielded. With an (n, k) logc
+    given, each block's logc is its row slice; otherwise one block-sized
+    array is reused.
+    """
+    n, (k, d) = len(pts), gm.means.shape
+    step = max(1, min(n, _WORKSPACE_BYTES // (8 * k * d)))
+    work = np.empty((step, k, d))
+    block_logc = np.empty((step, k)) if logc is None else None
+    for lo in range(0, n, step):
+        rows = slice(lo, lo + step)
+        x = pts[rows, None, :]
+        out = logc[rows] if block_logc is None else block_logc[: len(x)]
+        quad = np.subtract(x, gm.means, out=work[: len(x)])
+        np.multiply(quad, quad, out=quad)
+        quad /= var
+        if d == 1:  # a sum over one coordinate is that coordinate
+            np.add(quad[:, :, 0], logdet, out=out)
+        else:
+            np.add(np.add.reduce(quad, axis=2, out=out), logdet, out=out)
+        out *= -0.5
+        out += gm._log_weights
+        yield rows, x, out, quad
+
+
+def _component_log_pdfs(gm: GaussianMixture, xs: np.ndarray) -> np.ndarray:
+    # xs: (n, d) -> (n, k) log w_k + log N(x; mu_k, diag(v_k))
+    logc = np.empty((len(xs), gm.n_components))
+    for _ in _log_density_blocks(gm, xs, *gm._unsmoothed, logc):
+        pass
+    return logc
+
+
+def _log_pdf(gm: GaussianMixture, xs, with_mode: bool):
+    pts, _ = as_rows(np.atleast_2d(xs), gm.dim, "point", "mixture dim")
+    log_p = np.empty(len(pts))
+    mode = np.empty(len(pts), dtype=np.intp) if with_mode else None
+    for rows, _, logc, _ in _log_density_blocks(gm, pts, *gm._unsmoothed):
+        nan = np.isnan(logc[:, 0])  # a NaN coordinate makes every column NaN
+        if nan.any():
+            _raise_no_finite_row(nan, logc[:, 0], rows.start)
+        _logsumexp(logc, log_p[rows])
+        if with_mode:
+            mode[rows] = _argmax_rows(logc)
+    return log_p, mode
 
 
 def mixture_log_pdf_batch(gm: GaussianMixture, xs) -> np.ndarray:
-    """log p(x) for each row of xs, computed with log-sum-exp over components."""
-    pts, _ = as_rows(np.atleast_2d(xs), gm.dim, "point", "mixture dim")
-    return _logsumexp(_component_log_pdfs(gm, pts))
+    """log p(x) for each row of xs, computed with log-sum-exp over components.
+
+    A point too far from the mass for any finite component log-density gets
+    -inf; a NaN point raises NumericError naming its row.
+    """
+    return _log_pdf(gm, xs, with_mode=False)[0]
 
 
 def responsibilities(gm: GaussianMixture, xs) -> np.ndarray:
     """Posterior component probabilities, one row per point."""
     pts, _ = as_rows(np.atleast_2d(xs), gm.dim, "point", "mixture dim")
-    return _softmax(_component_log_pdfs(gm, pts))
+    resp = np.empty((len(pts), gm.n_components))
+    for rows, _, logc, _ in _log_density_blocks(gm, pts, *gm._unsmoothed, resp):
+        _softmax(logc, rows.start)
+    return resp
 
 
 def mixture_log_pdf_and_mode(gm: GaussianMixture, xs) -> tuple[np.ndarray, np.ndarray]:
@@ -201,17 +312,19 @@ def mixture_log_pdf_and_mode(gm: GaussianMixture, xs) -> tuple[np.ndarray, np.nd
     probability, the mode is the one with the larger log-density rather than
     the lower index.
     """
-    pts, _ = as_rows(np.atleast_2d(xs), gm.dim, "point", "mixture dim")
-    logc = _component_log_pdfs(gm, pts)
-    return _logsumexp(logc), _argmax_rows(logc)
+    return _log_pdf(gm, xs, with_mode=True)
 
 
 def analytic_score(gm: GaussianMixture, x) -> np.ndarray:
     """Closed-form d/dx log p(x) = sum_k resp_k(x) (mu_k - x) / v_k."""
     pts, single = as_rows(x, gm.dim, "point", "mixture dim")
-    resp = responsibilities(gm, pts)  # (n, k)
-    pull = (gm.means[None, :, :] - pts[:, None, :]) / gm.variances[None, :, :]
-    score = np.einsum("nk,nkd->nd", resp, pull)
+    score = np.empty(pts.shape)
+    var, logdet = gm._unsmoothed
+    for rows, x, resp, work in _log_density_blocks(gm, pts, var, logdet):
+        _softmax(resp, rows.start)
+        pull = np.subtract(gm.means, x, out=work)
+        pull /= var
+        np.einsum("nk,nkd->nd", resp, pull, out=score[rows])
     return score[0] if single else score
 
 
@@ -291,11 +404,15 @@ def optimal_reconstruction(
         recon = _quadrature_estimate(gm, sigma, pts[0], quad)
         return recon if single else recon[None, :]
 
-    s2 = sigma * sigma
-    smoothed = gm.variances + s2  # (k, d)
-    resp = _softmax(_component_log_pdfs(gm, pts, smoothed))  # (n, k)
-    shrunk = (gm.variances * pts[:, None, :] + s2 * gm.means) / smoothed  # (n, k, d)
-    recon = (resp[:, :, None] * shrunk).sum(axis=1)
+    var, logdet, s2mu = gm._smoothed(sigma)
+    recon = np.empty(pts.shape)
+    for rows, x, resp, work in _log_density_blocks(gm, pts, var, logdet):
+        _softmax(resp, rows.start)
+        shrunk = np.multiply(gm.variances, x, out=work)
+        shrunk += s2mu
+        shrunk /= var
+        shrunk *= resp[:, :, None]
+        np.add.reduce(shrunk, axis=1, out=recon[rows])
     return recon[0] if single else recon
 
 

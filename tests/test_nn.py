@@ -314,6 +314,17 @@ def test_a_refilled_cache_gives_the_bytes_of_a_fresh_one():
         assert grads.flat.tobytes() == want_grads.flat.tobytes()
 
 
+def test_backward_without_input_gradient_keeps_the_parameter_gradient_bytes():
+    mlp = small_net(seed=3, sizes=(3, 5, 4, 2))
+    x = Prng(4).normal((6, 3), 1.0)
+    y, cache = mlp_forward(mlp, x)
+    want = mlp_backward(mlp, cache, np.ones_like(y))[0].flat.copy()
+    y, cache = mlp_forward(mlp, x, cache=cache)  # backward spends the cached activations
+    grads, gin = mlp_backward(mlp, cache, np.ones_like(y), input_grad=False)
+    assert gin is None
+    assert grads.flat.tobytes() == want.tobytes()
+
+
 def test_backward_rejects_mismatched_cache():
     a = small_net(seed=1, sizes=(3, 8, 2))
     b = small_net(seed=2, sizes=(3, 6, 2))

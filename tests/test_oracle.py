@@ -1,5 +1,7 @@
 import math
+import tracemalloc
 import warnings
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -7,6 +9,9 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
+import _reference_oracle as ref
+from daechain import oracle
+from daechain.datasets import BLOB_CENTER_BOX, BLOB_PEAK, blob_images
 from daechain.numeric import NumericError, Prng, ShapeError
 from daechain.oracle import (
     QUADRATURE_METHODS,
@@ -431,13 +436,10 @@ def test_reconstruction_is_exact_far_from_mass_on_random_mixtures(case):
 def blob_template_mixture():
     """49 equal-weight 8x8 blob templates 0.1 + 0.8 * bump, centres on a
     7x7 grid over [2, 5]^2, bump std 1.2 pixels, pixel std 0.02."""
-    pixels = np.arange(8.0)
-    templates = []
-    for row in np.linspace(2.0, 5.0, 7):
-        for col in np.linspace(2.0, 5.0, 7):
-            r2 = (pixels[:, None] - row) ** 2 + (pixels[None, :] - col) ** 2
-            templates.append(0.1 + 0.8 * np.exp(-r2 / (2.0 * 1.2**2)).reshape(64))
-    return GaussianMixture(np.full(49, 1.0 / 49), np.array(templates), np.full((49, 64), 0.02**2))
+    axis = np.linspace(*BLOB_CENTER_BOX, 7)
+    centers = np.stack(np.meshgrid(axis, axis, indexing="ij"), axis=-1).reshape(49, 2)
+    templates = 0.1 + 0.8 * (blob_images(centers) / BLOB_PEAK)
+    return GaussianMixture(np.full(49, 1.0 / 49), templates, np.full((49, 64), 0.02**2))
 
 
 def test_reconstruction_is_exact_for_uniform_noise_in_64d():
@@ -475,6 +477,49 @@ def test_row_with_no_finite_log_density_raises_numeric_error(name, bad):
         fn(gm, np.array([[0.5], [bad], [0.4]]))
     with pytest.raises(NumericError, match="row 1"):
         fn(two_component_2d(), np.array([[0.5, 0.5], [0.3, bad]]))
+
+
+_LOG_DENSITY_FUNCTIONS = {
+    "mixture_log_pdf_batch": mixture_log_pdf_batch,
+    "mixture_log_pdf_and_mode": lambda gm, x: mixture_log_pdf_and_mode(gm, x)[0],
+}
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("name", sorted(_LOG_DENSITY_FUNCTIONS))
+def test_nan_row_in_the_log_density_raises_numeric_error(name):
+    # no numpy "invalid value" warning comes first, and no nan comes back
+    fn = _LOG_DENSITY_FUNCTIONS[name]
+    gm = two_mode()
+    with pytest.raises(NumericError, match="row 0"):
+        fn(gm, np.array([np.nan]))
+    with pytest.raises(NumericError, match="row 1"):
+        fn(gm, np.array([[0.5], [np.nan], [0.4]]))
+    with pytest.raises(NumericError, match="row 1"):
+        fn(two_component_2d(), np.array([[0.5, 0.5], [0.3, np.nan]]))
+    # an infinitely far point has no density: log p = -inf, not an error
+    log_p = fn(gm, np.array([[np.inf], [0.5], [-np.inf]]))
+    assert log_p[0] == log_p[2] == -np.inf and np.isfinite(log_p[1])
+
+
+@pytest.mark.parametrize(
+    "fn",
+    [
+        lambda gm, x: optimal_reconstruction(gm, 0.1, x),
+        responsibilities,
+        analytic_score,
+        mixture_log_pdf_batch,
+        mixture_log_pdf_and_mode,
+    ],
+)
+def test_numeric_error_names_the_row_of_the_whole_batch_across_row_blocks(fn):
+    # two rows per block: row 5 is the second row of the third block
+    gm = two_component_2d()
+    xs = np.full((8, 2), 0.5)
+    xs[5, 1] = np.nan
+    with mock.patch.object(oracle, "_WORKSPACE_BYTES", 2 * 8 * 2 * 2):
+        with pytest.raises(NumericError, match=r"row 5 "):
+            fn(gm, xs)
 
 
 def test_reconstruction_is_exact_at_every_sigma_per_point_and_batched():
@@ -608,3 +653,118 @@ def test_quadrature_matches_brute_force_bce_minimizer():
         scanned = bce_grid_minimizer(gm, sigma, x, n_draws=2_000_000, seed=0)
         worst = max(worst, abs(direct - scanned))
     assert worst <= 2e-4
+
+
+# ---------------------------------------------------------------------------
+# byte pin: the package's closed form against the written-out reference
+# ---------------------------------------------------------------------------
+
+def _random_mixture(gen, k, d):
+    raw = gen.uniform(0.05, 1.0, k)
+    stds = gen.uniform(0.01, 0.5, (k, d))
+    return GaussianMixture(raw / raw.sum(), gen.uniform(0.0, 1.0, (k, d)), stds * stds)
+
+
+def _assert_same_bytes(got, want):
+    assert got.shape == want.shape and got.dtype == want.dtype
+    assert got.tobytes() == want.tobytes()
+
+
+@st.composite
+def byte_pin_cases(draw):
+    """Two mixtures of k (1-50) components in d (1-64) dims, a row-block budget
+    of 1-4 rows, points spanning three to four blocks at 0.01 to 10 mixture
+    widths from a component mean, and 1-6 calls, each on either mixture at one
+    of two sigmas in [1e-3, 2]."""
+    k, d = draw(st.integers(1, 50)), draw(st.integers(1, 64))
+    gen = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    mixtures = [_random_mixture(gen, k, d) for _ in range(2)]
+    block = draw(st.integers(1, 4))
+    n = draw(st.integers(2 * block + 1, 4 * block))
+    anchors = gen.integers(0, k, n)
+    scale = gen.choice([0.01, 0.1, 1.0, 10.0], (n, 1))
+    points = mixtures[0].means[anchors] + scale * gen.standard_normal((n, d))
+    sigmas = draw(st.lists(st.floats(1e-3, 2.0), min_size=2, max_size=2))
+    calls = draw(st.lists(st.tuples(st.integers(0, 1), st.integers(0, 1)), min_size=1, max_size=6))
+    return mixtures, block, points, [(mixtures[m], sigmas[s]) for m, s in calls]
+
+
+def fixed_byte_pin_case(k, d):
+    """A byte_pin_cases case of fixed shape: 13 points in blocks of 4 rows."""
+    gen = np.random.default_rng(k * 100 + d)
+    mixtures = [_random_mixture(gen, k, d) for _ in range(2)]
+    points = mixtures[0].means[gen.integers(0, k, 13)] + 0.1 * gen.standard_normal((13, d))
+    return mixtures, 4, points, [(mixtures[0], 0.05), (mixtures[1], 0.05), (mixtures[0], 2.0)]
+
+
+@settings(max_examples=150, deadline=None)
+@given(case=byte_pin_cases())
+# the largest shapes, and those where numpy's pairwise summation starts (8 terms)
+@example(case=fixed_byte_pin_case(50, 64))
+@example(case=fixed_byte_pin_case(8, 8))
+@example(case=fixed_byte_pin_case(9, 1))
+@example(case=fixed_byte_pin_case(1, 9))
+def test_closed_form_has_the_bytes_of_the_written_out_reference(case):
+    mixtures, block, xs, calls = case
+    d, k = xs.shape[1], mixtures[0].n_components
+    with mock.patch.object(oracle, "_WORKSPACE_BYTES", block * 8 * k * d):
+        for gm, sigma in calls:  # alternating mixtures and sigmas: the kept constants
+            _assert_same_bytes(optimal_reconstruction(gm, sigma, xs), ref.optimal_reconstruction(gm, sigma, xs))
+            _assert_same_bytes(optimal_reconstruction(gm, sigma, xs[1]), ref.optimal_reconstruction(gm, sigma, xs[1:2])[0])
+        for gm in mixtures:
+            _assert_same_bytes(responsibilities(gm, xs), ref.responsibilities(gm, xs))
+            _assert_same_bytes(analytic_score(gm, xs), ref.analytic_score(gm, xs))
+            _assert_same_bytes(analytic_score(gm, xs[0]), ref.analytic_score(gm, xs[:1])[0])
+            _assert_same_bytes(mixture_log_pdf_batch(gm, xs), ref.mixture_log_pdf_batch(gm, xs))
+            log_p, mode = mixture_log_pdf_and_mode(gm, xs)
+            want_log_p, want_mode = ref.mixture_log_pdf_and_mode(gm, xs)
+            _assert_same_bytes(log_p, want_log_p)
+            _assert_same_bytes(mode, want_mode)
+            _assert_same_bytes(_component_log_pdfs(gm, xs), ref.component_log_pdfs(gm, xs))
+
+
+def test_closed_form_has_the_reference_bytes_in_default_row_blocks():
+    # 1024 rows of the 64-d blob mixture take 25 blocks of 41 rows
+    gm = blob_template_mixture()
+    xs = Prng(3).uniform((1024, 64))
+    _assert_same_bytes(optimal_reconstruction(gm, 0.05, xs), ref.optimal_reconstruction(gm, 0.05, xs))
+    _assert_same_bytes(mixture_log_pdf_batch(gm, xs), ref.mixture_log_pdf_batch(gm, xs))
+    assert np.array_equal(mixture_log_pdf_and_mode(gm, xs)[1], ref.mixture_log_pdf_and_mode(gm, xs)[1])
+
+
+def test_mixture_keeps_read_only_copies_of_its_arrays():
+    w, m, v = np.array([0.5, 0.5]), np.array([[0.35], [0.65]]), np.array([[0.0025], [0.0025]])
+    gm = GaussianMixture(w, m, v)
+    xs = np.linspace(0.0, 1.0, 11)[:, None]
+    before = optimal_reconstruction(gm, 0.1, xs), mixture_log_pdf_batch(gm, xs)
+    w[:] = (0.9, 0.1)
+    m += 0.1
+    v *= 4.0
+    after = optimal_reconstruction(gm, 0.1, xs), mixture_log_pdf_batch(gm, xs)
+    for a, b in zip(before, after):
+        _assert_same_bytes(a, b)
+    assert gm.means[0, 0] == 0.35 and gm.variances[1, 0] == 0.0025 and gm.weights[0] == 0.5
+    for array in (gm.weights, gm.means, gm.variances):
+        with pytest.raises(ValueError, match="read-only"):
+            array[0] = 1.0
+
+
+def _peak_bytes(fn, *args):
+    tracemalloc.start()
+    try:
+        fn(*args)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_closed_form_memory_is_bounded_by_its_row_blocks():
+    # 1024 rows of the 49-component 64-d blob mixture peaked at 77 MB when
+    # the (n, k, d) intermediates were built whole; in row blocks ~1-2 MB
+    gm = blob_template_mixture()
+    xs = Prng(0).uniform((1024, 64))
+    assert _peak_bytes(optimal_reconstruction, gm, 0.05, xs) <= 10e6
+    assert _peak_bytes(mixture_log_pdf_and_mode, gm, xs) <= 10e6
+    # 1e5 1-D rows peaked at 6.6 MB whole; in two blocks ~4 MB
+    xs = np.random.default_rng(0).random((100_000, 1))
+    assert _peak_bytes(optimal_reconstruction, two_mode(), 0.5, xs) <= 6.6e6
