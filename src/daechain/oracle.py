@@ -320,9 +320,9 @@ def analytic_score(gm: GaussianMixture, x) -> np.ndarray:
     pts, single = as_rows(x, gm.dim, "point", "mixture dim")
     score = np.empty(pts.shape)
     var, logdet = gm._unsmoothed
-    for rows, x, resp, work in _log_density_blocks(gm, pts, var, logdet):
+    for rows, block_x, resp, work in _log_density_blocks(gm, pts, var, logdet):
         _softmax(resp, rows.start)
-        pull = np.subtract(gm.means, x, out=work)
+        pull = np.subtract(gm.means, block_x, out=work)
         pull /= var
         np.einsum("nk,nkd->nd", resp, pull, out=score[rows])
     return score[0] if single else score
@@ -406,9 +406,9 @@ def optimal_reconstruction(
 
     var, logdet, s2mu = gm._smoothed(sigma)
     recon = np.empty(pts.shape)
-    for rows, x, resp, work in _log_density_blocks(gm, pts, var, logdet):
+    for rows, block_x, resp, work in _log_density_blocks(gm, pts, var, logdet):
         _softmax(resp, rows.start)
-        shrunk = np.multiply(gm.variances, x, out=work)
+        shrunk = np.multiply(gm.variances, block_x, out=work)
         shrunk += s2mu
         shrunk /= var
         shrunk *= resp[:, :, None]
