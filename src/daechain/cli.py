@@ -33,7 +33,7 @@ from .config import (
     mixture_from_config,
     train_config_from_config,
 )
-from .datasets import build_dataset
+from .datasets import MIXTURE_DIMS, build_dataset
 from .io_formats import (
     load_checkpoint,
     read_idx_header,
@@ -90,7 +90,7 @@ def _out_path(cfg: RunConfig, name: str) -> str:
 
 
 def _mixture_if_matching(cfg: RunConfig, data_dim: int):
-    if cfg.dataset not in ("mixture1d", "mixture2d"):
+    if cfg.dataset not in MIXTURE_DIMS:
         return None
     gm = mixture_from_config(cfg)
     return gm if gm.dim == data_dim else None
@@ -201,6 +201,8 @@ def _cmd_refine(cfg: RunConfig) -> int:
 
 def _cmd_score_check(cfg: RunConfig) -> int:
     """compare model score estimates with the analytic score"""
+    if cfg.grid_points < 2:
+        raise ConfigError(f"score-check needs grid_points >= 2, got {cfg.grid_points}")
     model = load_checkpoint(_checkpoint_path(cfg))
     gm = mixture_from_config(cfg)
     grid = high_density_grid(gm, cfg.grid_points)

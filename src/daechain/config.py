@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .datasets import DatasetSpec
+from .datasets import MIXTURE_DIMS, DatasetSpec
 from .models import TrainConfig
 from .oracle import GaussianMixture
 from .sampler import ChainConfig
@@ -84,8 +84,8 @@ def _parse_shape(text: str) -> tuple[int, int] | None:
     if not text.strip():
         return None
     shape = _parse_ints(text)
-    if len(shape) != 2:
-        raise ValueError("image_shape needs exactly two integers")
+    if len(shape) != 2 or min(shape) < 1:
+        raise ValueError(f"image_shape needs two integers >= 1, got {text.strip()!r}")
     return shape
 
 
@@ -161,7 +161,7 @@ def mixture_from_config(cfg: RunConfig) -> GaussianMixture:
 
 def dataset_spec_from_config(cfg: RunConfig) -> DatasetSpec:
     mixture = None
-    if cfg.dataset in ("mixture1d", "mixture2d"):
+    if cfg.dataset in MIXTURE_DIMS:
         mixture = mixture_from_config(cfg)
     return DatasetSpec(cfg.dataset, cfg.n_samples, mixture, cfg.idx_path or None)
 

@@ -16,9 +16,11 @@ import numpy as np
 
 from .io_formats import load_idx_images
 from .numeric import Prng
-from .oracle import GaussianMixture, confined_to_unit_box
+from .oracle import UNIT_BOX_SPAN, GaussianMixture, confined_to_unit_box
 
-DATASET_KINDS = ("mixture1d", "mixture2d", "blobs8x8", "idx_images")
+# the dataset kinds drawn from a ground-truth mixture, and its dimension
+MIXTURE_DIMS = {"mixture1d": 1, "mixture2d": 2}
+DATASET_KINDS = (*MIXTURE_DIMS, "blobs8x8", "idx_images")
 
 BLOB_PEAK = 0.9
 BLOB_SPATIAL_STD = 1.2
@@ -32,7 +34,7 @@ def generate_mixture_dataset(gm: GaussianMixture, n: int, rng: Prng) -> np.ndarr
         raise ValueError(f"sample count must be positive, got {n}")
     if not confined_to_unit_box(gm):
         raise ValueError(
-            "mixture must keep 4 standard deviations inside (0, 1) per coordinate"
+            f"mixture must keep {UNIT_BOX_SPAN:g} standard deviations inside (0, 1) per coordinate"
         )
     cumulative = np.cumsum(gm.weights)
     picks = np.searchsorted(cumulative, rng.uniform((n,)), side="right")
@@ -79,10 +81,10 @@ class DatasetSpec:
     def __post_init__(self):
         if self.kind not in DATASET_KINDS:
             raise ValueError(f"dataset kind must be one of {DATASET_KINDS}, got {self.kind!r}")
-        if self.kind in ("mixture1d", "mixture2d"):
+        if self.kind in MIXTURE_DIMS:
             if self.mixture is None:
                 raise ValueError(f"{self.kind} needs a mixture")
-            want = 1 if self.kind == "mixture1d" else 2
+            want = MIXTURE_DIMS[self.kind]
             if self.mixture.dim != want:
                 raise ValueError(
                     f"{self.kind} needs a {want}-dimensional mixture, got dim {self.mixture.dim}"
@@ -95,7 +97,7 @@ class DatasetSpec:
 
 def build_dataset(spec: DatasetSpec, rng: Prng) -> np.ndarray:
     """Materialize the dataset described by spec as an (n, d) array in [0, 1]."""
-    if spec.kind in ("mixture1d", "mixture2d"):
+    if spec.kind in MIXTURE_DIMS:
         return generate_mixture_dataset(spec.mixture, spec.n_samples, rng)
     if spec.kind == "blobs8x8":
         return generate_blobs8x8(spec.n_samples, rng)

@@ -36,13 +36,13 @@ independent numerical cross-check of the closed form.
 One evaluation path serves the log-density, its mode, the
 responsibilities, the score and R*. A GaussianMixture holds read-only
 copies of its arrays, so what a caller later writes to its own arrays
-cannot reach them, and computes once what depends on the mixture alone:
-log w and the log-normalisers of its variances. It also keeps the smoothed
-constants v + sigma^2, their log-normalisers and sigma^2 mu of the last
-sigma R* was evaluated at, so a sweep over points at one sigma computes
-them once. Each call then works in place on arrays it allocates once, and
-takes its rows in blocks whose (rows, k, d) workspace fits
-_WORKSPACE_BYTES, so memory stays bounded at any number of rows. The
+cannot reach them, and computes log w once. The data density p is the
+sigma = 0 member of the smoothed family p * N(0, sigma^2 I), so one cache
+serves both: the constants v + sigma^2, their log-normalisers and
+sigma^2 mu of the last sigma evaluated (0 for p), which a sweep over points
+at one sigma computes once. Each call then works in place on arrays it
+allocates once, and takes its rows in blocks whose (rows, k, d) workspace
+fits _WORKSPACE_BYTES, so memory stays bounded at any number of rows. The
 arithmetic is the formulas' own, in their order, so every result has the
 bits of the plain whole-batch expressions (tests/_reference_oracle.py).
 
@@ -71,6 +71,7 @@ GRID_LO = 0.0
 GRID_HI = 1.0
 GRID_CANDIDATES = 4001
 HIGH_DENSITY_NATS = 4.0
+UNIT_BOX_SPAN = 4.0  # standard deviations confined_to_unit_box keeps inside (0, 1)
 
 # The closed form takes its rows in blocks whose (rows, k, d) float64
 # workspace fits in this many bytes, as models._BLOCK_ROWS bounds inference.
@@ -78,11 +79,6 @@ HIGH_DENSITY_NATS = 4.0
 # bits. A 1-D two-component mixture takes 65,536 rows per block, a 64-d
 # 49-component one 41.
 _WORKSPACE_BYTES = 1 << 20
-
-
-def _log_normalisers(var: np.ndarray) -> np.ndarray:
-    # (1, k) log det(2 pi diag(v_k)) of a (1, k, d) variance table
-    return np.log(2.0 * np.pi * var).sum(axis=2)
 
 
 def _read_only(a: np.ndarray) -> np.ndarray:
@@ -134,9 +130,6 @@ class GaussianMixture:
         # one-row block meets them shape for shape: numpy's same-shape loop
         # is about twice as fast as its broadcasting one on such tiny arrays.
         object.__setattr__(self, "_log_weights", _read_only(np.log(w)[None, :]))
-        object.__setattr__(
-            self, "_unsmoothed", (self.variances[None], _read_only(_log_normalisers(v[None])))
-        )
         object.__setattr__(self, "_last_smoothing", (None, None))
 
     @property
@@ -157,16 +150,17 @@ class GaussianMixture:
         # sigma^2 = inf makes every row raise NumericError before s2mu is read
         with np.errstate(invalid="ignore"):
             s2mu = s2 * self.means[None]
-        consts = (_read_only(var), _read_only(_log_normalisers(var)), _read_only(s2mu))
+        logdet = np.log(2.0 * np.pi * var).sum(axis=2)  # (1, k) log det(2 pi diag(v_k))
+        consts = (_read_only(var), _read_only(logdet), _read_only(s2mu))
         object.__setattr__(self, "_last_smoothing", (sigma, consts))
         return consts
 
 
-def confined_to_unit_box(gm: GaussianMixture, span: float = 4.0) -> bool:
-    """True when every mean +- span standard deviations stays inside (0, 1)."""
+def confined_to_unit_box(gm: GaussianMixture) -> bool:
+    """True when every mean +- UNIT_BOX_SPAN standard deviations stays inside (0, 1)."""
     s = np.sqrt(gm.variances)
-    lo = gm.means - span * s
-    hi = gm.means + span * s
+    lo = gm.means - UNIT_BOX_SPAN * s
+    hi = gm.means + UNIT_BOX_SPAN * s
     return bool(np.all(lo > 0.0) and np.all(hi < 1.0))
 
 
@@ -232,17 +226,17 @@ def _softmax(logc: np.ndarray, first_row: int = 0) -> np.ndarray:
     return logc
 
 
-def _log_density_blocks(gm: GaussianMixture, pts: np.ndarray, var, logdet, logc=None):
+def _log_density_blocks(gm: GaussianMixture, pts: np.ndarray, sigma: float, logc=None):
     """Yield (rows, x, logc, work) for each block of rows of the (n, d) batch pts.
 
     x is the block's points as (rows, 1, d). logc holds their (rows, k)
     component log-densities -0.5 * (sum_d (x - mu_k)^2 / var_k + logdet_k)
-    + log w_k, where var and logdet are the mixture's own (gm._unsmoothed)
-    or smoothed ones (gm._smoothed). work is the block's (rows, k, d)
-    workspace, the caller's once the block is yielded. With an (n, k) logc
-    given, each block's logc is its row slice; otherwise one block-sized
-    array is reused.
+    + log w_k under the mixture smoothed by sigma (gm._smoothed; sigma = 0
+    for the mixture itself). work is the block's (rows, k, d) workspace, the
+    caller's once the block is yielded. With an (n, k) logc given, each
+    block's logc is its row slice; otherwise one block-sized array is reused.
     """
+    var, logdet, _ = gm._smoothed(sigma)
     n, (k, d) = len(pts), gm.means.shape
     step = max(1, min(n, _WORKSPACE_BYTES // (8 * k * d)))
     work = np.empty((step, k, d))
@@ -266,61 +260,54 @@ def _log_density_blocks(gm: GaussianMixture, pts: np.ndarray, var, logdet, logc=
 def _component_log_pdfs(gm: GaussianMixture, xs: np.ndarray) -> np.ndarray:
     # xs: (n, d) -> (n, k) log w_k + log N(x; mu_k, diag(v_k))
     logc = np.empty((len(xs), gm.n_components))
-    for _ in _log_density_blocks(gm, xs, *gm._unsmoothed, logc):
+    for _ in _log_density_blocks(gm, xs, 0.0, logc):
         pass
     return logc
 
 
-def _log_pdf(gm: GaussianMixture, xs, with_mode: bool):
+def mixture_log_pdf_and_mode(gm: GaussianMixture, xs) -> tuple[np.ndarray, np.ndarray]:
+    """log p(x) of each row of xs and its most responsible component, from one evaluation.
+
+    log p is a log-sum-exp over the components. A point too far from the
+    mass for any finite component log-density gets -inf; a NaN point raises
+    NumericError naming its row. The mode is the argmax of the component
+    log-densities (ties to the lower index). The softmax keeps their order,
+    so the mode always has the largest responsibility; where the softmax
+    rounds two components to one probability, the mode is the one with the
+    larger log-density rather than the lower index.
+    """
     pts, _ = as_rows(np.atleast_2d(xs), gm.dim, "point", "mixture dim")
     log_p = np.empty(len(pts))
-    mode = np.empty(len(pts), dtype=np.intp) if with_mode else None
-    for rows, _, logc, _ in _log_density_blocks(gm, pts, *gm._unsmoothed):
+    mode = np.empty(len(pts), dtype=np.intp)
+    for rows, _, logc, _ in _log_density_blocks(gm, pts, 0.0):
         nan = np.isnan(logc[:, 0])  # a NaN coordinate makes every column NaN
         if nan.any():
             _raise_no_finite_row(nan, logc[:, 0], rows.start)
         _logsumexp(logc, log_p[rows])
-        if with_mode:
-            mode[rows] = _argmax_rows(logc)
+        mode[rows] = _argmax_rows(logc)
     return log_p, mode
 
 
 def mixture_log_pdf_batch(gm: GaussianMixture, xs) -> np.ndarray:
-    """log p(x) for each row of xs, computed with log-sum-exp over components.
-
-    A point too far from the mass for any finite component log-density gets
-    -inf; a NaN point raises NumericError naming its row.
-    """
-    return _log_pdf(gm, xs, with_mode=False)[0]
+    """log p(x) for each row of xs: the first half of mixture_log_pdf_and_mode."""
+    return mixture_log_pdf_and_mode(gm, xs)[0]
 
 
 def responsibilities(gm: GaussianMixture, xs) -> np.ndarray:
     """Posterior component probabilities, one row per point."""
     pts, _ = as_rows(np.atleast_2d(xs), gm.dim, "point", "mixture dim")
     resp = np.empty((len(pts), gm.n_components))
-    for rows, _, logc, _ in _log_density_blocks(gm, pts, *gm._unsmoothed, resp):
+    for rows, _, logc, _ in _log_density_blocks(gm, pts, 0.0, resp):
         _softmax(logc, rows.start)
     return resp
-
-
-def mixture_log_pdf_and_mode(gm: GaussianMixture, xs) -> tuple[np.ndarray, np.ndarray]:
-    """mixture_log_pdf_batch and the most responsible component, from one evaluation.
-
-    The mode is the argmax of the component log-densities (ties to the lower
-    index). The softmax keeps their order, so the mode always has the largest
-    responsibility; where the softmax rounds two components to one
-    probability, the mode is the one with the larger log-density rather than
-    the lower index.
-    """
-    return _log_pdf(gm, xs, with_mode=True)
 
 
 def analytic_score(gm: GaussianMixture, x) -> np.ndarray:
     """Closed-form d/dx log p(x) = sum_k resp_k(x) (mu_k - x) / v_k."""
     pts, single = as_rows(x, gm.dim, "point", "mixture dim")
     score = np.empty(pts.shape)
-    var, logdet = gm._unsmoothed
-    for rows, block_x, resp, work in _log_density_blocks(gm, pts, var, logdet):
+    var = gm._smoothed(0.0)[0]
+    for rows, block_x, resp, work in _log_density_blocks(gm, pts, 0.0):
         _softmax(resp, rows.start)
         pull = np.subtract(gm.means, block_x, out=work)
         pull /= var
@@ -404,9 +391,9 @@ def optimal_reconstruction(
         recon = _quadrature_estimate(gm, sigma, pts[0], quad)
         return recon if single else recon[None, :]
 
-    var, logdet, s2mu = gm._smoothed(sigma)
+    var, _, s2mu = gm._smoothed(sigma)
     recon = np.empty(pts.shape)
-    for rows, block_x, resp, work in _log_density_blocks(gm, pts, var, logdet):
+    for rows, block_x, resp, work in _log_density_blocks(gm, pts, sigma):
         _softmax(resp, rows.start)
         shrunk = np.multiply(gm.variances, block_x, out=work)
         shrunk += s2mu

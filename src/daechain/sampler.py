@@ -187,9 +187,12 @@ def chain_diagnostics(trace: ChainTrace, gm: GaussianMixture | None = None) -> C
     """Return the trace with its density and mode fields filled in from gm.
 
     Without a ground-truth mixture, or when the fields are already filled
-    in (a run given gm fills them), the trace is returned as it is.
+    in (a run given gm fills them), the trace is returned as it is. One
+    mixture call covers every recorded state; a NaN raises NumericError
+    naming its row, state * n_chains + chain.
     """
     if gm is None or trace.mode_membership is not None:
         return trace
-    log_densities, modes = zip(*(mixture_log_pdf_and_mode(gm, s) for s in trace.states))
-    return replace(trace, log_densities=np.stack(log_densities), mode_membership=np.stack(modes))
+    *shape, dim = trace.states.shape
+    log_p, modes = mixture_log_pdf_and_mode(gm, trace.states.reshape(-1, dim))
+    return replace(trace, log_densities=log_p.reshape(shape), mode_membership=modes.reshape(shape))

@@ -208,6 +208,21 @@ class TestChains:
         assert "image_shape 2,3" in capsys.readouterr().err
         assert list(tmp_path.iterdir()) == []
 
+    @pytest.mark.parametrize("command", ["sample", "refine"])
+    def test_image_shape_below_one_fails_before_any_file(
+        self, config_path, trained_dir, tmp_path, capsys, command
+    ):
+        # (-1) * (-1) matches the 1-d model's data dim; the sizes still fail
+        for shape in ("-1,-1", "0,5"):
+            code = main(
+                [command, "--config", config_path, "--set", f"out_dir={tmp_path}",
+                 "--set", f"checkpoint={trained_dir / 'model.ckpt'}",
+                 "--set", f"image_shape={shape}"]
+            )
+            assert code == 2
+            assert f"image_shape needs two integers >= 1, got '{shape}'" in capsys.readouterr().err
+            assert list(tmp_path.iterdir()) == []
+
     def test_row_grid_for_flat_data(self, config_path, trained_dir):
         main(["sample", "--config", config_path, "--set", f"out_dir={trained_dir}"])
         canvas = read_pgm(trained_dir / "sample_step0000.pgm")
@@ -233,6 +248,17 @@ class TestScoreCheck:
         assert main(["score-check", *base]) == 2
         assert "sigma must be nonzero" in capsys.readouterr().err
         assert not (tmp_path / "score.csv").exists()
+
+
+    def test_one_grid_point_exits_2_before_writing(self, config_path, trained_dir, tmp_path, capsys):
+        # one point has no correlation: numpy would warn and print "pearson nan"
+        code = main(
+            ["score-check", "--config", config_path, "--set", f"out_dir={tmp_path}",
+             "--set", f"checkpoint={trained_dir / 'model.ckpt'}", "--set", "grid_points=1"]
+        )
+        assert code == 2
+        assert "grid_points >= 2" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
 
 
 class TestOracleCheck:

@@ -23,6 +23,9 @@ from daechain.config import (
     parse_config,
     train_config_from_config,
 )
+from daechain.datasets import DatasetSpec
+from daechain.models import TrainConfig, train
+from daechain.sampler import ChainConfig
 
 
 class TestParseConfig:
@@ -84,8 +87,9 @@ class TestParseConfig:
             parse_config("epochs = 1\nepochs = 2\n")
 
     def test_bad_image_shape_rejected(self):
-        with pytest.raises(ConfigError, match="image_shape"):
-            parse_config("image_shape = 8,8,8")
+        for text in ("8,8,8", "-1,-1", "0,5"):
+            with pytest.raises(ConfigError, match="image_shape"):
+                parse_config(f"image_shape = {text}")
 
     def test_empty_mixture_means_rejected(self):
         with pytest.raises(ConfigError, match="mixture_means"):
@@ -171,6 +175,17 @@ class TestDerivedObjects:
         assert cc.inject_sigma == 0.3
         assert cc.record_every == 4
 
+    def test_defaults_are_the_library_defaults(self):
+        cfg = RunConfig()
+        assert train_config_from_config(cfg) == TrainConfig()
+        assert chain_config_from_config(cfg) == ChainConfig()
+        n_samples = inspect.signature(DatasetSpec).parameters["n_samples"].default
+        assert dataset_spec_from_config(cfg).n_samples == n_samples
+        train_defaults = inspect.signature(train).parameters
+        for key, param in [("sigma", "sigma"), ("latent", "latent_dim"), ("hidden", "hidden"),
+                           ("disc_hidden", "disc_hidden"), ("dropout", "dropout_rate")]:
+            assert getattr(cfg, key) == train_defaults[param].default, key
+
     def test_invalid_derived_values_surface_as_errors(self):
         cfg = apply_overrides(RunConfig(), ["chain_steps=0"])
         with pytest.raises(ValueError):
@@ -195,8 +210,9 @@ _strs = st.text(
 
 def _values_like(default):
     """Strategy for valid values of a field, read off its default."""
-    if default is None:
-        return st.none() | st.tuples(_ints, _ints)
+    if default is None:  # image_shape, whose sizes are >= 1
+        sizes = st.integers(min_value=1, max_value=10**12)
+        return st.none() | st.tuples(sizes, sizes)
     if isinstance(default, tuple) and isinstance(default[0], tuple):
         return st.lists(st.lists(_floats, min_size=1, max_size=3).map(tuple),
                         min_size=1, max_size=3).map(tuple)

@@ -708,9 +708,13 @@ def test_closed_form_has_the_bytes_of_the_written_out_reference(case):
     mixtures, block, xs, calls = case
     d, k = xs.shape[1], mixtures[0].n_components
     with mock.patch.object(oracle, "_WORKSPACE_BYTES", block * 8 * k * d):
-        for gm, sigma in calls:  # alternating mixtures and sigmas: the kept constants
+        # alternating mixtures and sigmas, with log p (sigma = 0) between the
+        # R* calls: each evicts the other from the one kept set of constants
+        for gm, sigma in calls:
             _assert_same_bytes(optimal_reconstruction(gm, sigma, xs), ref.optimal_reconstruction(gm, sigma, xs))
+            _assert_same_bytes(mixture_log_pdf_batch(gm, xs), ref.mixture_log_pdf_batch(gm, xs))
             _assert_same_bytes(optimal_reconstruction(gm, sigma, xs[1]), ref.optimal_reconstruction(gm, sigma, xs[1:2])[0])
+            _assert_same_bytes(mixture_log_pdf_and_mode(gm, xs)[0], ref.mixture_log_pdf_batch(gm, xs))
         for gm in mixtures:
             _assert_same_bytes(responsibilities(gm, xs), ref.responsibilities(gm, xs))
             _assert_same_bytes(analytic_score(gm, xs), ref.analytic_score(gm, xs))

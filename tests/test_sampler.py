@@ -1,11 +1,15 @@
+from unittest import mock
+
 import numpy as np
 import pytest
 
+from daechain import oracle
 from daechain.models import build_model, reconstruct
 from daechain.numeric import NumericError, Prng, ShapeError
 from daechain.oracle import (
     GaussianMixture,
     QuadratureSpec,
+    mixture_log_pdf_and_mode,
     mixture_log_pdf_batch,
     optimal_reconstruction,
     responsibilities,
@@ -219,6 +223,23 @@ def test_diagnostics_fill_in_the_trace():
     assert np.array_equal(chain_diagnostics(with_gm, gm).log_densities, want)
     assert diag.mode_membership.shape == (len(trace.times), 16)
     assert trace.mode_membership is None  # the input trace is left as it was
+
+    # a multi-state trace of a 2-d mixture, taken in row blocks that straddle
+    # the states, gets the bytes of one evaluation per state
+    gm2 = GaussianMixture(
+        np.array([0.2, 0.3, 0.5]), np.array([[0.3, 0.4], [0.7, 0.6], [0.5, 0.2]]), np.full((3, 2), 0.01)
+    )
+    states = Prng(5).uniform((4, 5, 2))
+    trace2 = ChainTrace((0, 1, 2, 3), states, np.zeros((3, 5)), None)
+    with mock.patch.object(oracle, "_WORKSPACE_BYTES", 3 * 8 * 3 * 2):  # 3 rows a block
+        diag2 = chain_diagnostics(trace2, gm2)
+    log_p, modes = zip(*(mixture_log_pdf_and_mode(gm2, s) for s in states))
+    for got, want in ((diag2.log_densities, np.stack(log_p)), (diag2.mode_membership, np.stack(modes))):
+        assert got.shape == want.shape == (4, 5) and got.dtype == want.dtype
+        assert got.tobytes() == want.tobytes()
+    states[2, 3, 1] = np.nan  # rows count states then chains: 2 * 5 + 3
+    with pytest.raises(NumericError, match="row 13 "):
+        chain_diagnostics(trace2, gm2)
 
 
 def test_diagnostics_without_ground_truth():
