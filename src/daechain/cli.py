@@ -33,7 +33,7 @@ from .config import (
     mixture_from_config,
     train_config_from_config,
 )
-from .datasets import MIXTURE_DIMS, build_dataset
+from .datasets import BLOB_IMAGE_SHAPE, MIXTURE_DIMS, build_dataset
 from .io_formats import (
     load_checkpoint,
     read_idx_header,
@@ -96,11 +96,18 @@ def _mixture_if_matching(cfg: RunConfig, data_dim: int):
     return gm if gm.dim == data_dim else None
 
 
+def _stream(cfg: RunConfig, offset: int) -> Prng:
+    """The stream seeded with seed + offset; every seed must leave seed + 2 a 64-bit seed."""
+    if not 0 <= cfg.seed <= 2**64 - 3:
+        raise ConfigError(f"seed must be in [0, 2**64 - 3], got {cfg.seed}")
+    return Prng(cfg.seed + offset)
+
+
 def _image_shape(cfg: RunConfig, data_dim: int) -> tuple[int, int]:
     if cfg.image_shape is not None:
         return cfg.image_shape
     if cfg.dataset == "blobs8x8":
-        return (8, 8)
+        return BLOB_IMAGE_SHAPE
     if cfg.dataset == "idx_images" and cfg.idx_path:
         _, rows, cols = read_idx_header(cfg.idx_path)
         return (rows, cols)
@@ -112,7 +119,7 @@ def _cmd_train(cfg: RunConfig) -> int:
     for key in ("dropout", "disc_hidden"):
         if cfg.model != "daae" and getattr(cfg, key) != getattr(RunConfig(), key):
             raise ConfigError(f"{key!r} applies only to model = daae, not {cfg.model!r}")
-    data = build_dataset(dataset_spec_from_config(cfg), Prng(cfg.seed + 1))
+    data = build_dataset(dataset_spec_from_config(cfg), _stream(cfg, 1))
     model, trace = train(
         cfg.model,
         data,
@@ -136,7 +143,8 @@ def _cmd_train(cfg: RunConfig) -> int:
     return 0
 
 
-def _run_chains(cfg: RunConfig, start: str) -> int:
+def _run_chains(cfg: RunConfig, run_from_start, prefix: str) -> int:
+    rng = _stream(cfg, 2)
     model = load_checkpoint(_checkpoint_path(cfg))
     shape = _image_shape(cfg, model.data_dim)
     if shape[0] * shape[1] != model.data_dim:
@@ -144,15 +152,11 @@ def _run_chains(cfg: RunConfig, start: str) -> int:
             f"image_shape {shape[0]},{shape[1]} does not match the model's "
             f"data dim {model.data_dim}"
         )
+    if cfg.grid_cols < 1:
+        raise ConfigError(f"grid_cols must be >= 1, got {cfg.grid_cols}")
     gm = _mixture_if_matching(cfg, model.data_dim)
-    rng = Prng(cfg.seed + 2)
     chain_cfg = chain_config_from_config(cfg)
-    if start == "noise":
-        trace = sample_from_noise(model, cfg.n_chains, chain_cfg, rng, gm)
-        prefix = "sample"
-    else:
-        trace = refine_from_prior(model, cfg.n_chains, chain_cfg, rng, gm)
-        prefix = "refine"
+    trace = run_from_start(model, cfg.n_chains, chain_cfg, rng, gm)
 
     n_recorded, n_chains, dim = trace.states.shape
     columns = {
@@ -191,12 +195,12 @@ def _run_chains(cfg: RunConfig, start: str) -> int:
 
 def _cmd_sample(cfg: RunConfig) -> int:
     """iterate reconstruction chains from uniform noise"""
-    return _run_chains(cfg, "noise")
+    return _run_chains(cfg, sample_from_noise, "sample")
 
 
 def _cmd_refine(cfg: RunConfig) -> int:
     """decode prior draws and refine them by chain iteration"""
-    return _run_chains(cfg, "prior")
+    return _run_chains(cfg, refine_from_prior, "refine")
 
 
 def _cmd_score_check(cfg: RunConfig) -> int:

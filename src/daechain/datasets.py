@@ -22,6 +22,7 @@ from .oracle import UNIT_BOX_SPAN, GaussianMixture, confined_to_unit_box
 MIXTURE_DIMS = {"mixture1d": 1, "mixture2d": 2}
 DATASET_KINDS = (*MIXTURE_DIMS, "blobs8x8", "idx_images")
 
+BLOB_IMAGE_SHAPE = (8, 8)  # (rows, cols) of a blob image
 BLOB_PEAK = 0.9
 BLOB_SPATIAL_STD = 1.2
 BLOB_PIXEL_NOISE_STD = 0.1
@@ -47,11 +48,11 @@ def generate_mixture_dataset(gm: GaussianMixture, n: int, rng: Prng) -> np.ndarr
 def blob_images(centers) -> np.ndarray:
     """Noiseless flat 8x8 blobs, one per (col, row) center: peak 0.9, spatial std 1.2 pixels."""
     c = np.asarray(centers, dtype=np.float64)
-    grid = np.arange(8, dtype=np.float64)
-    dc = grid[None, None, :] - c[:, 0, None, None]  # (n, 1, 8) column offsets
-    dr = grid[None, :, None] - c[:, 1, None, None]  # (n, 8, 1) row offsets
+    rows, cols = BLOB_IMAGE_SHAPE
+    dc = np.arange(cols, dtype=np.float64)[None, None, :] - c[:, 0, None, None]  # (n, 1, cols)
+    dr = np.arange(rows, dtype=np.float64)[None, :, None] - c[:, 1, None, None]  # (n, rows, 1)
     bumps = BLOB_PEAK * np.exp(-(dr * dr + dc * dc) / (2.0 * BLOB_SPATIAL_STD**2))
-    return bumps.reshape(len(c), 64)
+    return bumps.reshape(len(c), rows * cols)
 
 
 def generate_blobs8x8(n: int, rng: Prng) -> np.ndarray:
@@ -65,8 +66,8 @@ def generate_blobs8x8(n: int, rng: Prng) -> np.ndarray:
         raise ValueError(f"sample count must be >= 1, got {n}")
     lo, hi = BLOB_CENTER_BOX
     centers = rng.uniform((n, 2), lo, hi)  # (col, row) per sample
-    noisy = blob_images(centers) + rng.normal((n, 64), BLOB_PIXEL_NOISE_STD)
-    return np.clip(noisy, 0.0, 1.0)
+    clean = blob_images(centers)
+    return np.clip(clean + rng.normal(clean.shape, BLOB_PIXEL_NOISE_STD), 0.0, 1.0)
 
 
 @dataclass(frozen=True)

@@ -143,9 +143,9 @@ class TrainConfig:
     batch_size: int = 100
     seed: int = 0
     regularizer_weight: float = 1.0
-    alpha: float = 2e-4
-    beta1: float = 0.5
-    beta2: float = 0.999
+    alpha: float = AdamState.alpha
+    beta1: float = AdamState.beta1
+    beta2: float = AdamState.beta2
 
     def __post_init__(self):
         if self.loss_kind not in LOSS_KINDS:
@@ -189,7 +189,7 @@ def build_model(
     latent_dim: int,
     rng: Prng,
     hidden=(64, 64),
-    sigma: float = 0.5,
+    sigma: float = CorruptionSpec.sigma,
     dropout_rate: float = 0.2,
     disc_hidden=(64, 64),
 ) -> Autoencoder:
@@ -395,18 +395,16 @@ def train(
     dataset,
     cfg: TrainConfig = TrainConfig(),
     latent_dim: int = 2,
-    hidden=(64, 64),
-    sigma: float = 0.5,
-    dropout_rate: float = 0.2,
-    disc_hidden=(64, 64),
+    **shape,
 ) -> tuple[Autoencoder, list[dict]]:
     """Train a fresh model on (n, d) data in [0, 1]; returns (model, loss trace).
 
-    Epochs are shuffled with a seeded permutation and consumed in contiguous
-    minibatches (the last one may be short). The trace holds one dict per
-    epoch: "epoch", then the mean of each key of the step's trace rows,
-    summed in step order: always "loss" (reconstruction), plus "kl" for the
-    DVAE and "disc"/"enc" for the DAAE.
+    Shape keywords (hidden, sigma, dropout_rate, disc_hidden) go to
+    build_model. Epochs are shuffled with a seeded permutation and consumed
+    in contiguous minibatches (the last one may be short). The trace holds
+    one dict per epoch: "epoch", then the mean of each key of the step's
+    trace rows, summed in step order: always "loss" (reconstruction), plus
+    "kl" for the DVAE and "disc"/"enc" for the DAAE.
     """
     data = np.asarray(dataset, dtype=np.float64)
     if data.ndim != 2 or data.shape[0] == 0:
@@ -415,11 +413,7 @@ def train(
         raise ValueError("dataset values must lie in [0, 1]")
 
     rng = Prng(cfg.seed)
-    model = build_model(
-        model_kind, data.shape[1], latent_dim, rng,
-        hidden=hidden, sigma=sigma,
-        dropout_rate=dropout_rate, disc_hidden=disc_hidden,
-    )
+    model = build_model(model_kind, data.shape[1], latent_dim, rng, **shape)
     # built per call from the module attributes, so a wrapper set on one sees every step
     step = {"dae": dae_train_step, "dvae": dvae_train_step, "daae": daae_train_step}[model.kind]
     opt = init_opt_states(model, cfg)

@@ -258,10 +258,10 @@ class AdamState:
 
 def init_adam(
     mlp: Mlp,
-    alpha: float = 2e-4,
-    beta1: float = 0.5,
-    beta2: float = 0.999,
-    eps: float = 1e-8,
+    alpha: float = AdamState.alpha,
+    beta1: float = AdamState.beta1,
+    beta2: float = AdamState.beta2,
+    eps: float = AdamState.eps,
 ) -> AdamState:
     if not (math.isfinite(alpha) and alpha >= 0):
         raise ValueError(f"alpha must be finite and >= 0, got {alpha}")

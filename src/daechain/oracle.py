@@ -257,14 +257,6 @@ def _log_density_blocks(gm: GaussianMixture, pts: np.ndarray, sigma: float, logc
         yield rows, x, out, quad
 
 
-def _component_log_pdfs(gm: GaussianMixture, xs: np.ndarray) -> np.ndarray:
-    # xs: (n, d) -> (n, k) log w_k + log N(x; mu_k, diag(v_k))
-    logc = np.empty((len(xs), gm.n_components))
-    for _ in _log_density_blocks(gm, xs, 0.0, logc):
-        pass
-    return logc
-
-
 def mixture_log_pdf_and_mode(gm: GaussianMixture, xs) -> tuple[np.ndarray, np.ndarray]:
     """log p(x) of each row of xs and its most responsible component, from one evaluation.
 
@@ -315,6 +307,13 @@ def analytic_score(gm: GaussianMixture, x) -> np.ndarray:
     return score[0] if single else score
 
 
+def _log_p_and_floor(gm: GaussianMixture, pts: np.ndarray) -> tuple[np.ndarray, float]:
+    """log p at pts, and HIGH_DENSITY_NATS below its peak over pts and the component means."""
+    logp = mixture_log_pdf_batch(gm, pts)
+    peak = max(float(logp.max()), float(mixture_log_pdf_batch(gm, gm.means).max()))
+    return logp, peak - HIGH_DENSITY_NATS
+
+
 def high_density_grid(gm: GaussianMixture, n: int) -> np.ndarray:
     """Evenly pick n points of [0, 1] within HIGH_DENSITY_NATS of the peak log-density."""
     if gm.dim != 1:
@@ -322,9 +321,8 @@ def high_density_grid(gm: GaussianMixture, n: int) -> np.ndarray:
     if n < 1:
         raise ValueError(f"need n >= 1 grid points, got {n}")
     xs = np.linspace(GRID_LO, GRID_HI, GRID_CANDIDATES)[:, None]
-    logp = mixture_log_pdf_batch(gm, xs)
-    peak = max(float(logp.max()), float(mixture_log_pdf_batch(gm, gm.means).max()))
-    keep = xs[logp >= peak - HIGH_DENSITY_NATS]
+    logp, floor = _log_p_and_floor(gm, xs)
+    keep = xs[logp >= floor]
     if keep.shape[0] < n:
         raise ValueError("not enough candidate points inside the high-density region")
     idx = np.linspace(0, keep.shape[0] - 1, n).round().astype(int)
@@ -425,7 +423,10 @@ def _quadrature_estimate(
         logw = np.zeros(eps.shape[0])
 
     shifted = xv[None, :] - eps  # candidate clean points x - eps
-    logq = logw[:, None] + _component_log_pdfs(gm, shifted)  # (nodes, k)
+    logc = np.empty((len(shifted), gm.n_components))
+    for _ in _log_density_blocks(gm, shifted, 0.0, logc):
+        pass
+    logq = logw[:, None] + logc  # (nodes, k)
     tau = _softmax(logq.reshape(1, -1)).reshape(logq.shape).sum(axis=1)
     return (tau[:, None] * shifted).sum(axis=0)
 
@@ -466,9 +467,8 @@ def limit_convergence_study(gm: GaussianMixture, sigmas, grid) -> ConvergenceStu
     if any(b >= a for a, b in zip(sig, sig[1:])):
         raise ValueError("sigmas must be strictly decreasing")
     pts, _ = as_rows(np.atleast_2d(grid), gm.dim, "point", "mixture dim")
-    logp = mixture_log_pdf_batch(gm, pts)
-    peak = max(float(mixture_log_pdf_batch(gm, gm.means).max()), float(logp.max()))
-    if np.any(logp < peak - HIGH_DENSITY_NATS - 1e-9):
+    logp, floor = _log_p_and_floor(gm, pts)
+    if np.any(logp < floor - 1e-9):
         raise ValueError(
             f"grid leaves the high-density region (log p >= peak - {HIGH_DENSITY_NATS:g})"
         )

@@ -223,6 +223,43 @@ class TestChains:
             assert f"image_shape needs two integers >= 1, got '{shape}'" in capsys.readouterr().err
             assert list(tmp_path.iterdir()) == []
 
+    @pytest.mark.parametrize("command", ["sample", "refine"])
+    def test_grid_cols_below_one_fails_before_any_file(
+        self, config_path, trained_dir, tmp_path, capsys, command
+    ):
+        code = main(
+            [command, "--config", config_path, "--set", f"out_dir={tmp_path}",
+             "--set", f"checkpoint={trained_dir / 'model.ckpt'}",
+             "--set", "grid_cols=0"]
+        )
+        assert code == 2
+        assert "grid_cols must be >= 1, got 0" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("seed", [-2, 2**64 - 2])
+    @pytest.mark.parametrize("command", ["train", "sample", "refine"])
+    def test_seed_out_of_range_fails_before_any_file(
+        self, config_path, trained_dir, tmp_path, capsys, command, seed
+    ):
+        # the dataset stream takes seed + 1 and the chain stream seed + 2
+        argv = [command, "--config", config_path, "--set", f"out_dir={tmp_path}",
+                "--set", f"seed={seed}"]
+        if command != "train":
+            argv += ["--set", f"checkpoint={trained_dir / 'model.ckpt'}"]
+        code = main(argv)
+        assert code == 2
+        assert f"seed must be in [0, 2**64 - 3], got {seed}" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
+
+    def test_largest_seed_samples(self, config_path, trained_dir, tmp_path):
+        code = main(
+            ["sample", "--config", config_path, "--set", f"out_dir={tmp_path}",
+             "--set", f"checkpoint={trained_dir / 'model.ckpt'}",
+             "--set", f"seed={2**64 - 3}"]
+        )
+        assert code == 0
+        assert (tmp_path / "sample_states.csv").exists()
+
     def test_row_grid_for_flat_data(self, config_path, trained_dir):
         main(["sample", "--config", config_path, "--set", f"out_dir={trained_dir}"])
         canvas = read_pgm(trained_dir / "sample_step0000.pgm")

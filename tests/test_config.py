@@ -24,7 +24,8 @@ from daechain.config import (
     train_config_from_config,
 )
 from daechain.datasets import DatasetSpec
-from daechain.models import TrainConfig, train
+from daechain.models import TrainConfig, build_model, train
+from daechain.nn import init_adam
 from daechain.sampler import ChainConfig
 
 
@@ -181,10 +182,15 @@ class TestDerivedObjects:
         assert chain_config_from_config(cfg) == ChainConfig()
         n_samples = inspect.signature(DatasetSpec).parameters["n_samples"].default
         assert dataset_spec_from_config(cfg).n_samples == n_samples
-        train_defaults = inspect.signature(train).parameters
-        for key, param in [("sigma", "sigma"), ("latent", "latent_dim"), ("hidden", "hidden"),
+        # train() keeps latent_dim and passes the shape keywords on to build_model
+        assert cfg.latent == inspect.signature(train).parameters["latent_dim"].default
+        shape_defaults = inspect.signature(build_model).parameters
+        for key, param in [("sigma", "sigma"), ("hidden", "hidden"),
                            ("disc_hidden", "disc_hidden"), ("dropout", "dropout_rate")]:
-            assert getattr(cfg, key) == train_defaults[param].default, key
+            assert getattr(cfg, key) == shape_defaults[param].default, key
+        adam_defaults = inspect.signature(init_adam).parameters
+        for key in ("alpha", "beta1", "beta2"):
+            assert getattr(TrainConfig(), key) == adam_defaults[key].default, key
 
     def test_invalid_derived_values_surface_as_errors(self):
         cfg = apply_overrides(RunConfig(), ["chain_steps=0"])

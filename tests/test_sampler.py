@@ -1,3 +1,4 @@
+import itertools
 from unittest import mock
 
 import numpy as np
@@ -103,6 +104,36 @@ def test_nonfinite_states_name_the_step():
 def test_operator_must_preserve_shape():
     with pytest.raises(ShapeError):
         run_chain(lambda xs: xs[:, :1], np.array([[0.5, 0.5]]), ChainConfig(steps=1))
+
+
+def test_a_transition_with_its_own_prng_is_checked_and_replayed():
+    # A Gibbs or Langevin step is an operator that closes over its Prng:
+    # run_chain checks it like R, and a fresh Prng of the same seed replays it.
+    def transition(seed, fault=lambda y: y):
+        rng, calls = Prng(seed), itertools.count(1)
+
+        def step(x):
+            y = 0.5 * x + 0.25 + rng.normal(x.shape, 0.01)
+            return fault(y) if next(calls) == 3 else y
+
+        return step
+
+    x0 = Prng(0).uniform((16, 2))
+    cfg = ChainConfig(steps=12)
+    trace = run_chain(transition(7), x0, cfg)
+    rng, x = Prng(7), x0
+    for t in range(1, 13):
+        nxt = 0.5 * x + 0.25 + rng.normal(x.shape, 0.01)
+        assert trace.states[t].tobytes() == nxt.tobytes()
+        assert trace.displacements[t - 1].tobytes() == np.linalg.norm(nxt - x, axis=1).tobytes()
+        x = nxt
+    again = run_chain(transition(7), x0, cfg)
+    assert again.states.tobytes() == trace.states.tobytes()
+    assert not np.array_equal(run_chain(transition(8), x0, cfg).states, trace.states)
+    with pytest.raises(ShapeError):
+        run_chain(transition(7, lambda y: y[:, :1]), x0, cfg)
+    with pytest.raises(NumericError, match="step 3"):
+        run_chain(transition(7, lambda y: y * np.nan), x0, cfg)
 
 
 # ---------------------------------------------------------------------------
