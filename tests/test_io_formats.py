@@ -4,6 +4,7 @@ Corruption tests patch bytes at fixed offsets; the header layout is
 magic(0:4) version(4:8) kind(8) sigma(9:17) latent(17:21) dropout(21:29).
 """
 
+import hashlib
 import math
 import struct
 
@@ -80,6 +81,23 @@ class TestCheckpointRoundTrip:
         save_checkpoint(model, first)
         save_checkpoint(load_checkpoint(first), second)
         assert first.read_bytes() == second.read_bytes()
+
+    @pytest.mark.parametrize(
+        "kind, size, digest",
+        [
+            ("dae", 956, "eafddb1c9b60c03e0e10409a8c031bb54a1423f644353c35db02e53f031d7567"),
+            ("dvae", 1036, "8394f79989a54d8f43989940b2286e73263143c0a24f40eee3745451d9058713"),
+            ("daae", 1179, "9b009ad3d7757d195cd231246e7a3de403e49cf76e47b373627803ffe3c4965c"),
+        ],
+    )
+    def test_written_bytes_are_pinned(self, kind, size, digest, tmp_path):
+        # absolute bytes, so a rewrite of the writer cannot drift from the
+        # format that existing checkpoint files already use
+        path = tmp_path / "model.ckpt"
+        save_checkpoint(small_model(kind), path)
+        data = path.read_bytes()
+        assert len(data) == size
+        assert hashlib.sha256(data).hexdigest() == digest
 
     def test_file_starts_with_magic(self, tmp_path):
         path = tmp_path / "model.ckpt"
