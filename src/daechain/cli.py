@@ -78,15 +78,16 @@ def _build_parser() -> _Parser:
     return parser
 
 
-def _checkpoint_path(cfg: RunConfig) -> str:
-    if os.path.isabs(cfg.checkpoint):
-        return cfg.checkpoint
-    return os.path.join(cfg.out_dir, cfg.checkpoint)
+def _path(cfg: RunConfig, name: str) -> str:
+    """An artifact's path: name under out_dir ("" is the working directory), or name if absolute."""
+    return os.path.join(cfg.out_dir, name)
 
 
 def _out_path(cfg: RunConfig, name: str) -> str:
-    os.makedirs(cfg.out_dir, exist_ok=True)
-    return os.path.join(cfg.out_dir, name)
+    """_path of an artifact about to be written, its directory created."""
+    path = _path(cfg, name)
+    os.makedirs(os.path.dirname(path) or ".", exist_ok=True)
+    return path
 
 
 def _mixture_if_matching(cfg: RunConfig, data_dim: int):
@@ -130,8 +131,7 @@ def _cmd_train(cfg: RunConfig) -> int:
         dropout_rate=cfg.dropout,
         disc_hidden=cfg.disc_hidden,
     )
-    ckpt = _checkpoint_path(cfg)
-    os.makedirs(os.path.dirname(ckpt) or ".", exist_ok=True)
+    ckpt = _out_path(cfg, cfg.checkpoint)
     save_checkpoint(model, ckpt)
     losses = {key: [entry[key] for entry in trace] for key in trace[0]}
     write_csv(losses, _out_path(cfg, "loss.csv"))
@@ -145,7 +145,7 @@ def _cmd_train(cfg: RunConfig) -> int:
 
 def _run_chains(cfg: RunConfig, run_from_start, prefix: str) -> int:
     rng = _stream(cfg, 2)
-    model = load_checkpoint(_checkpoint_path(cfg))
+    model = load_checkpoint(_path(cfg, cfg.checkpoint))
     shape = _image_shape(cfg, model.data_dim)
     if shape[0] * shape[1] != model.data_dim:
         raise ConfigError(
@@ -207,7 +207,7 @@ def _cmd_score_check(cfg: RunConfig) -> int:
     """compare model score estimates with the analytic score"""
     if cfg.grid_points < 2:
         raise ConfigError(f"score-check needs grid_points >= 2, got {cfg.grid_points}")
-    model = load_checkpoint(_checkpoint_path(cfg))
+    model = load_checkpoint(_path(cfg, cfg.checkpoint))
     gm = mixture_from_config(cfg)
     grid = high_density_grid(gm, cfg.grid_points)
     estimate = score_from_reconstruction(reconstruct(model, grid), grid, model.corruption.sigma)

@@ -13,8 +13,6 @@ The same keys can be overridden from the command line via repeated
 import dataclasses
 from dataclasses import dataclass
 
-import numpy as np
-
 from .datasets import MIXTURE_DIMS, DatasetSpec
 from .models import TrainConfig
 from .oracle import GaussianMixture
@@ -152,11 +150,7 @@ def apply_overrides(cfg: RunConfig, overrides) -> RunConfig:
 # ---------------------------------------------------------------------------
 
 def mixture_from_config(cfg: RunConfig) -> GaussianMixture:
-    return GaussianMixture(
-        np.array(cfg.mixture_weights, dtype=np.float64),
-        np.array(cfg.mixture_means, dtype=np.float64),
-        np.array(cfg.mixture_variances, dtype=np.float64),
-    )
+    return GaussianMixture(cfg.mixture_weights, cfg.mixture_means, cfg.mixture_variances)
 
 
 def dataset_spec_from_config(cfg: RunConfig) -> DatasetSpec:

@@ -5,7 +5,8 @@ The checkpoint layout is fixed and explicit so round trips are bitwise:
     magic "DAEB" | version u32 LE | kind u8 | sigma f64 | latent u32
     | dropout f64 | n_mlps u8 | one spec block per network | parameters
 
-A spec block is: layer count+1 sizes (u8 count, u32 LE each), a hidden
+which is struct "<4sIBdIdB" up to the spec blocks. A spec block, struct
+"<B{n}IBBd", is: layer count+1 sizes (u8 count, u32 LE each), a hidden
 activation tag, an output activation tag (u8 each), and the leaky slope
 (f64). Parameters follow as little-endian float64, one array per network
 in declaration order (encoder, decoder, then discriminator if present):
@@ -70,32 +71,21 @@ class IdxFormatError(ValueError):
 # ---------------------------------------------------------------------------
 
 def _pack_spec(spec: MlpSpec) -> bytes:
-    parts = [struct.pack("<B", len(spec.layer_sizes))]
-    parts.append(struct.pack(f"<{len(spec.layer_sizes)}I", *spec.layer_sizes))
-    parts.append(
-        struct.pack(
-            "<BBd",
-            _HIDDEN_TAGS[spec.hidden_activation],
-            _OUTPUT_TAGS[spec.output_activation],
-            spec.leaky_slope,
-        )
-    )
-    return b"".join(parts)
+    sizes = spec.layer_sizes
+    hidden, output = _HIDDEN_TAGS[spec.hidden_activation], _OUTPUT_TAGS[spec.output_activation]
+    return struct.pack(f"<B{len(sizes)}IBBd", len(sizes), *sizes, hidden, output, spec.leaky_slope)
 
 
 def save_checkpoint(model: Autoencoder, path) -> None:
     """Serialize a model; the written file loads back bitwise-identical."""
     mlps = model.networks
     blob = [
-        CHECKPOINT_MAGIC,
-        struct.pack("<I", CHECKPOINT_VERSION),
-        struct.pack("<B", _KIND_TAGS[model.kind]),
-        struct.pack("<d", model.corruption.sigma),
-        struct.pack("<I", model.latent_dim),
-        struct.pack("<d", model.dropout_rate),
-        struct.pack("<B", len(mlps)),
+        struct.pack(
+            "<4sIBdIdB", CHECKPOINT_MAGIC, CHECKPOINT_VERSION, _KIND_TAGS[model.kind],
+            model.corruption.sigma, model.latent_dim, model.dropout_rate, len(mlps),
+        ),
+        *(_pack_spec(mlp.spec) for mlp in mlps),
     ]
-    blob.extend(_pack_spec(mlp.spec) for mlp in mlps)
     blob.extend(np.ascontiguousarray(mlp.flat, dtype="<f8").tobytes() for mlp in mlps)
     with open(path, "wb") as fh:
         fh.write(b"".join(blob))
@@ -145,11 +135,6 @@ def _read_spec(reader: _Reader) -> MlpSpec:
         return MlpSpec(sizes, _TAG_HIDDEN[hidden_tag], _TAG_OUTPUT[output_tag], slope)
 
 
-def _read_mlp(reader: _Reader, spec: MlpSpec) -> Mlp:
-    flat = np.frombuffer(reader.take(8 * spec.n_params), dtype="<f8")
-    return Mlp(spec, flat.astype(np.float64))
-
-
 def load_checkpoint(path) -> Autoencoder:
     """Read a checkpoint back into a model, validating as it goes."""
     with open(path, "rb") as fh:
@@ -180,7 +165,10 @@ def load_checkpoint(path) -> Autoencoder:
             f"{kind} checkpoint declares {n_mlps} networks, expected {expected}"
         )
     specs = [_read_spec(reader) for _ in range(n_mlps)]
-    mlps = [_read_mlp(reader, spec) for spec in specs]
+    mlps = [
+        Mlp(spec, np.frombuffer(reader.take(8 * spec.n_params), dtype="<f8").astype(np.float64))
+        for spec in specs
+    ]
     if reader.offset != len(data):
         raise CheckpointFormatError(
             f"trailing data after byte {reader.offset} in {path}"

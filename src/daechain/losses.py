@@ -17,7 +17,7 @@ from .numeric import ShapeError
 BCE_CLAMP = 1e-7
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class LossValue:
     """Scalar loss plus gradient with respect to the reconstruction."""
 
@@ -25,7 +25,7 @@ class LossValue:
     grad: np.ndarray
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class KlValue:
     """Scalar KL(q || N(0, I)) plus gradients for the posterior stats."""
 
@@ -34,7 +34,7 @@ class KlValue:
     grad_logvar: np.ndarray
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class AdversarialLosses:
     """Discriminator and non-saturating generator (encoder) objectives.
 

@@ -261,14 +261,11 @@ def init_adam(
     alpha: float = AdamState.alpha,
     beta1: float = AdamState.beta1,
     beta2: float = AdamState.beta2,
-    eps: float = AdamState.eps,
 ) -> AdamState:
     if not (math.isfinite(alpha) and alpha >= 0):
         raise ValueError(f"alpha must be finite and >= 0, got {alpha}")
     if not (0.0 <= beta1 < 1.0 and 0.0 <= beta2 < 1.0):
         raise ValueError("beta1 and beta2 must lie in [0, 1)")
-    if not (math.isfinite(eps) and eps > 0):
-        raise ValueError(f"eps must be finite and > 0, got {eps}")
     return AdamState(
         m=np.zeros_like(mlp.flat),
         v=np.zeros_like(mlp.flat),
@@ -276,7 +273,6 @@ def init_adam(
         alpha=alpha,
         beta1=beta1,
         beta2=beta2,
-        eps=eps,
     )
 
 

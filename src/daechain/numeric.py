@@ -10,17 +10,6 @@ from __future__ import annotations
 
 import numpy as np
 
-__all__ = [
-    "ShapeError",
-    "NumericError",
-    "Prng",
-    "sample_gaussian",
-    "sample_uniform",
-    "as_rows",
-    "sigmoid",
-    "derivative_of_sigmoid",
-]
-
 
 class ShapeError(ValueError):
     """Operand shapes are incompatible for the requested operation."""

@@ -86,11 +86,12 @@ def _read_only(a: np.ndarray) -> np.ndarray:
     return a
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class GaussianMixture:
     """Mixture of diagonal Gaussians: weights (k,), means (k, d), variances (k, d).
 
-    The arrays are read-only copies of the ones given.
+    The arrays are read-only copies of the ones given. A mixture compares
+    and hashes by identity, so == never compares arrays.
     """
 
     weights: np.ndarray
@@ -226,25 +227,24 @@ def _softmax(logc: np.ndarray, first_row: int = 0) -> np.ndarray:
     return logc
 
 
-def _log_density_blocks(gm: GaussianMixture, pts: np.ndarray, sigma: float, logc=None):
+def _log_density_blocks(gm: GaussianMixture, pts: np.ndarray, sigma: float):
     """Yield (rows, x, logc, work) for each block of rows of the (n, d) batch pts.
 
     x is the block's points as (rows, 1, d). logc holds their (rows, k)
     component log-densities -0.5 * (sum_d (x - mu_k)^2 / var_k + logdet_k)
     + log w_k under the mixture smoothed by sigma (gm._smoothed; sigma = 0
-    for the mixture itself). work is the block's (rows, k, d) workspace, the
-    caller's once the block is yielded. With an (n, k) logc given, each
-    block's logc is its row slice; otherwise one block-sized array is reused.
+    for the mixture itself). logc and work, the block's (rows, k, d)
+    workspace, are the caller's once the block is yielded, until the next.
     """
     var, logdet, _ = gm._smoothed(sigma)
     n, (k, d) = len(pts), gm.means.shape
     step = max(1, min(n, _WORKSPACE_BYTES // (8 * k * d)))
     work = np.empty((step, k, d))
-    block_logc = np.empty((step, k)) if logc is None else None
+    logc = np.empty((step, k))
     for lo in range(0, n, step):
         rows = slice(lo, lo + step)
         x = pts[rows, None, :]
-        out = logc[rows] if block_logc is None else block_logc[: len(x)]
+        out = logc[: len(x)]
         quad = np.subtract(x, gm.means, out=work[: len(x)])
         np.multiply(quad, quad, out=quad)
         quad /= var
@@ -289,8 +289,8 @@ def responsibilities(gm: GaussianMixture, xs) -> np.ndarray:
     """Posterior component probabilities, one row per point."""
     pts, _ = as_rows(np.atleast_2d(xs), gm.dim, "point", "mixture dim")
     resp = np.empty((len(pts), gm.n_components))
-    for rows, _, logc, _ in _log_density_blocks(gm, pts, 0.0, resp):
-        _softmax(logc, rows.start)
+    for rows, _, logc, _ in _log_density_blocks(gm, pts, 0.0):
+        resp[rows] = _softmax(logc, rows.start)
     return resp
 
 
@@ -424,8 +424,8 @@ def _quadrature_estimate(
 
     shifted = xv[None, :] - eps  # candidate clean points x - eps
     logc = np.empty((len(shifted), gm.n_components))
-    for _ in _log_density_blocks(gm, shifted, 0.0, logc):
-        pass
+    for rows, _, block, _ in _log_density_blocks(gm, shifted, 0.0):
+        logc[rows] = block
     logq = logw[:, None] + logc  # (nodes, k)
     tau = _softmax(logq.reshape(1, -1)).reshape(logq.shape).sum(axis=1)
     return (tau[:, None] * shifted).sum(axis=0)

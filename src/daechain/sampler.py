@@ -49,7 +49,7 @@ class ChainConfig:
             )
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ChainTrace:
     """Recorded chain states plus per-step bookkeeping.
 
@@ -73,10 +73,6 @@ class ChainTrace:
     @property
     def n_chains(self) -> int:
         return self.states.shape[1]
-
-    @property
-    def initial(self) -> np.ndarray:
-        return self.states[0]
 
     @property
     def mode_switches(self) -> np.ndarray | None:

@@ -125,6 +125,23 @@ class TestTrain:
         assert (tmp_path / "other.ckpt").exists()
 
 
+class TestOutDir:
+    def test_empty_out_dir_is_the_working_directory(self, config_path, tmp_path, monkeypatch, capsys):
+        monkeypatch.chdir(tmp_path)
+        assert main(["train", "--config", config_path, "--set", "out_dir="]) == 0
+        assert "checkpoint model.ckpt" in capsys.readouterr().out
+        assert main(["sample", "--config", config_path, "--set", "out_dir="]) == 0
+        names = {path.name for path in tmp_path.iterdir()}
+        assert {"model.ckpt", "loss.csv", "sample_states.csv"} <= names
+        assert {f"sample_step{t:04d}.pgm" for t in range(6)} <= names
+
+    def test_reading_the_checkpoint_creates_no_directory(self, tmp_path, capsys):
+        out = tmp_path / "run"
+        assert main(["sample", "--set", f"out_dir={out}"]) == 2
+        assert "model.ckpt" in capsys.readouterr().err
+        assert not out.exists()
+
+
 class TestDaaeOnlyKeys:
     """dropout and disc_hidden shape the DAAE discriminator; other models have none."""
 

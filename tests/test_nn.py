@@ -449,7 +449,3 @@ def test_adam_hyperparameter_validation():
         init_adam(mlp, alpha=-1.0)
     with pytest.raises(ValueError):
         init_adam(mlp, beta1=1.0)
-    # eps = 0 divides 0 by 0 where a gradient is 0; NaN reaches every parameter
-    for bad_eps in (0.0, -1e-8, math.nan, math.inf):
-        with pytest.raises(ValueError, match="eps"):
-            init_adam(mlp, eps=bad_eps)

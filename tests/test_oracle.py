@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import tracemalloc
 import warnings
@@ -11,7 +12,7 @@ from hypothesis.extra.numpy import arrays
 
 import _reference_oracle as ref
 from daechain import oracle
-from daechain.datasets import BLOB_CENTER_BOX, BLOB_PEAK, blob_images
+from daechain.datasets import BLOB_CENTER_BOX, BLOB_PEAK, DatasetSpec, blob_images
 from daechain.numeric import NumericError, Prng, ShapeError
 from daechain.oracle import (
     QUADRATURE_METHODS,
@@ -749,6 +750,19 @@ def test_mixture_keeps_read_only_copies_of_its_arrays():
     for array in (gm.weights, gm.means, gm.variances):
         with pytest.raises(ValueError, match="read-only"):
             array[0] = 1.0
+
+
+def test_mixtures_compare_and_hash_by_identity():
+    args = ([0.5, 0.5], [[0.35], [0.65]], [[0.0025], [0.0025]])
+    gm, twin = GaussianMixture(*args), GaussianMixture(*args)
+    assert gm == gm
+    assert gm != twin  # no elementwise comparison of the arrays
+    table = {gm: 1}
+    assert table[gm] == 1 and twin not in table
+    assert DatasetSpec("mixture1d", 10, gm) == DatasetSpec("mixture1d", 10, gm)
+    assert len({DatasetSpec("mixture1d", 10, gm), DatasetSpec("mixture1d", 10, gm)}) == 1
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        gm.weights = twin.weights
 
 
 def _peak_bytes(fn, *args):

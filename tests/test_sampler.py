@@ -177,8 +177,8 @@ def test_trace_carries_true_log_densities():
 def test_sample_from_noise_starts_in_unit_cube():
     model = build_model("dae", 2, 2, Prng(0), sigma=0.1)
     trace = sample_from_noise(model, 64, ChainConfig(steps=3), Prng(5))
-    assert trace.initial.shape == (64, 2)
-    assert np.all((trace.initial >= 0.0) & (trace.initial < 1.0))
+    assert trace.states[0].shape == (64, 2)
+    assert np.all((trace.states[0] >= 0.0) & (trace.states[0] < 1.0))
     with pytest.raises(ValueError):
         sample_from_noise(model, 0, ChainConfig(steps=3), Prng(5))
 
@@ -208,8 +208,8 @@ def test_sample_from_noise_asks_a_bare_callable_for_data_dim():
 def test_refine_from_prior_decodes_then_iterates():
     model = build_model("dvae", 1, 2, Prng(3), sigma=0.1)
     trace = refine_from_prior(model, 32, ChainConfig(steps=1), Prng(7))
-    assert np.all((trace.initial > 0.0) & (trace.initial < 1.0))
-    assert np.array_equal(trace.states[1], reconstruct(model, trace.initial))
+    assert np.all((trace.states[0] > 0.0) & (trace.states[0] < 1.0))
+    assert np.array_equal(trace.states[1], reconstruct(model, trace.states[0]))
     with pytest.raises(ValueError):
         refine_from_prior(model, 0, ChainConfig(steps=1), Prng(7))
 

@@ -15,12 +15,20 @@ of the implementation.
 """
 
 import numpy as np
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from _oracles import mixture_posterior_mean
 
 from daechain.models import reconstruct
 from daechain.numeric import Prng
-from daechain.oracle import analytic_score, high_density_grid, mixture_log_pdf_batch
+from daechain.oracle import (
+    GaussianMixture,
+    analytic_score,
+    high_density_grid,
+    mixture_log_pdf_batch,
+    optimal_reconstruction,
+)
 from daechain.sampler import ChainConfig, refine_from_prior, sample_from_noise
 
 GRID_POINTS = 100
@@ -123,3 +131,53 @@ def test_small_noise_prior_refinement_keeps_density(two_mode_mixture, small_nois
         small_noise_dvae, 256, ChainConfig(steps=10), Prng(2), two_mode_mixture
     )
     assert trace.log_densities[-1].mean() >= trace.log_densities[0].mean() - 0.1
+
+
+# ---------------------------------------------------------------------------
+# the ascent theorem: an exact step never lowers log p_sigma
+# ---------------------------------------------------------------------------
+
+def smoothed(gm, sigma):
+    """p_sigma = p * N(0, sigma^2 I), itself a mixture with variances v + sigma^2."""
+    return GaussianMixture(gm.weights, gm.means, gm.variances + sigma**2)
+
+
+@st.composite
+def ascent_cases(draw):
+    """A mixture (d 1-3, k 1-5), a sigma in [0.01, 2] and 64 starts in [-0.5, 1.5]^d."""
+    d = draw(st.integers(1, 3))
+    k = draw(st.integers(1, 5))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    w = rng.uniform(0.05, 1.0, k)
+    gm = GaussianMixture(
+        w / w.sum(), rng.uniform(0.0, 1.0, (k, d)), 10.0 ** rng.uniform(-4.0, -1.0, (k, d))
+    )
+    sigma = draw(st.floats(0.01, 2.0))
+    return gm, sigma, rng.uniform(-0.5, 1.5, (64, d))
+
+
+@settings(max_examples=200, deadline=None)
+@given(case=ascent_cases())
+def test_an_exact_step_never_lowers_the_smoothed_log_density(case):
+    # Tweedie: R*(x) - x = sigma^2 grad log p_sigma(x). Jensen over the
+    # smoothed responsibilities bounds log p_sigma below by a concave
+    # quadratic touching it at x, of curvature below 1 / sigma^2 per
+    # coordinate, and the step sigma^2 * grad raises that bound: each exact
+    # step is a minorize-maximize (damped Gaussian mean-shift) step.
+    gm, sigma, xs = case
+    p_sigma = smoothed(gm, sigma)
+    before = mixture_log_pdf_batch(p_sigma, xs)
+    after = mixture_log_pdf_batch(p_sigma, optimal_reconstruction(gm, sigma, xs))
+    slack = 1e-12 * np.maximum(1.0, np.abs(before))
+    assert np.all(after - before >= -slack)
+
+
+def test_an_exact_step_can_lower_log_p_while_it_raises_log_p_sigma(two_mode_mixture):
+    # The theorem is about p_sigma, not p: at sigma = 0.5 the smoothed
+    # two-mode mixture is unimodal at the midpoint, so a step from a mode of
+    # p climbs p_sigma into the trough of p.
+    x = np.array([[0.35]])
+    step = optimal_reconstruction(two_mode_mixture, 0.5, x)
+    p_sigma = smoothed(two_mode_mixture, 0.5)
+    assert mixture_log_pdf_batch(p_sigma, step)[0] > mixture_log_pdf_batch(p_sigma, x)[0]
+    assert mixture_log_pdf_batch(two_mode_mixture, step)[0] < mixture_log_pdf_batch(two_mode_mixture, x)[0]

@@ -1,0 +1,100 @@
+"""Run every CLI command over a grid of small configs; print each artifact's sha256.
+
+Two checkouts whose artifacts have the same bytes print the same lines:
+
+    python3 tools/artifact_digests.py --src ../parent/src --out /tmp/parent > parent.txt
+    python3 tools/artifact_digests.py --src src --out /tmp/change > change.txt
+    diff parent.txt change.txt
+
+train, sample, refine, score-check and oracle-check run in process through
+daechain.cli.main, over mixture1d, mixture2d and blobs8x8 x dae, dvae,
+daae x bce, mse, at small sizes with a fixed seed and the default
+grid_cols. Each combination writes into its own directory under --out.
+The commands run from inside --out, so the paths they print are relative;
+their stdout and stderr are kept as <run>/<command>.log and digested with
+the other files. The output is one "exit <code>  <run> <command>" line per
+command, then "<sha256>  <relative path>" for every file, sorted by path.
+Only the standard library and the package are used.
+"""
+
+from __future__ import annotations
+
+import argparse
+import contextlib
+import hashlib
+import io
+import os
+import sys
+
+DATASETS = {
+    "mixture1d": [],
+    "mixture2d": [
+        "mixture_means=0.3,0.4; 0.7,0.6",
+        "mixture_variances=0.0025,0.0025; 0.0025,0.0025",
+    ],
+    "blobs8x8": [],
+}
+MODELS = ("dae", "dvae", "daae")
+LOSSES = ("bce", "mse")
+COMMANDS = ("train", "sample", "refine", "score-check", "oracle-check")
+COMMON = ["epochs=2", "n_samples=600", "n_chains=64", "inject_sigma=0.1", "seed=3"]
+
+
+def _import_cli(src: str):
+    sys.path.insert(0, src)
+    import daechain
+    from daechain import cli
+
+    if os.path.dirname(os.path.dirname(os.path.abspath(daechain.__file__))) != src:
+        sys.exit(f"imported daechain from {daechain.__file__}, not from {src}")
+    return cli
+
+
+def _run(cli, run: str, command: str, overrides: list[str]) -> int:
+    argv = [command]
+    for item in [*COMMON, *overrides, f"out_dir={run}"]:
+        argv += ["--set", item]
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = cli.main(argv)
+    os.makedirs(run, exist_ok=True)
+    with open(os.path.join(run, f"{command}.log"), "w", encoding="utf-8") as fh:
+        fh.write(f"stdout:\n{out.getvalue()}stderr:\n{err.getvalue()}")
+    return code
+
+
+def _digests(root: str) -> list[str]:
+    lines = []
+    for folder, _, files in os.walk(root):
+        for name in files:
+            path = os.path.join(folder, name)
+            with open(path, "rb") as fh:
+                digest = hashlib.sha256(fh.read()).hexdigest()
+            lines.append((os.path.relpath(path, root).replace(os.sep, "/"), digest))
+    return [f"{digest}  {rel}" for rel, digest in sorted(lines)]
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n", 1)[0])
+    parser.add_argument("--src", required=True, help="a checkout's src/ directory")
+    parser.add_argument("--out", required=True, help="an empty or new directory for the artifacts")
+    args = parser.parse_args(argv)
+    src, out = os.path.abspath(args.src), os.path.abspath(args.out)
+    os.makedirs(out, exist_ok=True)
+    if os.listdir(out):
+        parser.error(f"--out {out} is not empty")
+    cli = _import_cli(src)
+    os.chdir(out)
+    for dataset, overrides in DATASETS.items():
+        for model in MODELS:
+            for loss in LOSSES:
+                run = f"{dataset}-{model}-{loss}"
+                settings = [f"dataset={dataset}", f"model={model}", f"loss={loss}", *overrides]
+                for command in COMMANDS:
+                    print(f"exit {_run(cli, run, command, settings)}  {run} {command}")
+    print("\n".join(_digests(out)))
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
