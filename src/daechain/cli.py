@@ -207,8 +207,10 @@ def _cmd_score_check(cfg: RunConfig) -> int:
     """compare model score estimates with the analytic score"""
     if cfg.grid_points < 2:
         raise ConfigError(f"score-check needs grid_points >= 2, got {cfg.grid_points}")
-    model = load_checkpoint(_path(cfg, cfg.checkpoint))
-    gm = mixture_from_config(cfg)
+    ckpt = _path(cfg, cfg.checkpoint)
+    model, gm = load_checkpoint(ckpt), mixture_from_config(cfg)
+    if gm.dim != model.data_dim:
+        raise ConfigError(f"checkpoint {ckpt} has data dim {model.data_dim}, mixture dim {gm.dim}")
     grid = high_density_grid(gm, cfg.grid_points)
     estimate = score_from_reconstruction(reconstruct(model, grid), grid, model.corruption.sigma)
     truth = analytic_score(gm, grid)

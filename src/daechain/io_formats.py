@@ -5,17 +5,16 @@ The checkpoint layout is fixed and explicit so round trips are bitwise:
     magic "DAEB" | version u32 LE | kind u8 | sigma f64 | latent u32
     | dropout f64 | n_mlps u8 | one spec block per network | parameters
 
-which is struct "<4sIBdIdB" up to the spec blocks. A spec block, struct
-"<B{n}IBBd", is: layer count+1 sizes (u8 count, u32 LE each), a hidden
-activation tag, an output activation tag (u8 each), and the leaky slope
-(f64). Parameters follow as little-endian float64, one array per network
-in declaration order (encoder, decoder, then discriminator if present):
-each network's Mlp.flat vector, which holds per layer the weights
-row-major then the biases. That is byte for byte the per-layer order
-version 1 has always used. Loading rebuilds the specs first, so every
-shape and cross-network invariant is re-validated on the way in; a
-decoded value the model types reject raises CheckpointFormatError
-naming its byte offset.
+_HEADER packs the fields before the spec blocks, and _spec_format is one
+spec block: the count of layer sizes (u8), the sizes (u32 LE each), the
+hidden and output activation tags (u8 each) and the leaky slope (f64).
+The writer and the reader share both. Each tag is an index into
+MODEL_KINDS, HIDDEN_ACTIVATIONS or OUTPUT_ACTIVATIONS. Parameters follow
+as little-endian float64, one Mlp.flat vector per network in declaration
+order (encoder, decoder, then discriminator if present), per layer the
+weights row-major then the biases. Loading rebuilds the specs first, so
+every shape and cross-network invariant is re-validated on the way in;
+a rejected value raises CheckpointFormatError naming its byte offset.
 
 Images are exported as binary PGM (P5, maxval 255), tiled row-major with
 one-pixel black separators; values are clamped to [0, 1] and quantized at
@@ -26,24 +25,18 @@ magic 0x00000803.
 from __future__ import annotations
 
 import math
+import re
 import struct
 from contextlib import contextmanager
 
 import numpy as np
 
-from .models import Autoencoder, CorruptionSpec
-from .nn import Mlp, MlpSpec
+from .models import MODEL_KINDS, Autoencoder, CorruptionSpec
+from .nn import HIDDEN_ACTIVATIONS, OUTPUT_ACTIVATIONS, Mlp, MlpSpec
 
 CHECKPOINT_MAGIC = b"DAEB"
 CHECKPOINT_VERSION = 1
 IDX_IMAGE_MAGIC = 0x00000803
-
-_KIND_TAGS = {"dae": 0, "dvae": 1, "daae": 2}
-_TAG_KINDS = {v: k for k, v in _KIND_TAGS.items()}
-_HIDDEN_TAGS = {"relu": 0, "leaky_relu": 1}
-_TAG_HIDDEN = {v: k for k, v in _HIDDEN_TAGS.items()}
-_OUTPUT_TAGS = {"identity": 0, "sigmoid": 1}
-_TAG_OUTPUT = {v: k for k, v in _OUTPUT_TAGS.items()}
 
 
 class CheckpointError(ValueError):
@@ -70,45 +63,36 @@ class IdxFormatError(ValueError):
 # checkpoints
 # ---------------------------------------------------------------------------
 
-def _pack_spec(spec: MlpSpec) -> bytes:
-    sizes = spec.layer_sizes
-    hidden, output = _HIDDEN_TAGS[spec.hidden_activation], _OUTPUT_TAGS[spec.output_activation]
-    return struct.pack(f"<B{len(sizes)}IBBd", len(sizes), *sizes, hidden, output, spec.leaky_slope)
+def _field_at(fmt: str, index: int) -> int:
+    """Byte offset of the index-th field of a little-endian struct format."""
+    return struct.calcsize("<" + "".join(re.findall(r"\d*\D", fmt[1:])[:index]))
+
+
+_HEADER = struct.Struct("<4sIBdIdB")  # magic version kind sigma latent dropout n_mlps
+_KIND_AT, _SIGMA_AT = _field_at(_HEADER.format, 2), _field_at(_HEADER.format, 3)
+
+
+def _spec_format(n_sizes: int) -> str:
+    """A spec block: size count, n_sizes sizes, hidden tag, output tag, leaky slope."""
+    return f"<B{n_sizes}IBBd"
 
 
 def save_checkpoint(model: Autoencoder, path) -> None:
     """Serialize a model; the written file loads back bitwise-identical."""
     mlps = model.networks
-    blob = [
-        struct.pack(
-            "<4sIBdIdB", CHECKPOINT_MAGIC, CHECKPOINT_VERSION, _KIND_TAGS[model.kind],
-            model.corruption.sigma, model.latent_dim, model.dropout_rate, len(mlps),
-        ),
-        *(_pack_spec(mlp.spec) for mlp in mlps),
-    ]
+    blob = [_HEADER.pack(
+        CHECKPOINT_MAGIC, CHECKPOINT_VERSION, MODEL_KINDS.index(model.kind),
+        model.corruption.sigma, model.latent_dim, model.dropout_rate, len(mlps),
+    )]
+    for spec in (mlp.spec for mlp in mlps):
+        sizes = spec.layer_sizes
+        hidden = HIDDEN_ACTIVATIONS.index(spec.hidden_activation)
+        output = OUTPUT_ACTIVATIONS.index(spec.output_activation)
+        fields = (len(sizes), *sizes, hidden, output, spec.leaky_slope)
+        blob.append(struct.pack(_spec_format(len(sizes)), *fields))
     blob.extend(np.ascontiguousarray(mlp.flat, dtype="<f8").tobytes() for mlp in mlps)
     with open(path, "wb") as fh:
         fh.write(b"".join(blob))
-
-
-class _Reader:
-    def __init__(self, data: bytes, what: str):
-        self.data = data
-        self.offset = 0
-        self.what = what
-
-    def take(self, n: int) -> bytes:
-        if self.offset + n > len(self.data):
-            raise CheckpointTruncatedError(
-                f"{self.what} ends at byte {len(self.data)}, "
-                f"needed {self.offset + n}"
-            )
-        chunk = self.data[self.offset : self.offset + n]
-        self.offset += n
-        return chunk
-
-    def unpack(self, fmt: str):
-        return struct.unpack(fmt, self.take(struct.calcsize(fmt)))
 
 
 @contextmanager
@@ -120,60 +104,58 @@ def _decoded(offset: int, what: str):
         raise CheckpointFormatError(f"{what} at byte {offset}: {exc}") from exc
 
 
-def _read_spec(reader: _Reader) -> MlpSpec:
-    start = reader.offset
-    (n_sizes,) = reader.unpack("<B")
-    if n_sizes < 2:
-        raise CheckpointFormatError(f"network with {n_sizes} layer sizes at byte {reader.offset}")
-    sizes = reader.unpack(f"<{n_sizes}I")
-    hidden_tag, output_tag, slope = reader.unpack("<BBd")
-    if hidden_tag not in _TAG_HIDDEN or output_tag not in _TAG_OUTPUT:
-        raise CheckpointFormatError(
-            f"unknown activation tag at byte {reader.offset}"
-        )
-    with _decoded(start, "network spec"):
-        return MlpSpec(sizes, _TAG_HIDDEN[hidden_tag], _TAG_OUTPUT[output_tag], slope)
-
-
 def load_checkpoint(path) -> Autoencoder:
     """Read a checkpoint back into a model, validating as it goes."""
     with open(path, "rb") as fh:
         data = fh.read()
-    reader = _Reader(data, f"checkpoint {path}")
-    if reader.take(4) != CHECKPOINT_MAGIC:
+    size = len(data)
+
+    def need(end: int) -> None:
+        if end > size:
+            raise CheckpointTruncatedError(f"checkpoint {path} ends at byte {size}, needed {end}")
+
+    if not CHECKPOINT_MAGIC.startswith(data[: len(CHECKPOINT_MAGIC)]):
         raise CheckpointFormatError(f"bad magic in {path}; not a checkpoint file")
-    (version,) = reader.unpack("<I")
+    need(_HEADER.size)
+    _, version, kind_tag, sigma, latent, dropout, n_mlps = _HEADER.unpack_from(data)
     if version != CHECKPOINT_VERSION:
         raise CheckpointVersionError(
             f"checkpoint version {version} is not supported (expected {CHECKPOINT_VERSION})"
         )
-    kind_at = reader.offset
-    (kind_tag,) = reader.unpack("<B")
-    if kind_tag not in _TAG_KINDS:
-        raise CheckpointFormatError(f"unknown model kind tag {kind_tag} at byte {kind_at}")
-    kind = _TAG_KINDS[kind_tag]
-    sigma_at = reader.offset
-    (sigma,) = reader.unpack("<d")
-    with _decoded(sigma_at, "corruption sigma"):
+    if kind_tag >= len(MODEL_KINDS):  # tags are unsigned: only the top end can be out of range
+        raise CheckpointFormatError(f"unknown model kind tag {kind_tag} at byte {_KIND_AT}")
+    kind = MODEL_KINDS[kind_tag]
+    with _decoded(_SIGMA_AT, "corruption sigma"):
         corruption = CorruptionSpec(sigma)
-    (latent,) = reader.unpack("<I")
-    (dropout,) = reader.unpack("<d")
-    (n_mlps,) = reader.unpack("<B")
     expected = 3 if kind == "daae" else 2
     if n_mlps != expected:
         raise CheckpointFormatError(
             f"{kind} checkpoint declares {n_mlps} networks, expected {expected}"
         )
-    specs = [_read_spec(reader) for _ in range(n_mlps)]
-    mlps = [
-        Mlp(spec, np.frombuffer(reader.take(8 * spec.n_params), dtype="<f8").astype(np.float64))
-        for spec in specs
-    ]
-    if reader.offset != len(data):
-        raise CheckpointFormatError(
-            f"trailing data after byte {reader.offset} in {path}"
-        )
-    with _decoded(kind_at, f"{kind} model declared"):
+    offset, specs = _HEADER.size, []
+    for _ in range(n_mlps):
+        need(offset + 1)  # the size count, which sizes the rest of the block
+        fmt = _spec_format(data[offset])
+        need(offset + struct.calcsize(fmt))
+        n_sizes, *sizes, hidden_tag, output_tag, slope = struct.unpack_from(fmt, data, offset)
+        if n_sizes < 2:
+            raise CheckpointFormatError(f"network with {n_sizes} layer sizes at byte {offset}")
+        if hidden_tag >= len(HIDDEN_ACTIVATIONS) or output_tag >= len(OUTPUT_ACTIVATIONS):
+            field = 2 if hidden_tag >= len(HIDDEN_ACTIVATIONS) else 3
+            at = offset + _field_at(fmt, field)
+            raise CheckpointFormatError(f"unknown activation tag at byte {at}")
+        with _decoded(offset, "network spec"):
+            names = HIDDEN_ACTIVATIONS[hidden_tag], OUTPUT_ACTIVATIONS[output_tag]
+            specs.append(MlpSpec(sizes, *names, slope))
+        offset += struct.calcsize(fmt)
+    mlps = []
+    for spec in specs:
+        need(offset + 8 * spec.n_params)
+        mlps.append(Mlp(spec, np.frombuffer(data, "<f8", spec.n_params, offset).astype(np.float64)))
+        offset += 8 * spec.n_params
+    if offset != size:
+        raise CheckpointFormatError(f"trailing data after byte {offset} in {path}")
+    with _decoded(_KIND_AT, f"{kind} model declared"):
         model = Autoencoder(kind, mlps[0], mlps[1], corruption, *mlps[2:], dropout_rate=dropout)
     if model.latent_dim != latent:
         raise CheckpointFormatError(

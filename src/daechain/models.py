@@ -46,7 +46,7 @@ from .nn import (
 )
 from .numeric import NumericError, Prng, ShapeError, as_rows
 
-MODEL_KINDS = ("dae", "dvae", "daae")
+MODEL_KINDS = ("dae", "dvae", "daae")  # order is the checkpoint kind tag: append only
 LOSS_KINDS = ("bce", "mse")
 # Rows per inference block: about as fast as 2048 or 4096 rows, with the least
 # memory. The last block takes the remainder (B to 2B - 1 rows). Blocks must

@@ -18,8 +18,9 @@ import numpy as np
 
 from .numeric import NumericError, Prng, ShapeError, derivative_of_sigmoid, sigmoid
 
+# Each tuple's order is its checkpoint tag (io_formats): append, never reorder.
 HIDDEN_ACTIVATIONS = ("relu", "leaky_relu")
-OUTPUT_ACTIVATIONS = ("sigmoid", "identity")
+OUTPUT_ACTIVATIONS = ("identity", "sigmoid")
 
 
 @dataclass(frozen=True)

@@ -303,6 +303,15 @@ class TestScoreCheck:
         assert "sigma must be nonzero" in capsys.readouterr().err
         assert not (tmp_path / "score.csv").exists()
 
+    def test_checkpoint_of_another_dim_exits_2_before_writing(self, tmp_path, capsys):
+        base = ["--set", f"out_dir={tmp_path}"]
+        train_args = ["--set", "dataset=blobs8x8", "--set", "epochs=1", "--set", "n_samples=200"]
+        assert main(["train", *base, *train_args]) == 0
+        capsys.readouterr()
+        assert main(["score-check", *base]) == 2
+        ckpt = re.escape(str(tmp_path / "model.ckpt"))
+        assert re.search(f"checkpoint {ckpt} has data dim 64, mixture dim 1", capsys.readouterr().err)
+        assert not (tmp_path / "score.csv").exists()
 
     def test_one_grid_point_exits_2_before_writing(self, config_path, trained_dir, tmp_path, capsys):
         # one point has no correlation: numpy would warn and print "pearson nan"

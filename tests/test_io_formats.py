@@ -438,6 +438,9 @@ class TestIdx:
 # The first spec block starts right after the 30-byte header:
 # magic(4) version(4) kind(1) sigma(8) latent(4) dropout(8) n_mlps(1).
 SPEC_START = 30
+# The dae encoder of small_model has layer sizes 3, 5, 4, 2, so its
+# activation tags follow the u8 count and four u32 sizes.
+TAGS_START = SPEC_START + 1 + 4 * 4
 
 
 @pytest.mark.parametrize(
@@ -448,8 +451,14 @@ SPEC_START = 30
         ("dae", SPEC_START + 1, struct.pack("<I", 0), f"spec at byte {SPEC_START}"),
         ("daae", 21, struct.pack("<d", 2.0), "declared at byte 8"),
         ("dae", 8, bytes([1]), "dvae model declared at byte 8"),
+        ("dae", 8, bytes([3]), "unknown model kind tag 3 at byte 8"),
+        ("dae", TAGS_START, bytes([2]), f"unknown activation tag at byte {TAGS_START}"),
+        ("dae", TAGS_START + 1, bytes([2]), f"unknown activation tag at byte {TAGS_START + 1}"),
     ],
-    ids=["negative-sigma", "nan-sigma", "zero-layer-size", "daae-dropout-2", "dae-as-dvae"],
+    ids=[
+        "negative-sigma", "nan-sigma", "zero-layer-size", "daae-dropout-2", "dae-as-dvae",
+        "kind-tag-3", "hidden-tag-2", "output-tag-2",
+    ],
 )
 def test_rejected_header_values_are_format_errors(kind, offset, patch, where, tmp_path):
     path = tmp_path / "model.ckpt"
@@ -459,6 +468,18 @@ def test_rejected_header_values_are_format_errors(kind, offset, patch, where, tm
     path.write_bytes(bytes(raw))
     with pytest.raises(CheckpointFormatError, match=where):
         load_checkpoint(path)
+
+
+@pytest.mark.parametrize("kind", ["dae", "dvae", "daae"])
+def test_every_short_prefix_is_truncated(kind, tmp_path):
+    # cuts inside the header, inside a spec block and inside the parameters
+    path = tmp_path / "model.ckpt"
+    save_checkpoint(small_model(kind), path)
+    raw = path.read_bytes()
+    for length in range(len(raw)):
+        path.write_bytes(raw[:length])
+        with pytest.raises(CheckpointTruncatedError, match=f"ends at byte {length}, needed"):
+            load_checkpoint(path)
 
 
 @pytest.fixture(scope="module")
