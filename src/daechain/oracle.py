@@ -29,9 +29,9 @@ the mass, with no density floor. Only a row with no finite component
 log-density (a NaN or infinite coordinate, or |x - mu| beyond ~1e154,
 where the squared distance overflows) raises NumericError; a NaN row
 raises it from the log-density functions too, where an infinitely far
-point has log p = -inf. The Gauss-Hermite and Monte-Carlo estimators of the
-two expectations remain available through an explicit QuadratureSpec, as an
-independent numerical cross-check of the closed form.
+point has log p = -inf. A Monte-Carlo estimate of the two expectations at
+one point remains available through an explicit QuadratureSpec; the tests'
+independent cross-checks (Gauss-Hermite among them) live in tests/_oracles.py.
 
 One evaluation path serves the log-density, its mode, the
 responsibilities, the score and R*. A GaussianMixture holds read-only
@@ -55,14 +55,10 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
-from numpy.polynomial.hermite import hermgauss
 
 from .numeric import NumericError, Prng, ShapeError, as_rows
-
-QUADRATURE_METHODS = ("gauss_hermite", "monte_carlo")
 
 # high_density_grid scans GRID_CANDIDATES evenly spaced points of
 # [GRID_LO, GRID_HI] and keeps those within HIGH_DENSITY_NATS of the peak
@@ -335,34 +331,22 @@ def high_density_grid(gm: GaussianMixture, n: int) -> np.ndarray:
 
 @dataclass(frozen=True)
 class QuadratureSpec:
-    """How to average over the corruption noise eps ~ N(0, sigma^2 I)."""
+    """A Monte-Carlo average over the corruption noise eps ~ N(0, sigma^2 I).
 
-    method: str = "gauss_hermite"
-    nodes_per_dim: int = 64
+    `method` has one legal value, "monte_carlo". It stays only because
+    perfbench/selftest.py passes it, and goes with the rest of the
+    estimator once that self-test has its own.
+    """
+
+    method: str = "monte_carlo"
     n_samples: int = 100_000
     mc_seed: int = 0
 
     def __post_init__(self):
-        if self.method not in QUADRATURE_METHODS:
+        if self.method != "monte_carlo":
             raise ValueError(f"unknown quadrature method {self.method!r}")
-        if self.method == "gauss_hermite" and self.nodes_per_dim < 8:
-            raise ValueError("gauss_hermite needs at least 8 nodes per dim")
-        if self.method == "monte_carlo" and self.n_samples < 10_000:
+        if self.n_samples < 10_000:
             raise ValueError("monte_carlo needs at least 10000 samples")
-
-
-@lru_cache(maxsize=8)
-def _gh_nodes(nodes_per_dim: int, dim: int) -> tuple[np.ndarray, np.ndarray]:
-    """Tensor-product Gauss-Hermite nodes (m, dim) and log-weights (m,)."""
-    nodes, weights = hermgauss(nodes_per_dim)
-    logw = np.log(weights)
-    if dim == 1:
-        return nodes[:, None], logw
-    grids = np.meshgrid(*([nodes] * dim), indexing="ij")
-    pts = np.stack([g.reshape(-1) for g in grids], axis=1)
-    wgrids = np.meshgrid(*([logw] * dim), indexing="ij")
-    logws = sum(w.reshape(-1) for w in wgrids)
-    return pts, logws
 
 
 def optimal_reconstruction(
@@ -377,8 +361,8 @@ def optimal_reconstruction(
     mass gets the exact, finite R*; a row with no finite smoothed component
     log-density raises NumericError (see _softmax).
 
-    An explicit QuadratureSpec estimates the same ratio numerically at one
-    point instead, as an independent cross-check; see _quadrature_estimate.
+    An explicit QuadratureSpec estimates the same ratio by Monte Carlo at
+    one point instead; see _quadrature_estimate.
     """
     if not (math.isfinite(sigma) and sigma > 0.0):
         raise ValueError(f"sigma must be finite and > 0, got {sigma}")
@@ -404,30 +388,20 @@ def optimal_reconstruction(
 def _quadrature_estimate(
     gm: GaussianMixture, sigma: float, xv: np.ndarray, quad: QuadratureSpec
 ) -> np.ndarray:
-    """Numerical R*(xv) at one point (d,), by Gauss-Hermite or Monte Carlo.
+    """Monte-Carlo R*(xv) at one point (d,), from quad.n_samples draws of eps.
 
-    Gauss-Hermite uses the change of variables eps = sigma * sqrt(2) * u so
-    that E[f(eps)] = pi^(-d/2) sum_i w_i f(sigma sqrt(2) u_i); Monte Carlo
-    draws eps from a Prng seeded with quad.mc_seed. In both cases the ratio
-    is an average of the shifted points x - eps_i, weighted by one softmax
-    over log w_i + log(w_k N(x - eps_i; mu_k, v_k)) for all nodes i and
-    components k: stable in the tails, and, as in the closed form, raising
-    NumericError where no term is finite.
+    eps comes from a Prng seeded with quad.mc_seed. The ratio is an average
+    of the shifted points x - eps_i, weighted by one softmax over
+    log(w_k N(x - eps_i; mu_k, v_k)) for all draws i and components k:
+    stable in the tails, and, as in the closed form, raising NumericError
+    where no term is finite.
     """
-    if quad.method == "gauss_hermite":
-        u, logw = _gh_nodes(quad.nodes_per_dim, gm.dim)
-        eps = sigma * math.sqrt(2.0) * u
-    else:
-        rng = Prng(quad.mc_seed)
-        eps = rng.normal((quad.n_samples, gm.dim), sigma)
-        logw = np.zeros(eps.shape[0])
-
+    eps = Prng(quad.mc_seed).normal((quad.n_samples, gm.dim), sigma)
     shifted = xv[None, :] - eps  # candidate clean points x - eps
     logc = np.empty((len(shifted), gm.n_components))
     for rows, _, block, _ in _log_density_blocks(gm, shifted, 0.0):
         logc[rows] = block
-    logq = logw[:, None] + logc  # (nodes, k)
-    tau = _softmax(logq.reshape(1, -1)).reshape(logq.shape).sum(axis=1)
+    tau = _softmax(logc.reshape(1, -1)).reshape(logc.shape).sum(axis=1)
     return (tau[:, None] * shifted).sum(axis=0)
 
 

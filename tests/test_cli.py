@@ -411,6 +411,16 @@ class TestIdxImagePath:
         assert canvas.shape == (2, 5)
 
 
+class TestBlobImages:
+    def test_samples_tile_as_8x8_images(self, tmp_path):
+        common = ["--set", "dataset=blobs8x8", "--set", f"out_dir={tmp_path}"]
+        assert main(["train", *common, "--set", "epochs=1", "--set", "n_samples=200"]) == 0
+        assert main(["sample", *common, "--set", "n_chains=4", "--set", "chain_steps=1"]) == 0
+        canvas = read_pgm(tmp_path / "sample_step0000.pgm")
+        # Four 8x8 tiles side by side with one-pixel separator columns.
+        assert canvas.shape == (8, 4 * 8 + 3)
+
+
 def _exported_errors():
     return sorted(
         (obj for obj in vars(daechain).values()

@@ -454,10 +454,16 @@ TAGS_START = SPEC_START + 1 + 4 * 4
         ("dae", 8, bytes([3]), "unknown model kind tag 3 at byte 8"),
         ("dae", TAGS_START, bytes([2]), f"unknown activation tag at byte {TAGS_START}"),
         ("dae", TAGS_START + 1, bytes([2]), f"unknown activation tag at byte {TAGS_START + 1}"),
+        # a count below 2, with valid tags after it, so the count is what fails
+        ("dae", SPEC_START, bytes([0, 0, 1]), f"network with 0 layer sizes at byte {SPEC_START}"),
+        (
+            "dae", SPEC_START, bytes([1]) + struct.pack("<I", 3) + bytes([0, 1]),
+            f"network with 1 layer sizes at byte {SPEC_START}",
+        ),
     ],
     ids=[
         "negative-sigma", "nan-sigma", "zero-layer-size", "daae-dropout-2", "dae-as-dvae",
-        "kind-tag-3", "hidden-tag-2", "output-tag-2",
+        "kind-tag-3", "hidden-tag-2", "output-tag-2", "zero-sizes", "one-size",
     ],
 )
 def test_rejected_header_values_are_format_errors(kind, offset, patch, where, tmp_path):

@@ -5,8 +5,9 @@ import pytest
 
 from daechain.cli import main
 from daechain.io_formats import save_checkpoint
-from daechain.models import CorruptionSpec, TrainConfig, build_model
-from daechain.nn import MlpSpec, init_adam, init_mlp
+from daechain.losses import adversarial_losses, kl_to_standard_normal, mse_loss
+from daechain.models import Autoencoder, CorruptionSpec, TrainConfig, build_model
+from daechain.nn import MlpSpec, adam_step, init_adam, init_mlp, mlp_forward
 from daechain.numeric import (
     NumericError,
     Prng,
@@ -16,8 +17,13 @@ from daechain.numeric import (
     sample_uniform,
     sigmoid,
 )
-from daechain.oracle import GaussianMixture, limit_convergence_study, optimal_reconstruction
-from daechain.sampler import ChainConfig
+from daechain.oracle import (
+    GaussianMixture,
+    limit_convergence_study,
+    optimal_reconstruction,
+    score_from_reconstruction,
+)
+from daechain.sampler import ChainConfig, run_chain
 
 
 # ---------------------------------------------------------------------------
@@ -194,3 +200,55 @@ def test_numeric_guards_reject_non_finite_values(value, tmp_path, capsys):
     assert code == 2
     assert "inject_sigma" in capsys.readouterr().err
     assert not list(tmp_path.glob("*.csv"))
+
+
+# ---------------------------------------------------------------------------
+# shape and range guards across the package
+# ---------------------------------------------------------------------------
+
+def _mlp(*sizes):
+    return init_mlp(MlpSpec(sizes), Prng(0))
+
+
+# (error type, message fragment, a call that must raise it)
+TYPED_ERRORS = [
+    pytest.param(ValueError, "empty tensor", lambda: mse_loss(np.ones((0, 2)), np.ones((0, 2))),
+                 id="empty-loss"),
+    pytest.param(ShapeError, "does not match logvar shape",
+                 lambda: kl_to_standard_normal(np.zeros((2, 3)), np.zeros((2, 2))),
+                 id="kl-mismatch"),
+    pytest.param(ShapeError, "posterior stats must be",
+                 lambda: kl_to_standard_normal(np.zeros((0, 2)), np.zeros((0, 2))), id="kl-empty"),
+    pytest.param(ValueError, "non-empty score",
+                 lambda: adversarial_losses(np.zeros((0, 1)), np.full((1, 1), 0.5)),
+                 id="adversarial-empty"),
+    pytest.param(ValueError, "permutation length", lambda: Prng(0).permutation(-1),
+                 id="negative-permutation"),
+    pytest.param(ValueError, "dropout rate must lie",
+                 lambda: mlp_forward(_mlp(2, 3, 1), np.zeros((1, 2)), 1.0, Prng(0)),
+                 id="dropout-rate-1"),
+    pytest.param(ShapeError, "gradient size",
+                 lambda: adam_step(_mlp(2, 1), _mlp(2, 2), init_adam(_mlp(2, 1))),
+                 id="adam-gradient-size"),
+    pytest.param(ShapeError, "does not match data dim",
+                 lambda: Autoencoder("dae", _mlp(3, 2), _mlp(2, 4), CorruptionSpec(0.1)),
+                 id="decoder-output-dim"),
+    pytest.param(ShapeError, "single score",
+                 lambda: Autoencoder("daae", _mlp(3, 2), _mlp(2, 3), CorruptionSpec(0.1), _mlp(2, 2)),
+                 id="two-output-discriminator"),
+    pytest.param(ShapeError, "x0 must be",
+                 lambda: run_chain(lambda x: x, np.zeros((1, 1, 1)), ChainConfig(steps=1)),
+                 id="chain-3d-x0"),
+    pytest.param(ShapeError, "expected weights",
+                 lambda: GaussianMixture([1.0], np.full((1, 1, 1), 0.5), [[0.01]]),
+                 id="mixture-3d-means"),
+    pytest.param(ShapeError, "reconstruction shape",
+                 lambda: score_from_reconstruction(np.zeros(2), np.zeros(3), 0.1),
+                 id="reconstruction-shape"),
+]
+
+
+@pytest.mark.parametrize("error, fragment, call", TYPED_ERRORS)
+def test_guards_raise_their_typed_errors(error, fragment, call):
+    with pytest.raises(error, match=fragment):
+        call()

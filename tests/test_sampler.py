@@ -9,10 +9,8 @@ from daechain.models import build_model, reconstruct
 from daechain.numeric import NumericError, Prng, ShapeError
 from daechain.oracle import (
     GaussianMixture,
-    QuadratureSpec,
     mixture_log_pdf_and_mode,
     mixture_log_pdf_batch,
-    optimal_reconstruction,
     responsibilities,
 )
 from daechain.sampler import (
@@ -23,7 +21,7 @@ from daechain.sampler import (
     run_chain,
     sample_from_noise,
 )
-from _oracles import mixture_posterior_mean
+from _oracles import gauss_hermite_posterior_mean, mixture_posterior_mean
 
 
 def two_mode():
@@ -154,7 +152,7 @@ def test_quadrature_chain_matches_closed_form():
     gm = single(mu=0.5, s=0.1)
 
     def quad_map(xs):
-        return np.stack([optimal_reconstruction(gm, 0.1, x, QuadratureSpec()) for x in xs])
+        return np.stack([gauss_hermite_posterior_mean(gm, 0.1, x) for x in xs])
 
     trace = run_chain(quad_map, np.array([[0.9]]), ChainConfig(steps=10))
     for t, state in zip(trace.times, trace.states[:, 0, 0]):
