@@ -33,14 +33,8 @@ from .config import (
     mixture_from_config,
     train_config_from_config,
 )
-from .datasets import BLOB_IMAGE_SHAPE, MIXTURE_DIMS, build_dataset
-from .io_formats import (
-    load_checkpoint,
-    read_idx_header,
-    save_checkpoint,
-    write_csv,
-    write_pgm_grid,
-)
+from .datasets import build_dataset
+from .io_formats import load_checkpoint, save_checkpoint, write_csv, write_pgm_grid
 from .models import reconstruct, train
 from .numeric import NumericError, Prng
 from .oracle import (
@@ -90,11 +84,13 @@ def _out_path(cfg: RunConfig, name: str) -> str:
     return path
 
 
-def _mixture_if_matching(cfg: RunConfig, data_dim: int):
-    if cfg.dataset not in MIXTURE_DIMS:
-        return None
-    gm = mixture_from_config(cfg)
-    return gm if gm.dim == data_dim else None
+def _load_model(cfg: RunConfig, gm):
+    """The checkpoint's model; with a mixture gm, its data dim must be gm's."""
+    ckpt = _path(cfg, cfg.checkpoint)
+    model = load_checkpoint(ckpt)
+    if gm is not None and gm.dim != model.data_dim:
+        raise ConfigError(f"checkpoint {ckpt} has data dim {model.data_dim}, mixture dim {gm.dim}")
+    return model
 
 
 def _stream(cfg: RunConfig, offset: int) -> Prng:
@@ -104,22 +100,15 @@ def _stream(cfg: RunConfig, offset: int) -> Prng:
     return Prng(cfg.seed + offset)
 
 
-def _image_shape(cfg: RunConfig, data_dim: int) -> tuple[int, int]:
-    if cfg.image_shape is not None:
-        return cfg.image_shape
-    if cfg.dataset == "blobs8x8":
-        return BLOB_IMAGE_SHAPE
-    if cfg.dataset == "idx_images" and cfg.idx_path:
-        _, rows, cols = read_idx_header(cfg.idx_path)
-        return (rows, cols)
-    return (1, data_dim)
+# each key that only one model kind reads, and that kind
+_MODEL_KEYS = (("dropout", "daae"), ("disc_hidden", "daae"), ("regularizer_weight", "dvae"))
 
 
 def _cmd_train(cfg: RunConfig) -> int:
     """train a model on the configured dataset and save a checkpoint"""
-    for key in ("dropout", "disc_hidden"):
-        if cfg.model != "daae" and getattr(cfg, key) != getattr(RunConfig(), key):
-            raise ConfigError(f"{key!r} applies only to model = daae, not {cfg.model!r}")
+    for key, kind in _MODEL_KEYS:
+        if cfg.model != kind and getattr(cfg, key) != getattr(RunConfig(), key):
+            raise ConfigError(f"{key!r} applies only to model = {kind}, not {cfg.model!r}")
     data = build_dataset(dataset_spec_from_config(cfg), _stream(cfg, 1))
     model, trace = train(
         cfg.model,
@@ -145,8 +134,9 @@ def _cmd_train(cfg: RunConfig) -> int:
 
 def _run_chains(cfg: RunConfig, run_from_start, prefix: str) -> int:
     rng = _stream(cfg, 2)
-    model = load_checkpoint(_path(cfg, cfg.checkpoint))
-    shape = _image_shape(cfg, model.data_dim)
+    spec = dataset_spec_from_config(cfg)
+    model = _load_model(cfg, spec.mixture)
+    shape = cfg.image_shape or spec.image_shape
     if shape[0] * shape[1] != model.data_dim:
         raise ConfigError(
             f"image_shape {shape[0]},{shape[1]} does not match the model's "
@@ -154,9 +144,8 @@ def _run_chains(cfg: RunConfig, run_from_start, prefix: str) -> int:
         )
     if cfg.grid_cols < 1:
         raise ConfigError(f"grid_cols must be >= 1, got {cfg.grid_cols}")
-    gm = _mixture_if_matching(cfg, model.data_dim)
     chain_cfg = chain_config_from_config(cfg)
-    trace = run_from_start(model, cfg.n_chains, chain_cfg, rng, gm)
+    trace = run_from_start(model, cfg.n_chains, chain_cfg, rng, spec.mixture)
 
     n_recorded, n_chains, dim = trace.states.shape
     columns = {
@@ -207,10 +196,8 @@ def _cmd_score_check(cfg: RunConfig) -> int:
     """compare model score estimates with the analytic score"""
     if cfg.grid_points < 2:
         raise ConfigError(f"score-check needs grid_points >= 2, got {cfg.grid_points}")
-    ckpt = _path(cfg, cfg.checkpoint)
-    model, gm = load_checkpoint(ckpt), mixture_from_config(cfg)
-    if gm.dim != model.data_dim:
-        raise ConfigError(f"checkpoint {ckpt} has data dim {model.data_dim}, mixture dim {gm.dim}")
+    gm = mixture_from_config(cfg)
+    model = _load_model(cfg, gm)
     grid = high_density_grid(gm, cfg.grid_points)
     estimate = score_from_reconstruction(reconstruct(model, grid), grid, model.corruption.sigma)
     truth = analytic_score(gm, grid)

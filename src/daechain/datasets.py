@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .io_formats import load_idx_images
+from .io_formats import load_idx_images, read_idx_header
 from .numeric import Prng
 from .oracle import UNIT_BOX_SPAN, GaussianMixture, confined_to_unit_box
 
@@ -94,6 +94,16 @@ class DatasetSpec:
             raise ValueError("idx_images needs idx_path")
         if self.kind != "idx_images" and self.n_samples < 1:
             raise ValueError(f"n_samples must be >= 1, got {self.n_samples}")
+
+    @property
+    def image_shape(self) -> tuple[int, int]:
+        """(rows, cols) of one data row as an image; idx_images reads its file's header."""
+        if self.kind in MIXTURE_DIMS:
+            return (1, self.mixture.dim)
+        if self.kind == "blobs8x8":
+            return BLOB_IMAGE_SHAPE
+        _, rows, cols = read_idx_header(self.idx_path)
+        return (rows, cols)
 
 
 def build_dataset(spec: DatasetSpec, rng: Prng) -> np.ndarray:

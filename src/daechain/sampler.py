@@ -143,24 +143,16 @@ def run_chain(
 
 
 def sample_from_noise(
-    model,
+    model: Autoencoder,
     batch: int,
     cfg: ChainConfig,
     rng: Prng,
     gm: GaussianMixture | None = None,
-    data_dim: int | None = None,
 ) -> ChainTrace:
-    """Start `batch` chains from x0 ~ U(0,1)^d and run them through the model.
-
-    The data dimension is taken from the model; pass data_dim explicitly
-    when the operator is a bare callable.
-    """
+    """Start `batch` chains from x0 ~ U(0,1)^d, d the model's data dim, and run them."""
     if batch < 1:
         raise ValueError(f"batch must be >= 1, got {batch}")
-    dim = data_dim if data_dim is not None else getattr(model, "data_dim", None)
-    if dim is None:
-        raise ValueError("a bare callable operator needs data_dim, the dimension of its points")
-    x0 = rng.uniform((batch, dim))
+    x0 = rng.uniform((batch, model.data_dim))
     return run_chain(model, x0, cfg, rng, gm)
 
 

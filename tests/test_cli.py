@@ -143,10 +143,16 @@ class TestOutDir:
 
 
 class TestDaaeOnlyKeys:
-    """dropout and disc_hidden shape the DAAE discriminator; other models have none."""
+    """dropout and disc_hidden shape the DAAE discriminator; other models have none.
+
+    regularizer_weight, the DVAE's KL weight, is the one key of another kind
+    that the same rule covers.
+    """
 
     @pytest.mark.parametrize(
-        "model, key, value", [("dae", "dropout", "0.7"), ("dvae", "disc_hidden", "8")]
+        "model, key, value",
+        [("dae", "dropout", "0.7"), ("dvae", "disc_hidden", "8"),
+         ("dae", "regularizer_weight", "0.5"), ("daae", "regularizer_weight", "0.5")],
     )
     def test_rejected_before_any_work(self, tmp_path, monkeypatch, capsys, model, key, value):
         def no_data(*args):
@@ -282,6 +288,54 @@ class TestChains:
         canvas = read_pgm(trained_dir / "sample_step0000.pgm")
         # 8 one-pixel rows in one grid row of 8 columns with separators.
         assert canvas.shape == (1, 8 * 1 + 7)
+
+
+@pytest.fixture(scope="module")
+def blob_checkpoint(tmp_path_factory):
+    out = tmp_path_factory.mktemp("blobs")
+    code = main(
+        ["train", "--set", "dataset=blobs8x8", "--set", "n_samples=200", "--set", "epochs=1",
+         "--set", f"out_dir={out}"]
+    )
+    assert code == 0
+    return out / "model.ckpt"
+
+
+class TestChainDatasetKeys:
+    """sample and refine read the dataset keys through the spec that train checks."""
+
+    @pytest.mark.parametrize(
+        "overrides, message",
+        [
+            (["dataset=bogus"], "dataset kind must be one of"),
+            (["dataset=mixture2d"], "mixture2d needs a 2-dimensional mixture"),
+            (["dataset=idx_images"], "idx_images needs idx_path"),
+            (["dataset=blobs8x8", "n_samples=0"], "n_samples must be >= 1, got 0"),
+        ],
+        ids=["unknown-kind", "mixture-dim", "no-idx-path", "no-samples"],
+    )
+    @pytest.mark.parametrize("command", ["sample", "refine"])
+    def test_bad_dataset_exits_2_before_any_file(
+        self, trained_dir, tmp_path, capsys, command, overrides, message
+    ):
+        argv = [command, "--set", f"out_dir={tmp_path}",
+                "--set", f"checkpoint={trained_dir / 'model.ckpt'}"]
+        for item in overrides:
+            argv += ["--set", item]
+        assert main(argv) == 2
+        assert message in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("command", ["sample", "refine"])
+    def test_checkpoint_of_another_dim_exits_2_before_any_file(
+        self, blob_checkpoint, tmp_path, capsys, command
+    ):
+        # the default config is the 1-d mixture; the checkpoint holds 8x8 images
+        argv = [command, "--set", f"out_dir={tmp_path}", "--set", f"checkpoint={blob_checkpoint}"]
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert f"checkpoint {blob_checkpoint} has data dim 64, mixture dim 1" in err
+        assert list(tmp_path.iterdir()) == []
 
 
 class TestScoreCheck:

@@ -9,6 +9,7 @@ from daechain.datasets import (
     BLOB_CENTER_BOX,
     BLOB_PEAK,
     BLOB_PIXEL_NOISE_STD,
+    DATASET_KINDS,
     DatasetSpec,
     blob_images,
     build_dataset,
@@ -174,6 +175,33 @@ class TestDatasetSpec:
     def test_rejects_nonpositive_sample_count(self):
         with pytest.raises(ValueError):
             DatasetSpec(kind="blobs8x8", n_samples=0)
+
+
+def _spec_of_each_kind(tmp_path):
+    idx = tmp_path / "wide.idx"
+    idx.write_bytes(struct.pack(">IIII", 0x00000803, 2, 3, 5) + bytes(range(30)))
+    gm2 = GaussianMixture(
+        weights=np.array([1.0]), means=np.array([[0.5, 0.5]]), variances=np.array([[0.01, 0.01]])
+    )
+    return {
+        "mixture1d": DatasetSpec("mixture1d", 4, two_mode()),
+        "mixture2d": DatasetSpec("mixture2d", 4, gm2),
+        "blobs8x8": DatasetSpec("blobs8x8", 4),
+        "idx_images": DatasetSpec("idx_images", idx_path=str(idx)),
+    }
+
+
+@pytest.mark.parametrize(
+    "kind, shape",
+    [("mixture1d", (1, 1)), ("mixture2d", (1, 2)), ("blobs8x8", (8, 8)), ("idx_images", (3, 5))],
+)
+def test_image_shape_of_each_kind_tiles_one_data_row(tmp_path, kind, shape):
+    # a mixture row is one strip of d pixels; an IDX file gives (rows, cols)
+    specs = _spec_of_each_kind(tmp_path)
+    assert set(specs) == set(DATASET_KINDS)  # a new kind needs a case here
+    spec = specs[kind]
+    assert spec.image_shape == shape
+    assert build_dataset(spec, Prng(0)).shape[1] == shape[0] * shape[1]
 
 
 class TestBuildDataset:

@@ -190,17 +190,11 @@ def test_sample_from_noise_is_reproducible():
     assert np.array_equal(a.displacements, b.displacements)
 
 
-def test_sample_from_noise_accepts_bare_callables():
-    gm = two_mode()
-    trace = sample_from_noise(
-        exact_denoiser(gm, 0.1), 8, ChainConfig(steps=2), Prng(1), data_dim=1
-    )
+def test_run_chain_takes_a_bare_callable_from_its_own_starts():
+    x0 = Prng(1).uniform((8, 1))
+    trace = run_chain(exact_denoiser(two_mode(), 0.1), x0, ChainConfig(steps=2))
     assert trace.states.shape == (3, 8, 1)
-
-
-def test_sample_from_noise_asks_a_bare_callable_for_data_dim():
-    with pytest.raises(ValueError, match="data_dim"):
-        sample_from_noise(lambda x: 0.5 * x + 0.25, 4, ChainConfig(2), Prng(0))
+    assert np.array_equal(trace.states[0], x0)
 
 
 def test_refine_from_prior_decodes_then_iterates():

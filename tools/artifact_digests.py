@@ -7,9 +7,11 @@ Two checkouts whose artifacts have the same bytes print the same lines:
     diff parent.txt change.txt
 
 train, sample, refine, score-check and oracle-check run in process through
-daechain.cli.main, over mixture1d, mixture2d and blobs8x8 x dae, dvae,
-daae x bce, mse, at small sizes with a fixed seed and the default
-grid_cols. Each combination writes into its own directory under --out.
+daechain.cli.main, over mixture1d, mixture2d, blobs8x8 and idx_images x
+dae, dvae, daae x bce, mse, at small sizes with a fixed seed and the
+default grid_cols. The idx_images runs read images.idx, 600 4x4 images
+that the tool writes into --out first, so no download is needed. Each
+combination writes into its own directory under --out.
 The commands run from inside --out, so the paths they print are relative;
 their stdout and stderr are kept as <run>/<command>.log and digested with
 the other files. The output is one "exit <code>  <run> <command>" line per
@@ -24,6 +26,7 @@ import contextlib
 import hashlib
 import io
 import os
+import struct
 import sys
 
 DATASETS = {
@@ -33,11 +36,25 @@ DATASETS = {
         "mixture_variances=0.0025,0.0025; 0.0025,0.0025",
     ],
     "blobs8x8": [],
+    "idx_images": ["idx_path=images.idx"],
 }
 MODELS = ("dae", "dvae", "daae")
 LOSSES = ("bce", "mse")
 COMMANDS = ("train", "sample", "refine", "score-check", "oracle-check")
 COMMON = ["epochs=2", "n_samples=600", "n_chains=64", "inject_sigma=0.1", "seed=3"]
+
+
+def _write_idx(path: str) -> None:
+    """600 dark 4x4 images (pixels 0-39), each with one bright pixel (200-255) that walks the grid."""
+    n, rows, cols = 600, 4, 4
+    size = rows * cols
+    pixels = bytes(
+        200 + i % 56 if p == i % size else (13 * i + 7 * p) % 40
+        for i in range(n)
+        for p in range(size)
+    )
+    with open(path, "wb") as fh:
+        fh.write(struct.pack(">IIII", 0x00000803, n, rows, cols) + pixels)
 
 
 def _import_cli(src: str):
@@ -85,6 +102,7 @@ def main(argv=None) -> int:
         parser.error(f"--out {out} is not empty")
     cli = _import_cli(src)
     os.chdir(out)
+    _write_idx("images.idx")
     for dataset, overrides in DATASETS.items():
         for model in MODELS:
             for loss in LOSSES:
