@@ -7,6 +7,7 @@ Subcommands:
     refine        checkpoint -> chains from decoded prior draws -> CSV + PGMs
     score-check   compare (R(x) - x) / sigma^2 against the analytic score
     oracle-check  tabulate how the exact denoiser's score error shrinks with sigma
+                  (both checks need a mixture dataset, whose mixture is their ground truth)
 
 Every subcommand reads an optional --config file plus repeatable
 --set key=value overrides. Exit codes: 0 success, 1 usage, 2 runtime
@@ -30,10 +31,9 @@ from .config import (
     chain_config_from_config,
     dataset_spec_from_config,
     load_config,
-    mixture_from_config,
     train_config_from_config,
 )
-from .datasets import build_dataset
+from .datasets import MIXTURE_DIMS, build_dataset
 from .io_formats import load_checkpoint, save_checkpoint, write_csv, write_pgm_grid
 from .models import reconstruct, train
 from .numeric import NumericError, Prng
@@ -91,6 +91,17 @@ def _load_model(cfg: RunConfig, gm):
     if gm is not None and gm.dim != model.data_dim:
         raise ConfigError(f"checkpoint {ckpt} has data dim {model.data_dim}, mixture dim {gm.dim}")
     return model
+
+
+def _ground_truth(cfg: RunConfig):
+    """The mixture the dataset is drawn from, which score-check and oracle-check judge."""
+    gm = dataset_spec_from_config(cfg).mixture
+    if gm is None:
+        raise ConfigError(
+            f"dataset {cfg.dataset!r} has no ground-truth mixture; "
+            f"score-check and oracle-check need one of {tuple(MIXTURE_DIMS)}"
+        )
+    return gm
 
 
 def _stream(cfg: RunConfig, offset: int) -> Prng:
@@ -196,7 +207,7 @@ def _cmd_score_check(cfg: RunConfig) -> int:
     """compare model score estimates with the analytic score"""
     if cfg.grid_points < 2:
         raise ConfigError(f"score-check needs grid_points >= 2, got {cfg.grid_points}")
-    gm = mixture_from_config(cfg)
+    gm = _ground_truth(cfg)
     model = _load_model(cfg, gm)
     grid = high_density_grid(gm, cfg.grid_points)
     estimate = score_from_reconstruction(reconstruct(model, grid), grid, model.corruption.sigma)
@@ -214,7 +225,7 @@ def _cmd_score_check(cfg: RunConfig) -> int:
 
 def _cmd_oracle_check(cfg: RunConfig) -> int:
     """run the exact-denoiser convergence study"""
-    gm = mixture_from_config(cfg)
+    gm = _ground_truth(cfg)
     grid = high_density_grid(gm, cfg.grid_points)
     study = limit_convergence_study(gm, cfg.check_sigmas, grid)
     columns = {"sigma": study.sigmas, "max_rel_error": study.max_rel_errors}

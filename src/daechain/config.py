@@ -68,11 +68,7 @@ def _parse_floats(text: str) -> tuple[float, ...]:
 
 
 def _parse_points(text: str) -> tuple[tuple[float, ...], ...]:
-    points = []
-    for part in text.split(";"):
-        part = part.strip()
-        if part:
-            points.append(_parse_floats(part))
+    points = [_parse_floats(part) for part in text.split(";") if part.strip()]
     if not points:
         raise ValueError("expected at least one ';'-separated component")
     return tuple(points)
@@ -149,14 +145,10 @@ def apply_overrides(cfg: RunConfig, overrides) -> RunConfig:
 # derived objects
 # ---------------------------------------------------------------------------
 
-def mixture_from_config(cfg: RunConfig) -> GaussianMixture:
-    return GaussianMixture(cfg.mixture_weights, cfg.mixture_means, cfg.mixture_variances)
-
-
 def dataset_spec_from_config(cfg: RunConfig) -> DatasetSpec:
     mixture = None
     if cfg.dataset in MIXTURE_DIMS:
-        mixture = mixture_from_config(cfg)
+        mixture = GaussianMixture(cfg.mixture_weights, cfg.mixture_means, cfg.mixture_variances)
     return DatasetSpec(cfg.dataset, cfg.n_samples, mixture, cfg.idx_path or None)
 
 

@@ -249,11 +249,6 @@ def _infer(x, stages, what: str) -> np.ndarray:
     return out[0] if single else out
 
 
-def encode_to_latent(model: Autoencoder, x) -> np.ndarray:
-    """Deterministic latent for a batch; the DVAE returns its posterior mean."""
-    return _infer(x, [(model.encoder, model.latent_dim)], "input")
-
-
 def decode_latent(model: Autoencoder, z) -> np.ndarray:
     """Decode latent vectors to data space; sigmoid head keeps values in (0, 1)."""
     return _infer(z, [(model.decoder, model.data_dim)], "latent")

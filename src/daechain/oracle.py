@@ -441,6 +441,8 @@ def limit_convergence_study(gm: GaussianMixture, sigmas, grid) -> ConvergenceStu
     if any(b >= a for a, b in zip(sig, sig[1:])):
         raise ValueError("sigmas must be strictly decreasing")
     pts, _ = as_rows(np.atleast_2d(grid), gm.dim, "point", "mixture dim")
+    if pts.shape[0] == 0:
+        raise ValueError("grid has no points")
     logp, floor = _log_p_and_floor(gm, pts)
     if np.any(logp < floor - 1e-9):
         raise ValueError(

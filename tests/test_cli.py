@@ -301,8 +301,18 @@ def blob_checkpoint(tmp_path_factory):
     return out / "model.ckpt"
 
 
+def _exits_2_before_any_file(command, checkpoint, overrides, out, capsys) -> str:
+    """Run command on checkpoint with overrides; assert exit 2 and an empty out; return stderr."""
+    argv = [command, "--set", f"out_dir={out}", "--set", f"checkpoint={checkpoint}"]
+    for item in overrides:
+        argv += ["--set", item]
+    assert main(argv) == 2
+    assert list(out.iterdir()) == []
+    return capsys.readouterr().err
+
+
 class TestChainDatasetKeys:
-    """sample and refine read the dataset keys through the spec that train checks."""
+    """Every command after train reads the dataset keys through the spec that train checks."""
 
     @pytest.mark.parametrize(
         "overrides, message",
@@ -314,28 +324,37 @@ class TestChainDatasetKeys:
         ],
         ids=["unknown-kind", "mixture-dim", "no-idx-path", "no-samples"],
     )
-    @pytest.mark.parametrize("command", ["sample", "refine"])
+    @pytest.mark.parametrize("command", ["sample", "refine", "score-check", "oracle-check"])
     def test_bad_dataset_exits_2_before_any_file(
         self, trained_dir, tmp_path, capsys, command, overrides, message
     ):
-        argv = [command, "--set", f"out_dir={tmp_path}",
-                "--set", f"checkpoint={trained_dir / 'model.ckpt'}"]
-        for item in overrides:
-            argv += ["--set", item]
-        assert main(argv) == 2
-        assert message in capsys.readouterr().err
-        assert list(tmp_path.iterdir()) == []
+        ckpt = trained_dir / "model.ckpt"
+        assert message in _exits_2_before_any_file(command, ckpt, overrides, tmp_path, capsys)
+
+    @pytest.mark.parametrize(
+        "overrides",
+        [["dataset=blobs8x8"], ["dataset=idx_images", "idx_path=images.idx"]],
+        ids=["blobs8x8", "idx_images"],
+    )
+    @pytest.mark.parametrize("command", ["score-check", "oracle-check"])
+    def test_kind_without_a_mixture_has_no_check(
+        self, trained_dir, tmp_path, capsys, command, overrides
+    ):
+        ckpt = trained_dir / "model.ckpt"
+        err = _exits_2_before_any_file(command, ckpt, overrides, tmp_path, capsys)
+        kind = overrides[0].split("=")[1]
+        assert (
+            f"dataset {kind!r} has no ground-truth mixture; "
+            "score-check and oracle-check need one of ('mixture1d', 'mixture2d')"
+        ) in err
 
     @pytest.mark.parametrize("command", ["sample", "refine"])
     def test_checkpoint_of_another_dim_exits_2_before_any_file(
         self, blob_checkpoint, tmp_path, capsys, command
     ):
         # the default config is the 1-d mixture; the checkpoint holds 8x8 images
-        argv = [command, "--set", f"out_dir={tmp_path}", "--set", f"checkpoint={blob_checkpoint}"]
-        assert main(argv) == 2
-        err = capsys.readouterr().err
+        err = _exits_2_before_any_file(command, blob_checkpoint, [], tmp_path, capsys)
         assert f"checkpoint {blob_checkpoint} has data dim 64, mixture dim 1" in err
-        assert list(tmp_path.iterdir()) == []
 
 
 class TestScoreCheck:

@@ -19,7 +19,6 @@ from daechain.config import (
     chain_config_from_config,
     dataset_spec_from_config,
     load_config,
-    mixture_from_config,
     parse_config,
     train_config_from_config,
 )
@@ -129,7 +128,7 @@ class TestApplyOverrides:
 
 class TestDerivedObjects:
     def test_default_mixture(self):
-        gm = mixture_from_config(RunConfig())
+        gm = dataset_spec_from_config(RunConfig()).mixture
         assert gm.n_components == 2
         assert gm.dim == 1
         assert np.array_equal(gm.means[:, 0], [0.35, 0.65])
@@ -142,11 +141,10 @@ class TestDerivedObjects:
             "mixture_means = 0.3,0.3 ; 0.7,0.7\n"
             "mixture_variances = 0.0025,0.0025 ; 0.0025,0.0025\n"
         )
-        gm = mixture_from_config(cfg)
-        assert gm.dim == 2
         spec = dataset_spec_from_config(cfg)
         assert spec.kind == "mixture2d"
-        assert spec.mixture is gm or spec.mixture.dim == 2
+        assert spec.mixture.dim == 2
+        assert np.array_equal(spec.mixture.means, [[0.3, 0.3], [0.7, 0.7]])
 
     def test_dataset_spec_for_blobs_has_no_mixture(self):
         spec = dataset_spec_from_config(apply_overrides(RunConfig(), ["dataset=blobs8x8"]))

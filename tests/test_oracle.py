@@ -647,6 +647,8 @@ def test_convergence_study_validation():
         limit_convergence_study(gm, [-0.1], grid)
     with pytest.raises(ValueError):
         limit_convergence_study(gm, [0.1], np.array([[0.05]]))
+    with pytest.raises(ValueError, match="grid has no points"):
+        limit_convergence_study(gm, [0.1], np.empty((0, 1)))
 
 
 # ---------------------------------------------------------------------------
