@@ -228,8 +228,9 @@ def _infer(x, stages, what: str) -> np.ndarray:
 
     No cache is kept. Layers take turns writing into two workspaces, each
     sized for the widest layer of the last, longest block, so each layer
-    reads the other's output; memory does not grow with the batch, and a
-    block's working set stays in cache.
+    reads the other's output; a fan-in-1 layer also builds its (rows, 2)
+    input [h | 1] per block (nn._forward). Memory does not grow with the
+    batch, and a block's working set stays in cache.
     """
     rows, single = as_rows(x, stages[0][0].spec.in_dim, what)
     n = rows.shape[0]

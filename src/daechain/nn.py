@@ -137,17 +137,23 @@ def _forward(mlp: Mlp, h: np.ndarray, bufs, work=None, dropout_rate=0.0, rng=Non
     Layer i writes into bufs[i], a C-contiguous float64 buffer of >= rows
     rows apart from layer i's input; the result may be a view into the last
     one. Given a cache's work, each hidden layer's derivative and dropout
-    mask go into it. A fan-in-1 layer is the broadcast product h * w.T,
-    about twice as fast as the gemm and equal to it bit for bit: the gemm
-    sums from +0.0, so it differs from the bare product only where a -0.0
-    product meets a -0.0 bias, and b + 0.0 makes that bias +0.0.
+    mask go into it. A fan-in-1 layer is the two-term product
+    [h | 1] @ [w[:, 0]; b + 0.0], its bias inside: about four times as fast
+    as a broadcast product and a bias pass (numpy's loops are slow over a
+    short inner axis), and equal bit for bit to the gemm h @ w.T then + b.
+    The bias term 1 * (b + 0.0) is exact, so each element is the rounded
+    product plus the bias, as before. The gemm h @ w.T sums from +0.0, so
+    a -0.0 product plus a -0.0 bias gives +0.0 there; b + 0.0 makes that
+    bias +0.0 here, whether or not the kernel sums from +0.0.
     """
     spec, rows, last = mlp.spec, h.shape[0], len(mlp.weights) - 1
     for i, (w, b) in enumerate(zip(mlp.weights, mlp.biases)):
         z = bufs[i][:rows]
         if w.shape[1] == 1:
-            np.multiply(h, w[:, 0], out=z)
-            z += b + 0.0
+            h1 = np.empty((rows, 2))
+            h1[:, :1] = h
+            h1[:, 1] = 1.0
+            np.matmul(h1, np.stack((w[:, 0], b + 0.0)), out=z)
         else:
             np.matmul(h, w.T, out=z)
             z += b

@@ -42,9 +42,13 @@ serves both: the constants v + sigma^2, their log-normalisers and
 sigma^2 mu of the last sigma evaluated (0 for p), which a sweep over points
 at one sigma computes once. Each call then works in place on arrays it
 allocates once, and takes its rows in blocks whose (rows, k, d) workspace
-fits _WORKSPACE_BYTES, so memory stays bounded at any number of rows. The
-arithmetic is the formulas' own, in their order, so every result has the
-bits of the plain whole-batch expressions (tests/_reference_oracle.py).
+fits _WORKSPACE_BYTES, so memory stays bounded at any number of rows. A
+block's component log-densities are one broadcast evaluation over
+(rows, k, d), except in a 1-D mixture's blocks of more than
+_COMPONENT_PASS_ROWS rows, which take them one component at a time with
+scalar operands. The arithmetic is the formulas' own, in their order, on
+either path, so every result has the bits of the plain whole-batch
+expressions (tests/_reference_oracle.py).
 
 For a single Gaussian N(mu, s^2) the relative error of (R*(x) - x) / sigma^2
 against the true score (mu - x) / s^2 is exactly sigma^2 / (s^2 + sigma^2),
@@ -75,6 +79,15 @@ UNIT_BOX_SPAN = 4.0  # standard deviations confined_to_unit_box keeps inside (0,
 # bits. A 1-D two-component mixture takes 65,536 rows per block, a 64-d
 # 49-component one 41.
 _WORKSPACE_BYTES = 1 << 20
+
+# A 1-D mixture's blocks of more rows than this take the log-density one
+# component at a time, in passes over a contiguous column with scalar
+# operands; numpy's broadcasting loop over the short (rows, k, 1) axes is
+# slower from about 200 rows of a two-component mixture (timeit, numpy 2.4,
+# 2-vCPU Xeon), and 3-4x slower at 65,536. Smaller blocks, single points
+# among them, keep the broadcast evaluation. Either way every element goes
+# through the same operations in the same order.
+_COMPONENT_PASS_ROWS = 256
 
 
 def _read_only(a: np.ndarray) -> np.ndarray:
@@ -237,11 +250,25 @@ def _log_density_blocks(gm: GaussianMixture, pts: np.ndarray, sigma: float):
     step = max(1, min(n, _WORKSPACE_BYTES // (8 * k * d)))
     work = np.empty((step, k, d))
     logc = np.empty((step, k))
+    by_component = d == 1 and step > _COMPONENT_PASS_ROWS
     for lo in range(0, n, step):
         rows = slice(lo, lo + step)
         x = pts[rows, None, :]
         out = logc[: len(x)]
-        quad = np.subtract(x, gm.means, out=work[: len(x)])
+        quad = work[: len(x)]
+        if by_component:  # the same operations, with scalar operands
+            col = quad.reshape(-1)[: len(x)]
+            for j in range(k):
+                np.subtract(x[:, 0, 0], gm.means[j, 0], out=col)
+                col *= col
+                col /= var[0, j, 0]
+                col += logdet[0, j]
+                col *= -0.5
+                col += gm._log_weights[0, j]
+                out[:, j] = col
+            yield rows, x, out, quad
+            continue
+        np.subtract(x, gm.means, out=quad)
         np.multiply(quad, quad, out=quad)
         quad /= var
         if d == 1:  # a sum over one coordinate is that coordinate

@@ -171,13 +171,16 @@ def gemm_forward(mlp, x):
         )
 
 
-@pytest.mark.parametrize("rows", [7, 100, 1200])
+# 1 row is one-row inference; 601 is the first row count at which OpenBLAS
+# takes its large gemm kernel
+@pytest.mark.parametrize("rows", [1, 7, 100, 601, 1200])
 @pytest.mark.parametrize("sizes", [(1, 5), (1, 1, 4), (1, 6, 3)])
 @pytest.mark.parametrize("hidden", HIDDEN_ACTIVATIONS)
 @pytest.mark.parametrize("out", OUTPUT_ACTIVATIONS)
 def test_fan_in_one_layers_match_the_gemm_bit_for_bit(out, hidden, sizes, rows):
-    # the layer loop takes a broadcast product for a fan-in-1 layer, with a
-    # cache (training) and without (inference, in workspaces)
+    # the layer loop takes a fan-in-1 layer as the two-term product
+    # [h | 1] @ [w.T; b + 0.0], with a cache (training) and without
+    # (inference, in workspaces)
     gen = np.random.default_rng(rows)
     spec = MlpSpec(sizes, hidden, out, leaky_slope=0.1)
     weights, biases = [], []

@@ -723,7 +723,10 @@ def fixed_byte_pin_case(k, d):
 def test_closed_form_has_the_bytes_of_the_written_out_reference(case):
     mixtures, block, xs, calls = case
     d, k = xs.shape[1], mixtures[0].n_components
-    with mock.patch.object(oracle, "_WORKSPACE_BYTES", block * 8 * k * d):
+    # blocks of 3-4 rows of a 1-D mixture take the log-density one component
+    # at a time, blocks of 1-2 rows (single points among them) the broadcast
+    with mock.patch.object(oracle, "_WORKSPACE_BYTES", block * 8 * k * d), \
+            mock.patch.object(oracle, "_COMPONENT_PASS_ROWS", 2):
         # alternating mixtures and sigmas, with log p (sigma = 0) between the
         # R* calls: each evicts the other from the one kept set of constants
         for gm, sigma in calls:
@@ -749,6 +752,30 @@ def test_closed_form_has_the_reference_bytes_in_default_row_blocks():
     _assert_same_bytes(optimal_reconstruction(gm, 0.05, xs), ref.optimal_reconstruction(gm, 0.05, xs))
     _assert_same_bytes(mixture_log_pdf_batch(gm, xs), ref.mixture_log_pdf_batch(gm, xs))
     assert np.array_equal(mixture_log_pdf_and_mode(gm, xs)[1], ref.mixture_log_pdf_and_mode(gm, xs)[1])
+
+
+def test_1d_closed_form_has_the_reference_bytes_across_a_65536_row_block():
+    # 70,000 rows of a 1-D two-component mixture take a block of 65,536 rows
+    # and one of 4,464, both one component at a time; signed zeros sit in
+    # the first block, overflowing and infinite points on both sides of the
+    # edge, where only the log-density functions accept them
+    gm = two_mode()
+    xs = Prng(5).uniform((70_000, 1), -0.5, 1.5)
+    xs[:2, 0] = (0.0, -0.0)
+    xs[65_534:65_538, 0] = (-0.0, 0.0, 0.0, -0.0)
+    far = xs.copy()
+    far[65_530:65_542, 0] = (1e300, -1e300, np.inf, -np.inf) * 3
+    with np.errstate(over="ignore"):  # the far points square to inf
+        _assert_same_bytes(mixture_log_pdf_batch(gm, far), ref.mixture_log_pdf_batch(gm, far))
+        log_p, mode = mixture_log_pdf_and_mode(gm, far)
+        want_log_p, want_mode = ref.mixture_log_pdf_and_mode(gm, far)
+    _assert_same_bytes(log_p, want_log_p)
+    _assert_same_bytes(mode, want_mode)
+    assert np.isneginf(log_p[65_530:65_542]).all()
+    _assert_same_bytes(responsibilities(gm, xs), ref.responsibilities(gm, xs))
+    _assert_same_bytes(analytic_score(gm, xs), ref.analytic_score(gm, xs))
+    for sigma in (0.05, 0.5):
+        _assert_same_bytes(optimal_reconstruction(gm, sigma, xs), ref.optimal_reconstruction(gm, sigma, xs))
 
 
 def test_mixture_keeps_read_only_copies_of_its_arrays():
