@@ -142,7 +142,7 @@ def _forward(mlp: Mlp, h: np.ndarray, bufs, work=None, dropout_rate=0.0, rng=Non
     as a broadcast product and a bias pass (numpy's loops are slow over a
     short inner axis), and equal bit for bit to the gemm h @ w.T then + b.
     The bias term 1 * (b + 0.0) is exact, so each element is the rounded
-    product plus the bias, as before. The gemm h @ w.T sums from +0.0, so
+    product plus the bias. The gemm h @ w.T sums from +0.0, so
     a -0.0 product plus a -0.0 bias gives +0.0 there; b + 0.0 makes that
     bias +0.0 here, whether or not the kernel sums from +0.0.
     """

@@ -242,8 +242,10 @@ def _log_density_blocks(gm: GaussianMixture, pts: np.ndarray, sigma: float):
     x is the block's points as (rows, 1, d). logc holds their (rows, k)
     component log-densities -0.5 * (sum_d (x - mu_k)^2 / var_k + logdet_k)
     + log w_k under the mixture smoothed by sigma (gm._smoothed; sigma = 0
-    for the mixture itself). logc and work, the block's (rows, k, d)
-    workspace, are the caller's once the block is yielded, until the next.
+    for the mixture itself): one broadcast over (rows, k, d), or, in a 1-D
+    mixture's blocks of more than _COMPONENT_PASS_ROWS rows, one column at
+    a time. logc and work, the block's (rows, k, d) workspace, are the
+    caller's once the block is yielded, until the next.
     """
     var, logdet, _ = gm._smoothed(sigma)
     n, (k, d) = len(pts), gm.means.shape
@@ -256,8 +258,8 @@ def _log_density_blocks(gm: GaussianMixture, pts: np.ndarray, sigma: float):
         x = pts[rows, None, :]
         out = logc[: len(x)]
         quad = work[: len(x)]
-        if by_component:  # the same operations, with scalar operands
-            col = quad.reshape(-1)[: len(x)]
+        if by_component:  # the operations below, with scalar operands
+            col = quad.reshape(-1)[: len(x)]  # contiguous, unlike quad[:, j, 0]
             for j in range(k):
                 np.subtract(x[:, 0, 0], gm.means[j, 0], out=col)
                 col *= col
@@ -266,17 +268,16 @@ def _log_density_blocks(gm: GaussianMixture, pts: np.ndarray, sigma: float):
                 col *= -0.5
                 col += gm._log_weights[0, j]
                 out[:, j] = col
-            yield rows, x, out, quad
-            continue
-        np.subtract(x, gm.means, out=quad)
-        np.multiply(quad, quad, out=quad)
-        quad /= var
-        if d == 1:  # a sum over one coordinate is that coordinate
-            np.add(quad[:, :, 0], logdet, out=out)
         else:
-            np.add(np.add.reduce(quad, axis=2, out=out), logdet, out=out)
-        out *= -0.5
-        out += gm._log_weights
+            np.subtract(x, gm.means, out=quad)
+            np.multiply(quad, quad, out=quad)
+            quad /= var
+            if d == 1:  # a sum over one coordinate is that coordinate
+                np.add(quad[:, :, 0], logdet, out=out)
+            else:
+                np.add(np.add.reduce(quad, axis=2, out=out), logdet, out=out)
+            out *= -0.5
+            out += gm._log_weights
         yield rows, x, out, quad
 
 
