@@ -137,26 +137,34 @@ def _forward(mlp: Mlp, h: np.ndarray, bufs, work=None, dropout_rate=0.0, rng=Non
     Layer i writes into bufs[i], a C-contiguous float64 buffer of >= rows
     rows apart from layer i's input; the result may be a view into the last
     one. Given a cache's work, each hidden layer's derivative and dropout
-    mask go into it. A fan-in-1 layer is the two-term product
+    mask go into it.
+
+    Every layer gives the bytes of the gemm h @ w.T then + b. A fan-in-1
+    layer of more than one row and output is the two-term gemm
     [h | 1] @ [w[:, 0]; b + 0.0], its bias inside: about four times as fast
     as a broadcast product and a bias pass (numpy's loops are slow over a
-    short inner axis), and equal bit for bit to the gemm h @ w.T then + b.
-    The bias term 1 * (b + 0.0) is exact, so each element is the rounded
-    product plus the bias. The gemm h @ w.T sums from +0.0, so
-    a -0.0 product plus a -0.0 bias gives +0.0 there; b + 0.0 makes that
-    bias +0.0 here, whether or not the kernel sums from +0.0.
+    short inner axis). Its bias term is exact and OpenBLAS's gemm adds it
+    after rounding the product, so each element is the rounded product
+    plus the bias. The gemm h @ w.T sums from +0.0, so a -0.0 product plus
+    a -0.0 bias gives +0.0 there; b + 0.0 makes that bias +0.0 here,
+    whether or not the kernel sums from +0.0. One row or one output makes
+    numpy take a vector kernel, which may round h * w + b once, so those
+    layers keep the broadcast product h * w.T and add b + 0.0.
     """
     spec, rows, last = mlp.spec, h.shape[0], len(mlp.weights) - 1
     for i, (w, b) in enumerate(zip(mlp.weights, mlp.biases)):
         z = bufs[i][:rows]
-        if w.shape[1] == 1:
+        if w.shape[1] > 1:
+            np.matmul(h, w.T, out=z)
+            z += b
+        elif rows > 1 and w.shape[0] > 1:
             h1 = np.empty((rows, 2))
             h1[:, :1] = h
             h1[:, 1] = 1.0
             np.matmul(h1, np.stack((w[:, 0], b + 0.0)), out=z)
         else:
-            np.matmul(h, w.T, out=z)
-            z += b
+            np.multiply(h, w[:, 0], out=z)
+            z += b + 0.0
         if i == last:
             return sigmoid(z) if spec.output_activation == "sigmoid" else z
         derivative = None if work is None else _activation_derivative(spec, z, work[i][1][:rows])

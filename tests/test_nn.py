@@ -204,6 +204,22 @@ def test_fan_in_one_layers_match_the_gemm_bit_for_bit(out, hidden, sizes, rows):
         assert _forward(mlp, x, bufs).tobytes() == want.tobytes()
 
 
+@pytest.mark.parametrize("rows", [1, 2, 7, 100, 601, 1200])
+@pytest.mark.parametrize("sizes", [(1, 1), (1, 1, 4), (1, 4, 1), (1, 64, 64, 2)])
+def test_fan_in_one_layers_round_as_the_gemm_on_normal_draws(sizes, rows):
+    # products and biases of like size, where rounding h * w + b once (as
+    # numpy's vector kernels for one row or one output may) moves last bits
+    gen = np.random.default_rng(rows)
+    spec = MlpSpec(sizes, output_activation="identity")
+    mlp = Mlp(spec, gen.standard_normal(spec.n_params))
+    x = gen.standard_normal((rows, 1))
+    want, want_inputs = gemm_forward(mlp, x)
+    cached, cache = mlp_forward(mlp, x)
+    assert cached.tobytes() == want.tobytes()
+    assert [a[0].tobytes() for a in cache.work[:-1]] == [a.tobytes() for a in want_inputs[1:]]
+    assert _forward(mlp, x, [np.empty((rows, w)) for w in sizes[1:]]).tobytes() == want.tobytes()
+
+
 def test_dropout_expectation_matches_eval_activation():
     # one hidden layer; replicate a single input row many times so each row
     # draws an independent mask, then compare the empirical mean activation
