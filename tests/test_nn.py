@@ -179,8 +179,8 @@ def gemm_forward(mlp, x):
 @pytest.mark.parametrize("out", OUTPUT_ACTIVATIONS)
 def test_fan_in_one_layers_match_the_gemm_bit_for_bit(out, hidden, sizes, rows):
     # the layer loop takes a fan-in-1 layer as the two-term product
-    # [h | 1] @ [w.T; b + 0.0], with a cache (training) and without
-    # (inference, in workspaces)
+    # [h | 1] @ [w.T; b + 0.0], or on one row or one output as the broadcast
+    # product, with a cache (training) and without (inference, in workspaces)
     gen = np.random.default_rng(rows)
     spec = MlpSpec(sizes, hidden, out, leaky_slope=0.1)
     weights, biases = [], []

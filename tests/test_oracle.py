@@ -756,9 +756,10 @@ def test_closed_form_has_the_reference_bytes_in_default_row_blocks():
 
 def test_1d_closed_form_has_the_reference_bytes_across_a_65536_row_block():
     # 70,000 rows of a 1-D two-component mixture take a block of 65,536 rows
-    # and one of 4,464, both one component at a time; signed zeros sit in
-    # the first block, overflowing and infinite points on both sides of the
-    # edge, where only the log-density functions accept them
+    # and one of 4,464, both one component at a time. Signed zeros sit at
+    # the start and on both sides of the block edge; for the log-density
+    # functions, the only ones that accept them, overflowing and infinite
+    # points take the rows around the edge
     gm = two_mode()
     xs = Prng(5).uniform((70_000, 1), -0.5, 1.5)
     xs[:2, 0] = (0.0, -0.0)
