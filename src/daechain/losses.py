@@ -1,9 +1,14 @@
 """Reconstruction and regularization losses with hand-derived gradients.
 
-All reductions are means over every element (batch and feature dims), except
-the KL term, which is a mean over the batch of a sum over latent dims. Each
-function returns both the scalar value and the gradient with respect to the
-quantity a training step needs.
+Every objective returns one LossValue: the scalar value and its gradient
+with respect to the tensor that the training step backpropagates.
+
+- mse_loss, bce_loss: a mean over every element (batch and feature dims);
+  the gradient is with respect to the reconstruction.
+- kl_to_standard_normal: a mean over the batch of a sum over latent dims;
+  the gradient is with respect to the encoder output [mu | logvar].
+- adversarial_losses: BCE of discriminator scores against one constant
+  label; the gradient is with respect to the scores.
 """
 
 from __future__ import annotations
@@ -19,35 +24,10 @@ BCE_CLAMP = 1e-7
 
 @dataclass(frozen=True, eq=False)
 class LossValue:
-    """Scalar loss plus gradient with respect to the reconstruction."""
+    """Scalar loss plus its gradient with respect to the backpropagated tensor."""
 
     value: float
     grad: np.ndarray
-
-
-@dataclass(frozen=True, eq=False)
-class KlValue:
-    """Scalar KL(q || N(0, I)) plus gradients for the posterior stats."""
-
-    value: float
-    grad_mu: np.ndarray
-    grad_logvar: np.ndarray
-
-
-@dataclass(frozen=True, eq=False)
-class AdversarialLosses:
-    """Discriminator and non-saturating generator (encoder) objectives.
-
-    disc_value  = BCE(1, scores_prior) + BCE(0, scores_encoded)
-    enc_value   = BCE(1, scores_encoded)
-    Gradients are with respect to the raw score tensors.
-    """
-
-    disc_value: float
-    enc_value: float
-    grad_disc_prior: np.ndarray
-    grad_disc_encoded: np.ndarray
-    grad_enc_encoded: np.ndarray
 
 
 def _check_pair(target, reconstruction):
@@ -89,10 +69,11 @@ def bce_loss(target, reconstruction) -> LossValue:
     return LossValue(value, grad)
 
 
-def kl_to_standard_normal(mu, logvar) -> KlValue:
+def kl_to_standard_normal(mu, logvar) -> LossValue:
     """KL divergence of a diagonal Gaussian posterior from N(0, I).
 
     value = mean over batch of 0.5 * sum_j (exp(logvar) + mu^2 - 1 - logvar)
+    grad  = [mu | 0.5 (exp(logvar) - 1)] / batch, shaped like [mu | logvar]
     """
     mu = np.asarray(mu, dtype=np.float64)
     logvar = np.asarray(logvar, dtype=np.float64)
@@ -103,32 +84,26 @@ def kl_to_standard_normal(mu, logvar) -> KlValue:
     batch = mu.shape[0]
     var = np.exp(logvar)
     value = float(0.5 * np.sum(var + mu * mu - 1.0 - logvar) / batch)
-    return KlValue(value, mu / batch, 0.5 * (var - 1.0) / batch)
+    return LossValue(value, np.concatenate([mu / batch, 0.5 * (var - 1.0) / batch], axis=1))
 
 
-def adversarial_losses(scores_prior, scores_encoded) -> AdversarialLosses:
-    """Two-player objectives on discriminator outputs in (0, 1).
+def adversarial_losses(scores, real: bool) -> LossValue:
+    """BCE of discriminator scores in [0, 1] against the label 1 (real) or 0.
 
-    The discriminator is pushed toward 1 on prior draws and 0 on encoded
-    latents; the encoder plays the non-saturating objective, pushing its own
-    scores toward 1. Scores are clamped like bce_loss before the logs.
+    real:  value = mean(-log s),       grad = -1 / (s N)
+    fake:  value = mean(-log(1 - s)),  grad = 1 / ((1 - s) N)
+
+    The discriminator labels prior draws 1 and encodings 0; the encoder
+    plays the non-saturating objective, label 1 on its own encodings.
+    Scores are clamped like bce_loss before the logs.
     """
-    sp = np.asarray(scores_prior, dtype=np.float64)
-    se = np.asarray(scores_encoded, dtype=np.float64)
-    if sp.size == 0 or se.size == 0:
-        raise ValueError("adversarial losses need non-empty score tensors")
-    for name, s in (("prior", sp), ("encoded", se)):
-        if np.min(s) < 0.0 or np.max(s) > 1.0:
-            raise ValueError(f"{name} scores must lie in [0, 1], got values outside")
-    sp = np.clip(sp, BCE_CLAMP, 1.0 - BCE_CLAMP)
-    se = np.clip(se, BCE_CLAMP, 1.0 - BCE_CLAMP)
-    np_, ne = sp.size, se.size
-    disc_value = float(np.mean(-np.log(sp)) + np.mean(-np.log1p(-se)))
-    enc_value = float(np.mean(-np.log(se)))
-    return AdversarialLosses(
-        disc_value=disc_value,
-        enc_value=enc_value,
-        grad_disc_prior=-1.0 / (sp * np_),
-        grad_disc_encoded=1.0 / ((1.0 - se) * ne),
-        grad_enc_encoded=-1.0 / (se * ne),
-    )
+    s = np.asarray(scores, dtype=np.float64)
+    if s.size == 0:
+        raise ValueError("adversarial loss needs a non-empty score tensor")
+    if not np.all((s >= 0.0) & (s <= 1.0)):
+        raise ValueError("discriminator scores must lie in [0, 1]")
+    s = np.clip(s, BCE_CLAMP, 1.0 - BCE_CLAMP)
+    n = s.size
+    if real:
+        return LossValue(float(np.mean(-np.log(s))), -1.0 / (s * n))
+    return LossValue(float(np.mean(-np.log1p(-s))), 1.0 / ((1.0 - s) * n))

@@ -326,12 +326,9 @@ def dvae_train_step(
     w = cfg.regularizer_weight
     _check_finite(recon.value + w * kl.value, "variational objective")
     dec_grads, grad_z = mlp_backward(model.decoder, dec_cache, recon.grad)
-    grad_mu = grad_z + w * kl.grad_mu
-    grad_logvar = grad_z * eta * (0.5 * std) + w * kl.grad_logvar
-    enc_grads, _ = mlp_backward(
-        model.encoder, enc_cache, np.concatenate([grad_mu, grad_logvar], axis=1),
-        input_grad=False,
-    )
+    grad_h = np.concatenate([grad_z, grad_z * eta * (0.5 * std)], axis=1)
+    grad_h += w * kl.grad
+    enc_grads, _ = mlp_backward(model.encoder, enc_cache, grad_h, input_grad=False)
     adam_step(model.encoder, enc_grads, opt.encoder)
     adam_step(model.decoder, dec_grads, opt.decoder)
     return {"loss": recon.value, "kl": kl.value}
@@ -343,10 +340,11 @@ def daae_train_step(
     """Three updates in a fixed order: autoencoder, discriminator, encoder.
 
     The same corrupted batch feeds all three phases. Phase 2 trains the
-    discriminator (dropout on) to score prior draws above encodings; phase 3
-    nudges the encoder to fool the updated discriminator, evaluated without
-    dropout. Returns the trace row {"loss": recon, "disc": discriminator
-    loss, "enc": encoder adversarial loss}.
+    discriminator (dropout on) on two BCE terms, label 1 on prior draws and
+    0 on encodings; phase 3 nudges the encoder to fool the updated
+    discriminator, evaluated without dropout, on one term: label 1 on the
+    encodings. Returns the trace row {"loss": recon, "disc": the sum of the
+    two phase-2 terms, "enc": the phase-3 term}.
     """
     x = np.asarray(batch, dtype=np.float64)
     x_noisy = corrupt(x, model.corruption, rng)
@@ -360,26 +358,26 @@ def daae_train_step(
     z_prior = rng.normal(z_encoded.shape, 1.0)
     scores_prior, cache_prior = mlp_forward(disc, z_prior, rate, rng, opt.caches["prior"])
     scores_encoded, cache_encoded = mlp_forward(disc, z_encoded, rate, rng, opt.caches["encoded"])
-    adv = adversarial_losses(scores_prior, scores_encoded)
-    _check_finite(adv.disc_value, "discriminator loss")
-    disc_grads, _ = mlp_backward(disc, cache_prior, adv.grad_disc_prior, input_grad=False)
-    grads_encoded, _ = mlp_backward(
-        disc, cache_encoded, adv.grad_disc_encoded, input_grad=False
-    )
+    real = adversarial_losses(scores_prior, True)
+    fake = adversarial_losses(scores_encoded, False)
+    disc_loss = real.value + fake.value
+    _check_finite(disc_loss, "discriminator loss")
+    disc_grads, _ = mlp_backward(disc, cache_prior, real.grad, input_grad=False)
+    grads_encoded, _ = mlp_backward(disc, cache_encoded, fake.grad, input_grad=False)
     disc_grads.flat += grads_encoded.flat
     adam_step(disc, disc_grads, opt.discriminator)
 
-    # phase 3: encoder fools the updated discriminator (no dropout);
-    # only the discriminator changed since phase 2, so its encoder pass is
-    # reused; the prior half of this loss call is ignored
+    # phase 3: encoder fools the updated discriminator (no dropout), label 1
+    # on its own encodings; only the discriminator changed since phase 2, so
+    # its encoder pass is reused
     scores_fool, cache_fool = mlp_forward(disc, z_encoded, cache=opt.caches["encoded"])
-    fool = adversarial_losses(scores_prior, scores_fool)
-    _check_finite(fool.enc_value, "encoder adversarial loss")
-    _, grad_z_fool = mlp_backward(disc, cache_fool, fool.grad_enc_encoded)
+    fool = adversarial_losses(scores_fool, True)
+    _check_finite(fool.value, "encoder adversarial loss")
+    _, grad_z_fool = mlp_backward(disc, cache_fool, fool.grad)
     enc_grads_fool, _ = mlp_backward(model.encoder, enc_cache, grad_z_fool, input_grad=False)
     adam_step(model.encoder, enc_grads_fool, opt.encoder)
 
-    return {"loss": recon, "disc": adv.disc_value, "enc": fool.enc_value}
+    return {"loss": recon, "disc": disc_loss, "enc": fool.value}
 
 
 # ---------------------------------------------------------------------------

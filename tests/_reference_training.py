@@ -5,15 +5,19 @@ recomputed from the pre-activation with ``np.where``, and Adam builds new
 moment arrays on every step, exactly as the operations read on paper. The
 package trains with workspaces, broadcast fan-in-1 layers, cached masks
 and in-place updates; tests require its fits to equal this one byte for
-byte. Model construction, the losses, corruption and the random stream are
-shared with the package: they are not what this reference checks.
+byte. The losses are written out here too, each value and gradient as a
+formula: BCE and MSE over the reconstruction, the KL term over mu and
+logvar, and one BCE term per adversarial side (label 1 on prior draws and
+on the encoder's fooling scores, label 0 on encodings), the
+discriminator's two terms summed as numpy scalars. Model construction,
+corruption and the random stream are shared with the package: they are
+not what this reference checks.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from daechain.losses import adversarial_losses, bce_loss, kl_to_standard_normal, mse_loss
 from daechain.models import build_model, corrupt
 from daechain.numeric import Prng, derivative_of_sigmoid, sigmoid
 
@@ -76,19 +80,48 @@ class Adam:
         mlp.flat -= self.alpha * m_hat / (np.sqrt(v_hat) + self.eps)
 
 
+CLAMP = 1e-7
+
+
 def _loss(cfg, x, r):
-    return (bce_loss if cfg.loss_kind == "bce" else mse_loss)(x, r)
+    """(value, gradient with respect to r) of the reconstruction loss."""
+    if cfg.loss_kind == "mse":
+        diff = r - x
+        return float(np.mean(diff * diff)), 2.0 * diff / x.size
+    r = np.clip(r, CLAMP, 1.0 - CLAMP)
+    value = float(np.mean(-(x * np.log(r) + (1.0 - x) * np.log1p(-r))))
+    return value, -(x / r - (1.0 - x) / (1.0 - r)) / x.size
+
+
+def _kl(mu, logvar):
+    """(value, gradient for mu, gradient for logvar) of KL(q || N(0, I))."""
+    batch = mu.shape[0]
+    var = np.exp(logvar)
+    value = float(0.5 * np.sum(var + mu * mu - 1.0 - logvar) / batch)
+    return value, mu / batch, 0.5 * (var - 1.0) / batch
+
+
+def _real(scores):
+    """(numpy value, gradient) of the scores' BCE against label 1."""
+    s = np.clip(scores, CLAMP, 1.0 - CLAMP)
+    return np.mean(-np.log(s)), -1.0 / (s * s.size)
+
+
+def _fake(scores):
+    """(numpy value, gradient) of the scores' BCE against label 0."""
+    s = np.clip(scores, CLAMP, 1.0 - CLAMP)
+    return np.mean(-np.log1p(-s)), 1.0 / ((1.0 - s) * s.size)
 
 
 def _denoise(model, opt, cfg, x, x_noisy):
     z, enc_cache = forward(model.encoder, x_noisy)
     r, dec_cache = forward(model.decoder, z)
-    loss = _loss(cfg, x, r)
-    dec_grads, grad_z = backward(model.decoder, dec_cache, loss.grad)
+    value, grad = _loss(cfg, x, r)
+    dec_grads, grad_z = backward(model.decoder, dec_cache, grad)
     enc_grads, _ = backward(model.encoder, enc_cache, grad_z)
     opt["encoder"].step(model.encoder, enc_grads)
     opt["decoder"].step(model.decoder, dec_grads)
-    return loss.value
+    return value
 
 
 def dae_step(model, opt, cfg, rng, x):
@@ -103,18 +136,18 @@ def dvae_step(model, opt, cfg, rng, x):
     std = np.exp(0.5 * logvar)
     eta = rng.normal(mu.shape, 1.0)
     r, dec_cache = forward(model.decoder, mu + std * eta)
-    recon = _loss(cfg, x, r)
-    kl = kl_to_standard_normal(mu, logvar)
+    recon, grad_r = _loss(cfg, x, r)
+    kl, kl_mu, kl_logvar = _kl(mu, logvar)
     w = cfg.regularizer_weight
-    dec_grads, grad_z = backward(model.decoder, dec_cache, recon.grad)
-    grad_mu = grad_z + w * kl.grad_mu
-    grad_logvar = grad_z * eta * (0.5 * std) + w * kl.grad_logvar
+    dec_grads, grad_z = backward(model.decoder, dec_cache, grad_r)
+    grad_mu = grad_z + w * kl_mu
+    grad_logvar = grad_z * eta * (0.5 * std) + w * kl_logvar
     enc_grads, _ = backward(
         model.encoder, enc_cache, np.concatenate([grad_mu, grad_logvar], axis=1)
     )
     opt["encoder"].step(model.encoder, enc_grads)
     opt["decoder"].step(model.decoder, dec_grads)
-    return {"loss": recon.value, "kl": kl.value}
+    return {"loss": recon, "kl": kl}
 
 
 def daae_step(model, opt, cfg, rng, x):
@@ -125,16 +158,17 @@ def daae_step(model, opt, cfg, rng, x):
     z_prior = rng.normal(z_encoded.shape, 1.0)
     scores_prior, cache_prior = forward(disc, z_prior, rate, rng)
     scores_encoded, cache_encoded = forward(disc, z_encoded, rate, rng)
-    adv = adversarial_losses(scores_prior, scores_encoded)
-    grads_prior, _ = backward(disc, cache_prior, adv.grad_disc_prior)
-    grads_encoded, _ = backward(disc, cache_encoded, adv.grad_disc_encoded)
+    value_prior, grad_prior = _real(scores_prior)
+    value_encoded, grad_encoded = _fake(scores_encoded)
+    grads_prior, _ = backward(disc, cache_prior, grad_prior)
+    grads_encoded, _ = backward(disc, cache_encoded, grad_encoded)
     opt["discriminator"].step(disc, grads_prior + grads_encoded)
     scores_fool, cache_fool = forward(disc, z_encoded)
-    fool = adversarial_losses(scores_prior, scores_fool)
-    _, grad_z_fool = backward(disc, cache_fool, fool.grad_enc_encoded)
+    value_fool, grad_fool = _real(scores_fool)
+    _, grad_z_fool = backward(disc, cache_fool, grad_fool)
     enc_grads, _ = backward(model.encoder, enc_cache, grad_z_fool)
     opt["encoder"].step(model.encoder, enc_grads)
-    return {"loss": recon, "disc": adv.disc_value, "enc": fool.enc_value}
+    return {"loss": recon, "disc": float(value_prior + value_encoded), "enc": float(value_fool)}
 
 
 STEPS = {"dae": dae_step, "dvae": dvae_step, "daae": daae_step}

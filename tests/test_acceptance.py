@@ -154,9 +154,7 @@ def _kl_instance(rng):
 
     def analytic():
         h, cache = mlp_forward(mlp, x)
-        kl = kl_to_standard_normal(h[:, :3], h[:, 3:])
-        grad_h = np.concatenate([kl.grad_mu, kl.grad_logvar], axis=1)
-        grads, _ = mlp_backward(mlp, cache, grad_h)
+        grads, _ = mlp_backward(mlp, cache, kl_to_standard_normal(h[:, :3], h[:, 3:]).grad)
         return grads
 
     return loss, mlp, analytic
@@ -170,22 +168,25 @@ def _adversarial_instance(rng, side: str):
     z_prior = rng.normal((5, 2), 1.0)
     z_encoded = rng.normal((5, 2), 1.0)
 
+    # disc: label 1 on prior draws plus label 0 on encodings; enc: label 1
+    # on encodings
     def loss():
-        scores_prior, _ = mlp_forward(disc, z_prior)
         scores_encoded, _ = mlp_forward(disc, z_encoded)
-        adv = adversarial_losses(scores_prior, scores_encoded)
-        return adv.disc_value if side == "disc" else adv.enc_value
+        if side == "enc":
+            return adversarial_losses(scores_encoded, True).value
+        scores_prior, _ = mlp_forward(disc, z_prior)
+        return (adversarial_losses(scores_prior, True).value
+                + adversarial_losses(scores_encoded, False).value)
 
     def analytic():
-        scores_prior, cache_prior = mlp_forward(disc, z_prior)
         scores_encoded, cache_encoded = mlp_forward(disc, z_encoded)
-        adv = adversarial_losses(scores_prior, scores_encoded)
-        if side == "disc":
-            g1, _ = mlp_backward(disc, cache_prior, adv.grad_disc_prior)
-            g2, _ = mlp_backward(disc, cache_encoded, adv.grad_disc_encoded)
-            return Mlp(disc.spec, g1.flat + g2.flat)
-        grads, _ = mlp_backward(disc, cache_encoded, adv.grad_enc_encoded)
-        return grads
+        if side == "enc":
+            fool = adversarial_losses(scores_encoded, True)
+            return mlp_backward(disc, cache_encoded, fool.grad)[0]
+        scores_prior, cache_prior = mlp_forward(disc, z_prior)
+        g1, _ = mlp_backward(disc, cache_prior, adversarial_losses(scores_prior, True).grad)
+        g2, _ = mlp_backward(disc, cache_encoded, adversarial_losses(scores_encoded, False).grad)
+        return Mlp(disc.spec, g1.flat + g2.flat)
 
     return loss, disc, analytic
 

@@ -82,8 +82,8 @@ def test_bce_gradient_identity_on_random_pairs():
 def test_kl_known_value_and_grads():
     out = kl_to_standard_normal(np.array([[1.0]]), np.array([[0.0]]))
     assert abs(out.value - 0.5) < 1e-15
-    np.testing.assert_allclose(out.grad_mu, [[1.0]])
-    np.testing.assert_allclose(out.grad_logvar, [[0.0]])
+    # the gradient is with respect to [mu | logvar]
+    np.testing.assert_allclose(out.grad, [[1.0, 0.0]])
 
 
 def test_kl_zero_at_standard_normal():
@@ -91,8 +91,8 @@ def test_kl_zero_at_standard_normal():
     logvar = np.zeros((4, 3))
     out = kl_to_standard_normal(mu, logvar)
     assert out.value == 0.0
-    assert np.all(out.grad_mu == 0.0)
-    assert np.all(out.grad_logvar == 0.0)
+    assert out.grad.shape == (4, 6)
+    assert np.all(out.grad == 0.0)
 
 
 def test_kl_is_nonnegative():
@@ -106,27 +106,41 @@ def test_kl_is_nonnegative():
 def test_adversarial_balanced_point():
     sp = np.full((8, 1), 0.5)
     se = np.full((8, 1), 0.5)
-    out = adversarial_losses(sp, se)
-    assert abs(out.disc_value - 2.0 * math.log(2.0)) < 1e-12
-    assert abs(out.enc_value - math.log(2.0)) < 1e-12
+    disc = adversarial_losses(sp, True).value + adversarial_losses(se, False).value
+    assert abs(disc - 2.0 * math.log(2.0)) < 1e-12
+    assert abs(adversarial_losses(se, True).value - math.log(2.0)) < 1e-12
 
 
 def test_adversarial_rejects_scores_outside_unit_interval():
     with pytest.raises(ValueError):
-        adversarial_losses(np.array([[1.5]]), np.array([[0.5]]))
+        adversarial_losses(np.array([[1.5]]), True)
     with pytest.raises(ValueError):
-        adversarial_losses(np.array([[0.5]]), np.array([[-0.5]]))
+        adversarial_losses(np.array([[-0.5]]), False)
+    # NaN fails every comparison, so a min/max range check lets it through
+    for real in (True, False):
+        with pytest.raises(ValueError):
+            adversarial_losses(np.array([[0.5], [np.nan]]), real)
+
+
+def test_adversarial_clamp_keeps_value_and_grad_finite():
+    # saturated scores read as the clamp bounds, like bce_loss's reconstructions
+    saturated = np.array([[0.0], [1.0]])
+    bounds = np.array([[BCE_CLAMP], [1.0 - BCE_CLAMP]])
+    for real in (True, False):
+        out = adversarial_losses(saturated, real)
+        assert out.value == adversarial_losses(bounds, real).value
+        assert np.isfinite(out.value)
+        assert np.all(np.isfinite(out.grad))
 
 
 def test_adversarial_gradient_directions():
     sp = np.full((4, 1), 0.3)
     se = np.full((4, 1), 0.7)
-    out = adversarial_losses(sp, se)
     # disc wants prior scores up (negative gradient of loss) and encoded down
-    assert np.all(out.grad_disc_prior < 0.0)
-    assert np.all(out.grad_disc_encoded > 0.0)
+    assert np.all(adversarial_losses(sp, True).grad < 0.0)
+    assert np.all(adversarial_losses(se, False).grad > 0.0)
     # encoder wants its scores up
-    assert np.all(out.grad_enc_encoded < 0.0)
+    assert np.all(adversarial_losses(se, True).grad < 0.0)
 
 
 # ---------------------------------------------------------------------------
@@ -195,8 +209,7 @@ def test_kl_through_encoder_matches_finite_differences():
 
     y, cache = mlp_forward(mlp, x)
     kl = kl_to_standard_normal(y[:, :2], y[:, 2:])
-    grad_out = np.concatenate([kl.grad_mu, kl.grad_logvar], axis=1)
-    grads, _ = mlp_backward(mlp, cache, grad_out)
+    grads, _ = mlp_backward(mlp, cache, kl.grad)
     fd_w, fd_b = finite_diff_param_grads(loss, mlp)
     for a, f in zip(grads.weights + grads.biases, fd_w + fd_b):
         assert relative_error(a, f) <= 1e-6
@@ -211,37 +224,35 @@ def test_adversarial_through_discriminator_matches_finite_differences():
     def disc_loss():
         sp, _ = mlp_forward(disc, zp)
         se, _ = mlp_forward(disc, ze)
-        return adversarial_losses(sp, se).disc_value
+        return adversarial_losses(sp, True).value + adversarial_losses(se, False).value
 
     sp, cp = mlp_forward(disc, zp)
     se, ce = mlp_forward(disc, ze)
-    adv = adversarial_losses(sp, se)
-    gp, _ = mlp_backward(disc, cp, adv.grad_disc_prior)
-    ge, _ = mlp_backward(disc, ce, adv.grad_disc_encoded)
+    gp, _ = mlp_backward(disc, cp, adversarial_losses(sp, True).grad)
+    ge, _ = mlp_backward(disc, ce, adversarial_losses(se, False).grad)
     fd_w, fd_b = finite_diff_param_grads(disc_loss, disc)
     for aw, ae, f in zip(gp.weights + gp.biases, ge.weights + ge.biases, fd_w + fd_b):
         assert relative_error(aw + ae, f) <= 1e-6
 
 
 def test_encoder_objective_input_gradient_matches_finite_differences():
-    # the encoder phase backpropagates enc_value through the discriminator
-    # to its input latents
+    # the encoder phase backpropagates label 1 on its encodings through the
+    # discriminator to its input latents
     spec = MlpSpec((2, 10, 1), hidden_activation="leaky_relu", output_activation="sigmoid")
     disc = init_mlp(spec, Prng(91))
     ze = Prng(92).normal((5, 2), 1.0)
 
     se, ce = mlp_forward(disc, ze)
-    adv = adversarial_losses(np.full_like(se, 0.5), se)
-    _, gin = mlp_backward(disc, ce, adv.grad_enc_encoded)
+    _, gin = mlp_backward(disc, ce, adversarial_losses(se, True).grad)
 
     h = 1e-5
     fd = np.zeros_like(ze)
     for idx in np.ndindex(*ze.shape):
         orig = ze[idx]
         ze[idx] = orig + h
-        up = adversarial_losses(np.full((5, 1), 0.5), mlp_forward(disc, ze)[0]).enc_value
+        up = adversarial_losses(mlp_forward(disc, ze)[0], True).value
         ze[idx] = orig - h
-        down = adversarial_losses(np.full((5, 1), 0.5), mlp_forward(disc, ze)[0]).enc_value
+        down = adversarial_losses(mlp_forward(disc, ze)[0], True).value
         ze[idx] = orig
         fd[idx] = (up - down) / (2 * h)
     assert relative_error(gin, fd) <= 1e-6

@@ -220,7 +220,7 @@ TYPED_ERRORS = [
     pytest.param(ShapeError, "posterior stats must be",
                  lambda: kl_to_standard_normal(np.zeros((0, 2)), np.zeros((0, 2))), id="kl-empty"),
     pytest.param(ValueError, "non-empty score",
-                 lambda: adversarial_losses(np.zeros((0, 1)), np.full((1, 1), 0.5)),
+                 lambda: adversarial_losses(np.zeros((0, 1)), True),
                  id="adversarial-empty"),
     pytest.param(ValueError, "permutation length", lambda: Prng(0).permutation(-1),
                  id="negative-permutation"),
@@ -242,6 +242,9 @@ TYPED_ERRORS = [
     pytest.param(ShapeError, "expected weights",
                  lambda: GaussianMixture([1.0], np.full((1, 1, 1), 0.5), [[0.01]]),
                  id="mixture-3d-means"),
+    pytest.param(ShapeError, "at least one dimension",
+                 lambda: GaussianMixture([1.0], np.zeros((1, 0)), np.zeros((1, 0))),
+                 id="mixture-0d-means"),
     pytest.param(ShapeError, "reconstruction shape",
                  lambda: score_from_reconstruction(np.zeros(2), np.zeros(3), 0.1),
                  id="reconstruction-shape"),
