@@ -183,7 +183,7 @@ def _run_chains(cfg: RunConfig, run_from_start, prefix: str) -> int:
         gains = last - first
         line += (
             f"; mean log p {first.mean():.4f} -> {last.mean():.4f}"
-            f", median gain {np.median(gains):.4f}"
+            f", median gain {_median(gains):.4f}"
             f", improved {np.mean(gains > 0.0):.2%}"
             f", chains that switched mode: {trace.n_chains_switched}"
         )
@@ -191,6 +191,19 @@ def _run_chains(cfg: RunConfig, run_from_start, prefix: str) -> int:
         line += f"; mean final step displacement {trace.displacements[-1].mean():.6f}"
     print(line)
     return 0
+
+
+def _median(values: np.ndarray) -> float:
+    """np.median of a non-empty 1-D float array, with its bits.
+
+    np.median imports numpy.ma to look for NaN, ~10 ms of a CLI run. This
+    partitions at the same indices and takes the same mean of the middle
+    value or two, and gives NaN where the array holds one, as np.median does.
+    """
+    half = len(values) // 2
+    middle = slice(half - 1, half + 1) if len(values) % 2 == 0 else slice(half, half + 1)
+    part = np.partition(values, [middle.start, middle.stop - 1, -1])
+    return part[-1] if np.isnan(part[-1]) else np.mean(part[middle])
 
 
 def _cmd_sample(cfg: RunConfig) -> int:

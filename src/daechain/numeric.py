@@ -8,6 +8,8 @@ bit for bit.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 
@@ -62,7 +64,7 @@ def sample_uniform(rng: Prng, shape, lo: float, hi: float) -> np.ndarray:
     if not lo < hi:
         raise ValueError(f"need lo < hi, got lo={lo}, hi={hi}")
     shape = _as_shape(shape)
-    n = int(np.prod(shape))
+    n = math.prod(shape)
     u = rng._gen.random(n)
     u *= hi - lo  # lo + (hi - lo) * u, in place
     u += lo
@@ -77,7 +79,7 @@ def sample_gaussian(rng: Prng, shape, sigma: float) -> np.ndarray:
     if not (np.isfinite(sigma) and sigma >= 0):
         raise ValueError(f"sigma must be finite and >= 0, got {sigma}")
     shape = _as_shape(shape)
-    n = int(np.prod(shape))
+    n = math.prod(shape)
     if sigma == 0.0:
         return np.zeros(shape)
     half = (n + 1) // 2

@@ -40,15 +40,18 @@ cannot reach them, and computes log w once. The data density p is the
 sigma = 0 member of the smoothed family p * N(0, sigma^2 I), so one cache
 serves both: the constants v + sigma^2, their log-normalisers and
 sigma^2 mu of the last sigma evaluated (0 for p), which a sweep over points
-at one sigma computes once. Each call then works in place on arrays it
-allocates once, and takes its rows in blocks whose (rows, k, d) workspace
-fits _WORKSPACE_BYTES, so memory stays bounded at any number of rows. A
-block's component log-densities are one broadcast evaluation over
-(rows, k, d), except in a 1-D mixture's blocks of more than
-_COMPONENT_PASS_ROWS rows, which take them one component at a time with
-scalar operands. The arithmetic is the formulas' own, in their order, on
-either path, so every result has the bits of the plain whole-batch
-expressions (tests/_reference_oracle.py).
+at one sigma computes once. A call takes its rows in blocks whose
+(rows, k, d) workspace fits _WORKSPACE_BYTES, so memory stays bounded at
+any number of rows; a batch that fits one block, a single point among
+them, is evaluated whole and pays for no block bookkeeping. A block's
+component log-densities are one broadcast evaluation over (rows, k, d),
+except in a 1-D mixture's blocks of more than _COMPONENT_PASS_ROWS rows,
+which take them one component at a time with scalar operands. With fewer
+than _PAIRWISE_TERMS (8) components, the softmax's max and sum and R*'s
+sum over the components fold the short component axis as whole-column
+ufunc calls, in the order numpy's reductions add. The arithmetic is the
+formulas' own, in their order, on every path, so every result has the
+bits of the plain whole-batch expressions (tests/_reference_oracle.py).
 
 For a single Gaussian N(mu, s^2) the relative error of (R*(x) - x) / sigma^2
 against the true score (mu - x) / s^2 is exactly sigma^2 / (s^2 + sigma^2),
@@ -89,10 +92,25 @@ _WORKSPACE_BYTES = 1 << 20
 # through the same operations in the same order.
 _COMPONENT_PASS_ROWS = 256
 
+# numpy's add.reduce over an inner axis adds up to 7 terms left to right
+# from +0.0, and from 8 terms pairwise (numpy 2.4); over a middle axis it
+# adds left to right at any length. The closed form folds fewer components
+# than this as whole-column ufunc calls in that order, with the same bits,
+# and keeps the reductions from here on.
+_PAIRWISE_TERMS = 8
+
 
 def _read_only(a: np.ndarray) -> np.ndarray:
     a.flags.writeable = False
     return a
+
+
+# The closed form's scalar operands as 0-d arrays: numpy takes a Python float
+# through its scalar promotion on every call, ~0.15 us more per call on a
+# one-row block (timeit, numpy 2.4). The float64 values, and so the bits,
+# are the same.
+_MINUS_HALF = _read_only(np.array(-0.5))
+_ZERO = _read_only(np.array(0.0))
 
 
 @dataclass(frozen=True, eq=False)
@@ -176,8 +194,8 @@ def confined_to_unit_box(gm: GaussianMixture) -> bool:
     return bool(np.all(lo > 0.0) and np.all(hi < 1.0))
 
 
-def _logsumexp(a: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
-    """Stable row-wise log(sum(exp(a))) of an (n, k) array, into out if given.
+def _logsumexp(a: np.ndarray) -> np.ndarray:
+    """Stable row-wise log(sum(exp(a))) of an (n, k) array.
 
     Folds the columns left to right with np.logaddexp, which shifts every
     pairwise sum by its larger term: max + log1p(exp(min - max)). Nothing
@@ -187,10 +205,12 @@ def _logsumexp(a: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     The k - 1 whole-column calls give the bits of np.logaddexp.reduce(a,
     axis=1), two to three times as fast as reducing each short row (k = 2,
     65,536 rows). The reduction starts from its identity -inf, which turns
-    a lone -0.0 into +0.0, hence the + 0.0 when k = 1.
+    a lone -0.0 into +0.0, hence the + 0.0 when k = 1. np.logaddexp has no
+    pairwise reduction, so the fold keeps those bits at any k; _softmax
+    and R* fold their sums the same way only below _PAIRWISE_TERMS.
     """
     k = a.shape[1]
-    out = np.logaddexp(a[:, 0], a[:, 1], out=out) if k > 1 else np.add(a[:, 0], 0.0, out=out)
+    out = np.logaddexp(a[:, 0], a[:, 1]) if k > 1 else np.add(a[:, 0], 0.0)
     for j in range(2, k):
         np.logaddexp(out, a[:, j], out=out)
     return out
@@ -227,60 +247,105 @@ def _softmax(logc: np.ndarray, first_row: int = 0) -> np.ndarray:
     Raises NumericError for a row whose largest entry is not finite: then
     no component has a finite log-density and the row has no softmax. The
     message counts rows from first_row, the block's first row in the batch.
+    For k < _PAIRWISE_TERMS the max and the sum fold the columns as in
+    _logsumexp, with the bits of the axis=1 reductions: the max is exact in
+    any order, and the sum adds left to right as np.add.reduce does, whose
+    +0.0 start changes nothing here because exp gives no -0.0. On 65,536 x 2
+    rows the folds and the (rows, 1) broadcasts take ~0.9 ms against ~4.2 ms
+    for the reductions (timeit, numpy 2.4, 2-vCPU Xeon). Wider rows, such
+    as the quadrature estimator's one row of every draw and component, keep
+    the reductions.
     """
-    # the ufuncs' own reductions: ndarray.max and .sum add a Python layer
-    top = np.maximum.reduce(logc, axis=1, keepdims=True)
-    if not np.isfinite(top).all():
-        _raise_no_finite_row(~np.isfinite(top[:, 0]), top[:, 0], first_row)
-    logc -= top
+    k = logc.shape[1]
+    if k < _PAIRWISE_TERMS:
+        top = np.maximum(logc[:, 0], logc[:, 1]) if k > 1 else logc[:, 0].copy()
+        for j in range(2, k):
+            np.maximum(top, logc[:, j], out=top)
+    else:
+        top = np.maximum.reduce(logc, axis=1)
+    if np.count_nonzero(np.isfinite(top)) < len(top):
+        _raise_no_finite_row(~np.isfinite(top), top, first_row)
+    logc -= top[:, None]
     np.exp(logc, out=logc)
-    logc /= np.add.reduce(logc, axis=1, keepdims=True)
+    if k < _PAIRWISE_TERMS:
+        total = np.add(logc[:, 0], logc[:, 1]) if k > 1 else logc[:, 0].copy()
+        for j in range(2, k):
+            total += logc[:, j]
+    else:
+        total = np.add.reduce(logc, axis=1)
+    logc /= total[:, None]
     return logc
 
 
-def _log_density_blocks(gm: GaussianMixture, pts: np.ndarray, sigma: float):
-    """Yield (rows, x, logc, work) for each block of rows of the (n, d) batch pts.
+def _component_log_densities(
+    gm: GaussianMixture, x: np.ndarray, var: np.ndarray, logdet: np.ndarray
+) -> np.ndarray:
+    """(rows, k) component log-densities of one block x of points, shaped (rows, 1, d).
 
-    x is the block's points as (rows, 1, d). logc holds their (rows, k)
-    component log-densities -0.5 * (sum_d (x - mu_k)^2 / var_k + logdet_k)
-    + log w_k under the mixture smoothed by sigma (gm._smoothed; sigma = 0
-    for the mixture itself): one broadcast over (rows, k, d), or, in a 1-D
+    -0.5 * (sum_d (x - mu_k)^2 / var_k + logdet_k) + log w_k, with var and
+    logdet from gm._smoothed: one broadcast over (rows, k, d), or, in a 1-D
     mixture's blocks of more than _COMPONENT_PASS_ROWS rows, one column at
-    a time. logc and work, the block's (rows, k, d) workspace, are the
-    caller's once the block is yielded, until the next.
+    a time.
     """
-    var, logdet, _ = gm._smoothed(sigma)
-    n, (k, d) = len(pts), gm.means.shape
-    step = max(1, min(n, _WORKSPACE_BYTES // (8 * k * d)))
-    work = np.empty((step, k, d))
-    logc = np.empty((step, k))
-    by_component = d == 1 and step > _COMPONENT_PASS_ROWS
-    for lo in range(0, n, step):
-        rows = slice(lo, lo + step)
-        x = pts[rows, None, :]
-        out = logc[: len(x)]
-        quad = work[: len(x)]
-        if by_component:  # the operations below, with scalar operands
-            col = quad.reshape(-1)[: len(x)]  # contiguous, unlike quad[:, j, 0]
-            for j in range(k):
-                np.subtract(x[:, 0, 0], gm.means[j, 0], out=col)
-                col *= col
-                col /= var[0, j, 0]
-                col += logdet[0, j]
-                col *= -0.5
-                col += gm._log_weights[0, j]
-                out[:, j] = col
-        else:
-            np.subtract(x, gm.means, out=quad)
-            np.multiply(quad, quad, out=quad)
-            quad /= var
-            if d == 1:  # a sum over one coordinate is that coordinate
-                np.add(quad[:, :, 0], logdet, out=out)
-            else:
-                np.add(np.add.reduce(quad, axis=2, out=out), logdet, out=out)
-            out *= -0.5
-            out += gm._log_weights
-        yield rows, x, out, quad
+    k, d = gm.means.shape
+    if d == 1 and len(x) > _COMPONENT_PASS_ROWS:  # the operations below, with scalar operands
+        logc = np.empty((len(x), k))
+        col = np.empty(len(x))  # contiguous, unlike logc[:, j]
+        for j in range(k):
+            np.subtract(x[:, 0, 0], gm.means[j, 0], out=col)
+            col *= col
+            col /= var[0, j, 0]
+            col += logdet[0, j]
+            col *= -0.5
+            col += gm._log_weights[0, j]
+            logc[:, j] = col
+        return logc
+    quad = np.subtract(x, gm.means)
+    quad *= quad
+    quad /= var
+    if d == 1:  # a sum over one coordinate is that coordinate
+        logc = np.add(quad[:, :, 0], logdet)
+    else:
+        logc = np.add.reduce(quad, axis=2)
+        logc += logdet
+    logc *= _MINUS_HALF
+    logc += gm._log_weights
+    return logc
+
+
+def _in_row_blocks(gm: GaussianMixture, pts: np.ndarray, var, logdet, finish, *args):
+    """finish(x, logc, first_row, *args) over the (n, d) batch pts, in row blocks.
+
+    x is a block's points as (rows, 1, d), logc their (rows, k) component
+    log-densities under var and logdet (gm._smoothed), and first_row the
+    block's first row in the batch. finish returns a tuple of arrays, one
+    row per point. A batch whose (rows, k, d) float64 workspace fits
+    _WORKSPACE_BYTES is one block, and its results come back as finish
+    gives them. A larger one takes blocks of as many rows as fit, each
+    copied into result arrays shaped after the first block's, so memory
+    holds the results and one block. Every row is a function of its own
+    point alone, so the blocks change no bits.
+    """
+    step = max(1, _WORKSPACE_BYTES // (8 * gm.means.size))
+    if len(pts) <= step:
+        x = pts[:, None, :]
+        return finish(x, _component_log_densities(gm, x, var, logdet), 0, *args)
+    results = ()
+    for lo in range(0, len(pts), step):
+        x = pts[lo:lo + step, None, :]
+        block = finish(x, _component_log_densities(gm, x, var, logdet), lo, *args)
+        if not results:
+            results = tuple(np.empty((len(pts),) + a.shape[1:], a.dtype) for a in block)
+        for out, a in zip(results, block):
+            out[lo:lo + step] = a
+    return results
+
+
+def _log_p_and_mode(x, logc, first_row):
+    nan = np.isnan(logc[:, 0])  # a NaN coordinate makes every column NaN
+    if np.count_nonzero(nan):
+        _raise_no_finite_row(nan, logc[:, 0], first_row)
+    return _logsumexp(logc), _argmax_rows(logc)
 
 
 def mixture_log_pdf_and_mode(gm: GaussianMixture, xs) -> tuple[np.ndarray, np.ndarray]:
@@ -295,15 +360,8 @@ def mixture_log_pdf_and_mode(gm: GaussianMixture, xs) -> tuple[np.ndarray, np.nd
     larger log-density rather than the lower index.
     """
     pts, _ = as_rows(np.atleast_2d(xs), gm.dim, "point", "mixture dim")
-    log_p = np.empty(len(pts))
-    mode = np.empty(len(pts), dtype=np.intp)
-    for rows, _, logc, _ in _log_density_blocks(gm, pts, 0.0):
-        nan = np.isnan(logc[:, 0])  # a NaN coordinate makes every column NaN
-        if nan.any():
-            _raise_no_finite_row(nan, logc[:, 0], rows.start)
-        _logsumexp(logc, log_p[rows])
-        mode[rows] = _argmax_rows(logc)
-    return log_p, mode
+    var, logdet, _ = gm._smoothed(0.0)
+    return _in_row_blocks(gm, pts, var, logdet, _log_p_and_mode)
 
 
 def mixture_log_pdf_batch(gm: GaussianMixture, xs) -> np.ndarray:
@@ -311,25 +369,29 @@ def mixture_log_pdf_batch(gm: GaussianMixture, xs) -> np.ndarray:
     return mixture_log_pdf_and_mode(gm, xs)[0]
 
 
+def _responsibilities(x, logc, first_row):
+    return (_softmax(logc, first_row),)
+
+
 def responsibilities(gm: GaussianMixture, xs) -> np.ndarray:
     """Posterior component probabilities, one row per point."""
     pts, _ = as_rows(np.atleast_2d(xs), gm.dim, "point", "mixture dim")
-    resp = np.empty((len(pts), gm.n_components))
-    for rows, _, logc, _ in _log_density_blocks(gm, pts, 0.0):
-        resp[rows] = _softmax(logc, rows.start)
+    var, logdet, _ = gm._smoothed(0.0)
+    (resp,) = _in_row_blocks(gm, pts, var, logdet, _responsibilities)
     return resp
+
+
+def _score(x, logc, first_row, means, var):
+    pull = np.subtract(means, x)
+    pull /= var
+    return (np.einsum("nk,nkd->nd", _softmax(logc, first_row), pull),)
 
 
 def analytic_score(gm: GaussianMixture, x) -> np.ndarray:
     """Closed-form d/dx log p(x) = sum_k resp_k(x) (mu_k - x) / v_k."""
     pts, single = as_rows(x, gm.dim, "point", "mixture dim")
-    score = np.empty(pts.shape)
-    var = gm._smoothed(0.0)[0]
-    for rows, block_x, resp, work in _log_density_blocks(gm, pts, 0.0):
-        _softmax(resp, rows.start)
-        pull = np.subtract(gm.means, block_x, out=work)
-        pull /= var
-        np.einsum("nk,nkd->nd", resp, pull, out=score[rows])
+    var, logdet, _ = gm._smoothed(0.0)
+    (score,) = _in_row_blocks(gm, pts, var, logdet, _score, gm.means, var)
     return score[0] if single else score
 
 
@@ -379,6 +441,23 @@ class QuadratureSpec:
             raise ValueError("monte_carlo needs at least 10000 samples")
 
 
+def _posterior_means(x, logc, first_row, variances, var, s2mu):
+    """R* of one block: the shrunken means (v x + sigma^2 mu) / (v + sigma^2)
+    weighted by the responsibilities, summed over the components."""
+    resp = _softmax(logc, first_row)
+    shrunk = np.multiply(variances, x)
+    shrunk += s2mu
+    shrunk /= var
+    shrunk *= resp[:, :, None]
+    k = shrunk.shape[1]
+    if k >= _PAIRWISE_TERMS:
+        return (np.add.reduce(shrunk, axis=1),)
+    total = _ZERO  # np.add.reduce's start and order
+    for j in range(k):
+        total = np.add(total, shrunk[:, j])
+    return (total,)
+
+
 def optimal_reconstruction(
     gm: GaussianMixture, sigma: float, x, quad: QuadratureSpec | None = None
 ) -> np.ndarray:
@@ -403,15 +482,8 @@ def optimal_reconstruction(
         recon = _quadrature_estimate(gm, sigma, pts[0], quad)
         return recon if single else recon[None, :]
 
-    var, _, s2mu = gm._smoothed(sigma)
-    recon = np.empty(pts.shape)
-    for rows, block_x, resp, work in _log_density_blocks(gm, pts, sigma):
-        _softmax(resp, rows.start)
-        shrunk = np.multiply(gm.variances, block_x, out=work)
-        shrunk += s2mu
-        shrunk /= var
-        shrunk *= resp[:, :, None]
-        np.add.reduce(shrunk, axis=1, out=recon[rows])
+    var, logdet, s2mu = gm._smoothed(sigma)
+    (recon,) = _in_row_blocks(gm, pts, var, logdet, _posterior_means, gm.variances, var, s2mu)
     return recon[0] if single else recon
 
 
@@ -428,9 +500,8 @@ def _quadrature_estimate(
     """
     eps = Prng(quad.mc_seed).normal((quad.n_samples, gm.dim), sigma)
     shifted = xv[None, :] - eps  # candidate clean points x - eps
-    logc = np.empty((len(shifted), gm.n_components))
-    for rows, _, block, _ in _log_density_blocks(gm, shifted, 0.0):
-        logc[rows] = block
+    var, logdet, _ = gm._smoothed(0.0)
+    (logc,) = _in_row_blocks(gm, shifted, var, logdet, lambda x, logc, first_row: (logc,))
     tau = _softmax(logc.reshape(1, -1)).reshape(logc.shape).sum(axis=1)
     return (tau[:, None] * shifted).sum(axis=0)
 

@@ -1,12 +1,16 @@
 """End-to-end tests for the command-line interface.
 
 Commands run in-process through main(argv), so exit codes and artifact
-bytes are checked without subprocesses. Training setups are kept tiny;
+bytes are checked without subprocesses; one test starts a fresh
+interpreter to see what a refine run imports. Training setups are kept tiny;
 statistical quality of the results is covered elsewhere.
 """
 
+import os
 import re
 import struct
+import subprocess
+import sys
 import types
 from pathlib import Path
 
@@ -217,6 +221,32 @@ class TestChains:
         lines = (trained_dir / "refine_states.csv").read_text().splitlines()
         assert len(lines) == 1 + 6 * 8
         assert (trained_dir / "refine_step0000.pgm").exists()
+
+    def test_refine_leaves_numpy_ma_unimported(self, config_path, trained_dir, tmp_path):
+        # np.median imports numpy.ma (~10 ms of a run) for its NaN check; the
+        # summary's median does without it. A fresh interpreter sees what a
+        # refine run really loads.
+        code = (
+            "import sys; from daechain.cli import main; "
+            f"code = main(['refine', '--config', {config_path!r}, "
+            f"'--set', 'out_dir={tmp_path}', '--set', 'checkpoint={trained_dir / 'model.ckpt'}']); "
+            "print(code, 'numpy.ma' in sys.modules)"
+        )
+        env = {**os.environ, "PYTHONPATH": str(Path(daechain.__file__).parents[1])}
+        out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
+        assert out.returncode == 0, out.stderr
+        assert "refine: 8 chains" in out.stdout
+        assert out.stdout.splitlines()[-1] == "0 False"
+
+    @pytest.mark.parametrize("values", [
+        [0.5], [2.0, -1.0], [3.0, -1.0, 2.0, 0.25], [1.0, 4.0, -2.0, 0.5, 3.0],
+        [-0.0, 0.0], [-np.inf, 1.0], [1.0, np.nan, 2.0], [1e308, 1e308],
+    ])
+    def test_summary_median_has_the_bits_of_np_median(self, values):
+        a = np.array(values)
+        with np.errstate(over="ignore"):
+            got, want = cli._median(a), np.median(a)
+        assert np.asarray(got).tobytes() == np.asarray(want).tobytes()
 
     @pytest.mark.parametrize("command", ["sample", "refine"])
     def test_bad_image_shape_fails_before_any_chain(

@@ -713,13 +713,30 @@ def fixed_byte_pin_case(k, d):
     return mixtures, 4, points, [(mixtures[0], 0.05), (mixtures[1], 0.05), (mixtures[0], 2.0)]
 
 
+def signed_zero_byte_pin_case():
+    """Two 1-D mixtures whose means are all -0.0, at points -0.0 and 0.0 among
+    others: R*(-0.0) sums -0.0 terms, which np.add.reduce, starting from
+    +0.0, adds up to +0.0."""
+    mixtures = [
+        GaussianMixture([0.5, 0.5], [[-0.0], [-0.0]], [[0.01], [0.04]]),
+        GaussianMixture([0.3, 0.7], [[-0.0], [-0.0]], [[0.02], [0.09]]),
+    ]
+    points = np.array([-0.0, 0.0, -0.0, -0.0, 0.1, -0.0, 0.0, -0.2, -0.0])[:, None]
+    return mixtures, 4, points, [(mixtures[0], 0.05), (mixtures[1], 0.5)]
+
+
 @settings(max_examples=150, deadline=None)
 @given(case=byte_pin_cases())
-# the largest shapes, and those where numpy's pairwise summation starts (8 terms)
+# the largest shapes, and those where numpy's pairwise summation starts (8
+# terms): at d = 1, 7 components are the last left-to-right sum, 8 the first
+# pairwise one
 @example(case=fixed_byte_pin_case(50, 64))
 @example(case=fixed_byte_pin_case(8, 8))
+@example(case=fixed_byte_pin_case(7, 1))
+@example(case=fixed_byte_pin_case(8, 1))
 @example(case=fixed_byte_pin_case(9, 1))
 @example(case=fixed_byte_pin_case(1, 9))
+@example(case=signed_zero_byte_pin_case())
 def test_closed_form_has_the_bytes_of_the_written_out_reference(case):
     mixtures, block, xs, calls = case
     d, k = xs.shape[1], mixtures[0].n_components
