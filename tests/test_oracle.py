@@ -842,6 +842,6 @@ def test_closed_form_memory_is_bounded_by_its_row_blocks():
     xs = Prng(0).uniform((1024, 64))
     assert _peak_bytes(optimal_reconstruction, gm, 0.05, xs) <= 10e6
     assert _peak_bytes(mixture_log_pdf_and_mode, gm, xs) <= 10e6
-    # 1e5 1-D rows peaked at 6.6 MB whole; in two blocks ~4 MB
+    # 1e5 1-D rows peaked at 6.6 MB whole; in two blocks ~3 MB
     xs = np.random.default_rng(0).random((100_000, 1))
     assert _peak_bytes(optimal_reconstruction, two_mode(), 0.5, xs) <= 6.6e6
