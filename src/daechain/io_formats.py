@@ -13,8 +13,9 @@ MODEL_KINDS, HIDDEN_ACTIVATIONS or OUTPUT_ACTIVATIONS. Parameters follow
 as little-endian float64, one Mlp.flat vector per network in declaration
 order (encoder, decoder, then discriminator if present), per layer the
 weights row-major then the biases. Loading rebuilds the specs first, so
-every shape and cross-network invariant is re-validated on the way in;
-a rejected value raises CheckpointFormatError naming its byte offset.
+every shape and cross-network invariant is re-validated on the way in,
+and every parameter must be finite; a rejected value raises
+CheckpointFormatError naming its byte offset.
 
 Images are exported as binary PGM (P5, maxval 255), tiled row-major with
 one-pixel black separators; values are clamped to [0, 1] and quantized at
@@ -151,7 +152,12 @@ def load_checkpoint(path) -> Autoencoder:
     mlps = []
     for spec in specs:
         need(offset + 8 * spec.n_params)
-        mlps.append(Mlp(spec, np.frombuffer(data, "<f8", spec.n_params, offset).astype(np.float64)))
+        flat = np.frombuffer(data, "<f8", spec.n_params, offset).astype(np.float64)
+        finite = np.isfinite(flat)
+        if not finite.all():
+            i = int(np.argmin(finite))
+            raise CheckpointFormatError(f"non-finite parameter {flat[i]} at byte {offset + 8 * i}")
+        mlps.append(Mlp(spec, flat))
         offset += 8 * spec.n_params
     if offset != size:
         raise CheckpointFormatError(f"trailing data after byte {offset} in {path}")

@@ -76,7 +76,7 @@ def sample_gaussian(rng: Prng, shape, sigma: float) -> np.ndarray:
 
     sigma = 0 returns exact zeros without consuming the stream.
     """
-    if not (np.isfinite(sigma) and sigma >= 0):
+    if not (math.isfinite(sigma) and sigma >= 0):
         raise ValueError(f"sigma must be finite and >= 0, got {sigma}")
     shape = _as_shape(shape)
     n = math.prod(shape)

@@ -46,12 +46,14 @@ any number of rows; a batch that fits one block, a single point among
 them, is evaluated whole and pays for no block bookkeeping. A block's
 component log-densities are one broadcast evaluation over (rows, k, d),
 except in a 1-D mixture's blocks of more than _COMPONENT_PASS_ROWS rows,
-which take them one component at a time with scalar operands. With fewer
-than _PAIRWISE_TERMS (8) components, the softmax's max and sum and R*'s
-sum over the components fold the short component axis as whole-column
-ufunc calls, in the order numpy's reductions add. The arithmetic is the
-formulas' own, in their order, on every path, so every result has the
-bits of the plain whole-batch expressions (tests/_reference_oracle.py).
+which take them one component at a time with scalar operands. Every
+operation over the component axis (the log-sum-exp, the mode, the
+softmax's max and sum, R*'s sum) follows one rule: with fewer than
+_PAIRWISE_TERMS (8) components it folds the short axis as whole-column
+ufunc calls, in the order numpy's reductions take (_fold), and from 8 on
+it is numpy's reduction. The arithmetic is the formulas' own, in their
+order, on every path, so every result has the bits of the plain
+whole-batch expressions (tests/_reference_oracle.py).
 
 For a single Gaussian N(mu, s^2) the relative error of (R*(x) - x) / sigma^2
 against the true score (mu - x) / s^2 is exactly sigma^2 / (s^2 + sigma^2),
@@ -94,9 +96,9 @@ _COMPONENT_PASS_ROWS = 256
 
 # numpy's add.reduce over an inner axis adds up to 7 terms left to right
 # from +0.0, and from 8 terms pairwise (numpy 2.4); over a middle axis it
-# adds left to right at any length. The closed form folds fewer components
-# than this as whole-column ufunc calls in that order, with the same bits,
-# and keeps the reductions from here on.
+# adds left to right at any length. _fold folds fewer components than this
+# as whole-column ufunc calls in that order, with the same bits, and reduces
+# from here on. Not a tunable: it is numpy's summation order.
 _PAIRWISE_TERMS = 8
 
 
@@ -194,35 +196,41 @@ def confined_to_unit_box(gm: GaussianMixture) -> bool:
     return bool(np.all(lo > 0.0) and np.all(hi < 1.0))
 
 
-def _logsumexp(a: np.ndarray) -> np.ndarray:
-    """Stable row-wise log(sum(exp(a))) of an (n, k) array.
+def _fold(ufunc, a: np.ndarray, from_identity: bool = False) -> np.ndarray:
+    """ufunc.reduce(a, axis=1), with its bits, for an (n, k, ...) array.
 
-    Folds the columns left to right with np.logaddexp, which shifts every
-    pairwise sum by its larger term: max + log1p(exp(min - max)). Nothing
-    overflows, and a row that is all -inf gives -inf (not nan). For k <= 2
-    this is the expression scipy.special.logsumexp evaluates, so results
-    agree to the last bit in all but rare rows, where they differ by one ulp.
-    The k - 1 whole-column calls give the bits of np.logaddexp.reduce(a,
-    axis=1), two to three times as fast as reducing each short row (k = 2,
-    65,536 rows). The reduction starts from its identity -inf, which turns
-    a lone -0.0 into +0.0, hence the + 0.0 when k = 1. np.logaddexp has no
-    pairwise reduction, so the fold keeps those bits at any k; _softmax
-    and R* fold their sums the same way only below _PAIRWISE_TERMS.
+    Below _PAIRWISE_TERMS columns, whole-column calls combine the columns
+    left to right, as numpy's reductions do; on 65,536 x 2 rows the
+    softmax's two folds take ~0.9 ms against ~4.2 ms for its reductions,
+    while at 49 columns the reductions win (timeit, numpy 2.4, 2-vCPU
+    Xeon). From _PAIRWISE_TERMS on it is the reduction itself. The result
+    never shares memory with a, which the softmax writes to after its max.
+
+    np.add and np.logaddexp reduce from their identity (0 and -inf), which
+    keeps the first column as it is but turns -0.0 into +0.0, as adding
+    +0.0 does; from_identity adds it. R*'s terms may hold -0.0, and log p
+    takes it so that its bits are the reduction's by construction. The
+    softmax needs none: np.maximum has no identity, and exp gives no -0.0.
     """
     k = a.shape[1]
-    out = np.logaddexp(a[:, 0], a[:, 1]) if k > 1 else np.add(a[:, 0], 0.0)
-    for j in range(2, k):
-        np.logaddexp(out, a[:, j], out=out)
-    return out
+    if k >= _PAIRWISE_TERMS:
+        return ufunc.reduce(a, axis=1)
+    out = np.add(_ZERO, a[:, 0]) if from_identity else a[:, 0]
+    for j in range(1, k):
+        out = ufunc(out, a[:, j])  # on one-row blocks a new array beats out= (~0.4 us)
+    return out if from_identity or k > 1 else out.copy()
 
 
 def _argmax_rows(a: np.ndarray) -> np.ndarray:
-    """np.argmax(a, axis=1) of an (n, k) array, folded over columns like _logsumexp.
+    """np.argmax(a, axis=1) of an (n, k) array, folded over columns below _PAIRWISE_TERMS.
 
-    A column takes a row only where it is strictly larger than every column
-    before it, so ties go to the lower index, as with np.argmax.
+    It tracks an index, not a value, so it is no _fold, but it follows the
+    same rule. A column takes a row only where it is strictly larger than
+    every column before it, so ties go to the lower index, as with np.argmax.
     """
     k = a.shape[1]
+    if k >= _PAIRWISE_TERMS:
+        return np.argmax(a, axis=1)
     if k == 1:
         return np.zeros(a.shape[0], dtype=np.intp)
     mode = (a[:, 1] > a[:, 0]).astype(np.intp)
@@ -247,33 +255,14 @@ def _softmax(logc: np.ndarray, first_row: int = 0) -> np.ndarray:
     Raises NumericError for a row whose largest entry is not finite: then
     no component has a finite log-density and the row has no softmax. The
     message counts rows from first_row, the block's first row in the batch.
-    For k < _PAIRWISE_TERMS the max and the sum fold the columns as in
-    _logsumexp, with the bits of the axis=1 reductions: the max is exact in
-    any order, and the sum adds left to right as np.add.reduce does, whose
-    +0.0 start changes nothing here because exp gives no -0.0. On 65,536 x 2
-    rows the folds and the (rows, 1) broadcasts take ~0.9 ms against ~4.2 ms
-    for the reductions (timeit, numpy 2.4, 2-vCPU Xeon). Wider rows, such
-    as the quadrature estimator's one row of every draw and component, keep
-    the reductions.
+    The max and the sum are _folds, with the bits of the axis=1 reductions.
     """
-    k = logc.shape[1]
-    if k < _PAIRWISE_TERMS:
-        top = np.maximum(logc[:, 0], logc[:, 1]) if k > 1 else logc[:, 0].copy()
-        for j in range(2, k):
-            np.maximum(top, logc[:, j], out=top)
-    else:
-        top = np.maximum.reduce(logc, axis=1)
+    top = _fold(np.maximum, logc)
     if np.count_nonzero(np.isfinite(top)) < len(top):
         _raise_no_finite_row(~np.isfinite(top), top, first_row)
     logc -= top[:, None]
     np.exp(logc, out=logc)
-    if k < _PAIRWISE_TERMS:
-        total = np.add(logc[:, 0], logc[:, 1]) if k > 1 else logc[:, 0].copy()
-        for j in range(2, k):
-            total += logc[:, j]
-    else:
-        total = np.add.reduce(logc, axis=1)
-    logc /= total[:, None]
+    logc /= _fold(np.add, logc)[:, None]
     return logc
 
 
@@ -345,7 +334,7 @@ def _log_p_and_mode(x, logc, first_row):
     nan = np.isnan(logc[:, 0])  # a NaN coordinate makes every column NaN
     if np.count_nonzero(nan):
         _raise_no_finite_row(nan, logc[:, 0], first_row)
-    return _logsumexp(logc), _argmax_rows(logc)
+    return _fold(np.logaddexp, logc, from_identity=True), _argmax_rows(logc)
 
 
 def mixture_log_pdf_and_mode(gm: GaussianMixture, xs) -> tuple[np.ndarray, np.ndarray]:
@@ -449,13 +438,7 @@ def _posterior_means(x, logc, first_row, variances, var, s2mu):
     shrunk += s2mu
     shrunk /= var
     shrunk *= resp[:, :, None]
-    k = shrunk.shape[1]
-    if k >= _PAIRWISE_TERMS:
-        return (np.add.reduce(shrunk, axis=1),)
-    total = _ZERO  # np.add.reduce's start and order
-    for j in range(k):
-        total = np.add(total, shrunk[:, j])
-    return (total,)
+    return (_fold(np.add, shrunk, from_identity=True),)
 
 
 def optimal_reconstruction(
@@ -537,7 +520,9 @@ def limit_convergence_study(gm: GaussianMixture, sigmas, grid) -> ConvergenceStu
     reports whether the error column is monotone up to rounding.
     """
     sig = [float(s) for s in sigmas]
-    if len(sig) < 1 or not all(math.isfinite(s) and s > 0.0 for s in sig):
+    if not sig:
+        raise ValueError("sigmas is empty: the study needs at least one sigma")
+    if not all(math.isfinite(s) and s > 0.0 for s in sig):
         raise ValueError("sigmas must be finite and positive")
     if any(b >= a for a, b in zip(sig, sig[1:])):
         raise ValueError("sigmas must be strictly decreasing")

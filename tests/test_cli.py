@@ -20,7 +20,7 @@ import pytest
 import daechain
 from daechain import cli
 from daechain.cli import main
-from daechain.io_formats import load_checkpoint, read_pgm
+from daechain.io_formats import load_checkpoint, read_pgm, save_checkpoint
 
 BASE_CONFIG = """
 dataset = mixture1d
@@ -416,6 +416,16 @@ class TestScoreCheck:
         assert re.search(f"checkpoint {ckpt} has data dim 64, mixture dim 1", capsys.readouterr().err)
         assert not (tmp_path / "score.csv").exists()
 
+    def test_non_finite_checkpoint_parameter_exits_2_before_writing(self, trained_dir, tmp_path, capsys):
+        model = load_checkpoint(trained_dir / "model.ckpt")
+        model.decoder.flat[0] = np.nan
+        ckpt = tmp_path / "nan.ckpt"
+        save_checkpoint(model, ckpt)
+        out = tmp_path / "out"
+        assert main(["score-check", "--set", f"out_dir={out}", "--set", f"checkpoint={ckpt}"]) == 2
+        assert "non-finite parameter nan at byte" in capsys.readouterr().err
+        assert not (out / "score.csv").exists()
+
     def test_one_grid_point_exits_2_before_writing(self, config_path, trained_dir, tmp_path, capsys):
         # one point has no correlation: numpy would warn and print "pearson nan"
         code = main(
@@ -433,6 +443,14 @@ class TestOracleCheck:
         args = ["oracle-check", "--set", f"out_dir={tmp_path}", "--set", "check_sigmas=1e200"]
         assert main(args) == 2
         assert "no finite component log-density" in capsys.readouterr().err
+        assert not (tmp_path / "convergence.csv").exists()
+
+    def test_empty_sigma_list_exits_2_naming_it(self, tmp_path, capsys):
+        args = ["oracle-check", "--set", f"out_dir={tmp_path}", "--set", "check_sigmas="]
+        assert main(args) == 2
+        err = capsys.readouterr().err
+        assert "sigmas is empty" in err
+        assert "finite and positive" not in err
         assert not (tmp_path / "convergence.csv").exists()
 
     def test_sigma_whose_square_underflows_exits_2(self, tmp_path, capsys):

@@ -162,6 +162,20 @@ class TestCheckpointCorruption:
         with pytest.raises(CheckpointFormatError, match="trailing"):
             load_checkpoint(path)
 
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("network, index", [("encoder", 0), ("decoder", 3)])
+    def test_non_finite_parameter_names_its_byte(self, tmp_path, value, network, index):
+        # a dae's decoder parameters end the file; its encoder's precede them
+        model = small_model("dae")
+        n_enc, n_dec = model.encoder.flat.size, model.decoder.flat.size
+        getattr(model, network).flat[index] = value
+        path = tmp_path / "model.ckpt"
+        save_checkpoint(model, path)
+        params_at = path.stat().st_size - 8 * (n_enc + n_dec)
+        at = params_at + 8 * (index + (n_enc if network == "decoder" else 0))
+        with pytest.raises(CheckpointFormatError, match=f"non-finite parameter .* at byte {at}$"):
+            load_checkpoint(path)
+
 
 class TestPgmGrid:
     def test_single_image_exact_payload(self, tmp_path):

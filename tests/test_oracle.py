@@ -22,7 +22,7 @@ from daechain.oracle import (
     GaussianMixture,
     QuadratureSpec,
     _argmax_rows,
-    _logsumexp,
+    _fold,
     analytic_score,
     confined_to_unit_box,
     high_density_grid,
@@ -168,7 +168,7 @@ def test_logsumexp_matches_scipy(scipy_special, a):
     # relative 1e-12; the absolute floor covers rows whose sum cancels to ~0
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        got = _logsumexp(a)
+        got = _fold(np.logaddexp, a, from_identity=True)
     assert got.tobytes() == np.logaddexp.reduce(a, axis=1).tobytes()
     want = scipy_special.logsumexp(a, axis=1)
     np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-12)
@@ -248,7 +248,7 @@ def test_column_folds_have_the_bits_of_the_row_reductions(case):
         log_p, mode = mixture_log_pdf_and_mode(gm, xs)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        assert _logsumexp(logc).tobytes() == log_p.tobytes()
+        assert _fold(np.logaddexp, logc, from_identity=True).tobytes() == log_p.tobytes()
         assert np.array_equal(_argmax_rows(logc), mode)
     assert log_p.tobytes() == np.logaddexp.reduce(logc, axis=1).tobytes()
     assert mode.dtype == np.intp
@@ -256,6 +256,62 @@ def test_column_folds_have_the_bits_of_the_row_reductions(case):
     # ties, repeated components and all -inf rows included, go to the lower index
     first_max = (logc == logc.max(axis=1, keepdims=True)).argmax(axis=1)
     assert np.array_equal(mode, first_max)
+
+
+# a fold's last width, numpy's first pairwise sums, and the blob mixture's 49
+FOLD_WIDTHS = (1, 2, 7, 8, 9, 49)
+
+
+def _fold_operand(k, trailing=(), non_negative=False):
+    """(200, k, *trailing) values over eight orders of magnitude, so the order
+    of a sum shows in its last bits, with signed zeros and (unless the values
+    are non-negative, like exp output) -inf sprinkled in."""
+    gen = np.random.default_rng(k)
+    shape = (200, k, *trailing)
+    a = gen.standard_normal(shape) * 10.0 ** gen.integers(-4, 4, shape)
+    if non_negative:
+        a = np.abs(a)
+    specials = [0.0] if non_negative else [0.0, -0.0, -np.inf]
+    spot = gen.random(shape) < 0.2
+    a[spot] = gen.choice(specials, np.count_nonzero(spot))
+    a[:3] = specials[-1]  # rows made of one special value only
+    return a
+
+
+@pytest.mark.parametrize("k", FOLD_WIDTHS)
+@pytest.mark.parametrize(
+    "ufunc, from_identity, trailing, non_negative",
+    [
+        (np.maximum, False, (), False),  # the softmax's max
+        (np.add, False, (), True),  # the softmax's sum, over exp output
+        (np.logaddexp, True, (), False),  # log p
+        (np.add, True, (3,), False),  # R*'s sum over (rows, k, d)
+        (np.add, True, (1,), False),
+    ],
+    ids=["max", "softmax-sum", "logaddexp", "rstar-sum-3d", "rstar-sum-1d"],
+)
+def test_fold_has_the_bits_of_numpys_reduction(ufunc, from_identity, trailing, non_negative, k):
+    a = _fold_operand(k, trailing, non_negative)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = _fold(ufunc, a, from_identity)
+    want = ufunc.reduce(a, axis=1)
+    assert got.shape == want.shape and got.dtype == want.dtype
+    assert got.tobytes() == want.tobytes()
+    assert not np.shares_memory(got, a)  # the softmax writes to a after its max
+
+
+@pytest.mark.parametrize("k", FOLD_WIDTHS)
+def test_argmax_rows_is_numpys_argmax_with_ties_and_all_minus_inf_rows(k):
+    gen = np.random.default_rng(k)
+    a = gen.choice([-np.inf, -0.0, 0.0, 1.0, 2.0], (300, k))
+    a[:3] = -np.inf
+    a[3:6] = 1.0
+    a[6, :] = 0.0
+    a[6, ::2] = -0.0
+    got = _argmax_rows(a)
+    assert got.dtype == np.intp
+    assert np.array_equal(got, np.argmax(a, axis=1))
 
 
 def test_score_single_gaussian_closed_form():
