@@ -1,5 +1,6 @@
 """Tests for synthetic dataset generators and the dataset spec dispatch."""
 
+import hashlib
 import struct
 
 import numpy as np
@@ -227,3 +228,37 @@ class TestBuildDataset:
         data = build_dataset(spec, Prng(0))
         assert data.shape == (3, 4)
         assert np.allclose(data[0], np.arange(4) / 255.0)
+
+
+# sha256 of build_dataset(spec, Prng(2026)).tobytes() for one spec of each
+# kind: a change anywhere on the dataset path that moves a single bit of
+# training data fails here, before any trained artifact is compared
+DATASET_SHA256 = {
+    "mixture1d": "33ec24605c039b52548cc9659526a5df26dda0d7951695274ae9c2ef467e4e9e",
+    "mixture2d": "f00ba595efd8f18d35e61e948b10faa0a89ea31eae05dd7e674cbf40940f7b37",
+    "blobs8x8": "b720d0c90de8165787fe20aaa858901502c83daf55f256fbc18f7b7ab376212e",
+    "idx_images": "5e87ea2b1cc90cde774c524dfc39029b7c03bd6c1bd307fb4c0cb8ff9d6db503",
+}
+
+
+def _pinned_spec(tmp_path, kind):
+    if kind == "mixture1d":  # RunConfig's default mixture
+        return DatasetSpec("mixture1d", 1000, two_mode())
+    if kind == "mixture2d":
+        gm2 = GaussianMixture(
+            weights=np.array([0.5, 0.5]),
+            means=np.array([[0.3, 0.4], [0.7, 0.6]]),
+            variances=np.full((2, 2), 0.0025),
+        )
+        return DatasetSpec("mixture2d", 1000, gm2)
+    if kind == "blobs8x8":
+        return DatasetSpec("blobs8x8", 200)
+    idx = tmp_path / "pins.idx"
+    idx.write_bytes(struct.pack(">IIII", 0x00000803, 6, 3, 4) + bytes(7 * i % 256 for i in range(72)))
+    return DatasetSpec("idx_images", idx_path=str(idx))
+
+
+@pytest.mark.parametrize("kind", list(DATASET_SHA256))
+def test_dataset_bytes_are_pinned(tmp_path, kind):
+    data = build_dataset(_pinned_spec(tmp_path, kind), Prng(2026))
+    assert hashlib.sha256(data.tobytes()).hexdigest() == DATASET_SHA256[kind]
