@@ -33,7 +33,7 @@ from .config import (
     load_config,
     train_config_from_config,
 )
-from .datasets import MIXTURE_DIMS, build_dataset
+from .datasets import GROUND_TRUTH_KINDS, build_dataset
 from .io_formats import load_checkpoint, save_checkpoint, write_csv, write_pgm_grid
 from .models import reconstruct, train
 from .numeric import NumericError, Prng
@@ -99,7 +99,7 @@ def _ground_truth(cfg: RunConfig):
     if gm is None:
         raise ConfigError(
             f"dataset {cfg.dataset!r} has no ground-truth mixture; "
-            f"score-check and oracle-check need one of {tuple(MIXTURE_DIMS)}"
+            f"score-check and oracle-check need one of {GROUND_TRUTH_KINDS}"
         )
     return gm
 

@@ -13,9 +13,8 @@ The same keys can be overridden from the command line via repeated
 import dataclasses
 from dataclasses import dataclass
 
-from .datasets import MIXTURE_DIMS, DatasetSpec
+from .datasets import GROUND_TRUTH_KINDS, DatasetSpec, ground_truth
 from .models import TrainConfig
-from .oracle import GaussianMixture
 from .sampler import ChainConfig
 
 
@@ -146,9 +145,16 @@ def apply_overrides(cfg: RunConfig, overrides) -> RunConfig:
 # ---------------------------------------------------------------------------
 
 def dataset_spec_from_config(cfg: RunConfig) -> DatasetSpec:
-    mixture = None
-    if cfg.dataset in MIXTURE_DIMS:
-        mixture = GaussianMixture(cfg.mixture_weights, cfg.mixture_means, cfg.mixture_variances)
+    """The dataset spec; a mixture key set for a kind with no ground truth is an error."""
+    mixture = ground_truth(
+        cfg.dataset, cfg.mixture_weights, cfg.mixture_means, cfg.mixture_variances
+    )
+    if mixture is None:
+        for key in ("mixture_weights", "mixture_means", "mixture_variances"):
+            if getattr(cfg, key) != getattr(RunConfig(), key):
+                raise ConfigError(
+                    f"{key!r} applies only to dataset in {GROUND_TRUTH_KINDS}, not {cfg.dataset!r}"
+                )
     return DatasetSpec(cfg.dataset, cfg.n_samples, mixture, cfg.idx_path or None)
 
 

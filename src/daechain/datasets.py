@@ -1,7 +1,12 @@
 """Desk-scale training data: mixture samples, synthetic blobs, IDX files.
 
-Mixture datasets are drawn ancestrally (pick a component by weight, then a
-diagonal Gaussian draw) from mixtures confined to the unit cube, so the
+DATASET_KINDS is the one table of dataset kinds: each kind's ground truth,
+the density its rows are drawn from where one is known, and whether it
+reads a file. Only this module reads it; config and cli ask ground_truth
+and GROUND_TRUTH_KINDS. A new kind is one entry and one builder.
+
+Mixture datasets are the mixture's own ancestral draws
+(GaussianMixture.sample), from mixtures confined to the unit cube, so the
 clip to [0, 1] touches almost nothing but keeps the BCE target contract
 airtight. The blob dataset provides image-shaped rows (8x8 pixels, one
 soft Gaussian bump each) so the image-grid export path has real content
@@ -18,9 +23,31 @@ from .io_formats import load_idx_images, read_idx_header
 from .numeric import Prng
 from .oracle import UNIT_BOX_SPAN, GaussianMixture, confined_to_unit_box
 
-# the dataset kinds drawn from a ground-truth mixture, and its dimension
-MIXTURE_DIMS = {"mixture1d": 1, "mixture2d": 2}
-DATASET_KINDS = (*MIXTURE_DIMS, "blobs8x8", "idx_images")
+
+# every dataset kind: the dimension of its ground truth, the GaussianMixture
+# of the literal mixture_* keys, or None where it has none; and whether it
+# reads a file, loading every image of idx_path in place of drawing rows
+DATASET_KINDS = {
+    "mixture1d": (1, False),
+    "mixture2d": (2, False),
+    "blobs8x8": (None, False),
+    "idx_images": (None, True),
+}
+# the kinds with a ground truth, which score-check and oracle-check judge against
+GROUND_TRUTH_KINDS = tuple(name for name, (dim, _) in DATASET_KINDS.items() if dim is not None)
+
+
+def _kind(name: str) -> tuple[int | None, bool]:
+    if name not in DATASET_KINDS:
+        raise ValueError(f"dataset kind must be one of {tuple(DATASET_KINDS)}, got {name!r}")
+    return DATASET_KINDS[name]
+
+
+def ground_truth(kind: str, weights, means, variances) -> GaussianMixture | None:
+    """The mixture that kind is drawn from, given the literal mixture keys; None if it has none."""
+    truth_dim, _ = _kind(kind)
+    return None if truth_dim is None else GaussianMixture(weights, means, variances)
+
 
 BLOB_IMAGE_SHAPE = (8, 8)  # (rows, cols) of a blob image
 BLOB_PEAK = 0.9
@@ -37,12 +64,7 @@ def generate_mixture_dataset(gm: GaussianMixture, n: int, rng: Prng) -> np.ndarr
         raise ValueError(
             f"mixture must keep {UNIT_BOX_SPAN:g} standard deviations inside (0, 1) per coordinate"
         )
-    cumulative = np.cumsum(gm.weights)
-    picks = np.searchsorted(cumulative, rng.uniform((n,)), side="right")
-    picks = np.minimum(picks, gm.n_components - 1)
-    noise = rng.normal((n, gm.dim), 1.0)
-    samples = gm.means[picks] + np.sqrt(gm.variances[picks]) * noise
-    return np.clip(samples, 0.0, 1.0)
+    return np.clip(gm.sample(n, rng), 0.0, 1.0)
 
 
 def blob_images(centers) -> np.ndarray:
@@ -80,36 +102,41 @@ class DatasetSpec:
     idx_path: str | None = None
 
     def __post_init__(self):
-        if self.kind not in DATASET_KINDS:
-            raise ValueError(f"dataset kind must be one of {DATASET_KINDS}, got {self.kind!r}")
-        if self.kind in MIXTURE_DIMS:
-            if self.mixture is None:
-                raise ValueError(f"{self.kind} needs a mixture")
-            want = MIXTURE_DIMS[self.kind]
-            if self.mixture.dim != want:
-                raise ValueError(
-                    f"{self.kind} needs a {want}-dimensional mixture, got dim {self.mixture.dim}"
-                )
-        if self.kind == "idx_images" and not self.idx_path:
-            raise ValueError("idx_images needs idx_path")
-        if self.kind != "idx_images" and self.n_samples < 1:
+        truth_dim, reads_file = _kind(self.kind)
+        if truth_dim is None:
+            if self.mixture is not None:
+                raise ValueError(f"{self.kind} has no ground truth; 'mixture' does not apply")
+        elif self.mixture is None:
+            raise ValueError(f"{self.kind} needs a mixture")
+        elif self.mixture.dim != truth_dim:
+            raise ValueError(
+                f"{self.kind} needs a {truth_dim}-dimensional mixture, got dim {self.mixture.dim}"
+            )
+        if reads_file:
+            if not self.idx_path:
+                raise ValueError(f"{self.kind} needs idx_path")
+        elif self.idx_path:
+            raise ValueError(f"{self.kind} reads no file; 'idx_path' does not apply")
+        elif self.n_samples < 1:
             raise ValueError(f"n_samples must be >= 1, got {self.n_samples}")
 
     @property
     def image_shape(self) -> tuple[int, int]:
         """(rows, cols) of one data row as an image; idx_images reads its file's header."""
-        if self.kind in MIXTURE_DIMS:
-            return (1, self.mixture.dim)
-        if self.kind == "blobs8x8":
-            return BLOB_IMAGE_SHAPE
-        _, rows, cols = read_idx_header(self.idx_path)
-        return (rows, cols)
+        truth_dim, reads_file = DATASET_KINDS[self.kind]
+        if truth_dim is not None:
+            return (1, truth_dim)
+        if reads_file:
+            _, rows, cols = read_idx_header(self.idx_path)
+            return (rows, cols)
+        return BLOB_IMAGE_SHAPE
 
 
 def build_dataset(spec: DatasetSpec, rng: Prng) -> np.ndarray:
     """Materialize the dataset described by spec as an (n, d) array in [0, 1]."""
-    if spec.kind in MIXTURE_DIMS:
+    truth_dim, reads_file = DATASET_KINDS[spec.kind]
+    if truth_dim is not None:
         return generate_mixture_dataset(spec.mixture, spec.n_samples, rng)
-    if spec.kind == "blobs8x8":
-        return generate_blobs8x8(spec.n_samples, rng)
-    return load_idx_images(spec.idx_path)
+    if reads_file:
+        return load_idx_images(spec.idx_path)
+    return generate_blobs8x8(spec.n_samples, rng)

@@ -204,18 +204,6 @@ def write_pgm_grid(images, image_shape, grid_cols: int, path) -> None:
         fh.write(header + canvas.tobytes())
 
 
-def read_pgm(path) -> np.ndarray:
-    """Read back a binary PGM written by write_pgm_grid, as floats in [0, 1]."""
-    with open(path, "rb") as fh:
-        data = fh.read()
-    parts = data.split(b"\n", 3)
-    if len(parts) != 4 or parts[0] != b"P5" or parts[2] != b"255":
-        raise ValueError(f"{path} is not a maxval-255 binary PGM")
-    width, height = (int(tok) for tok in parts[1].split())
-    pixels = np.frombuffer(parts[3], dtype=np.uint8, count=width * height)
-    return pixels.reshape(height, width).astype(np.float64) / 255.0
-
-
 # ---------------------------------------------------------------------------
 # CSV
 # ---------------------------------------------------------------------------

@@ -40,20 +40,23 @@ cannot reach them, and computes log w once. The data density p is the
 sigma = 0 member of the smoothed family p * N(0, sigma^2 I), so one cache
 serves both: the constants v + sigma^2, their log-normalisers and
 sigma^2 mu of the last sigma evaluated (0 for p), which a sweep over points
-at one sigma computes once. A call takes its rows in blocks whose
-(rows, k, d) workspace fits _WORKSPACE_BYTES, so memory stays bounded at
-any number of rows; a batch that fits one block, a single point among
-them, is evaluated whole and pays for no block bookkeeping. A block's
-component log-densities are one broadcast evaluation over (rows, k, d),
-except in a 1-D mixture's blocks of more than _COMPONENT_PASS_ROWS rows,
-which take them one component at a time with scalar operands. Every
-operation over the component axis (the log-sum-exp, the mode, the
-softmax's max and sum, R*'s sum) follows one rule: with fewer than
-_PAIRWISE_TERMS (8) components it folds the short axis as whole-column
-ufunc calls, in the order numpy's reductions take (_fold), and from 8 on
-it is numpy's reduction. The arithmetic is the formulas' own, in their
-order, on every path, so every result has the bits of the plain
-whole-batch expressions (tests/_reference_oracle.py).
+at one sigma computes once. What is the Gaussian family's own is a
+GaussianMixture method: its draws (sample), and at a sigma its component
+log-densities and shrunken means. The block loop, the softmax and the
+folds are shared, and see only (rows, k) component log-densities. A call
+takes its rows in blocks whose (rows, k, d) workspace fits
+_WORKSPACE_BYTES, so memory stays bounded at any number of rows; a batch
+that fits one block, a single point among them, is evaluated whole and
+pays for no block bookkeeping. A block's component log-densities are one
+broadcast evaluation over (rows, k, d), except in a 1-D mixture's blocks
+of more than _COMPONENT_PASS_ROWS rows, which take them one component at
+a time with scalar operands. Every operation over the component axis
+(the log-sum-exp, the mode, the softmax's max and sum, R*'s sum) follows
+one rule: with fewer than _PAIRWISE_TERMS (8) components it folds the
+short axis as whole-column ufunc calls, in the order numpy's reductions
+take (_fold), and from 8 on it is numpy's reduction. The arithmetic is
+the formulas' own, in their order, on every path, so every result has the
+bits of the plain whole-batch expressions (tests/_reference_oracle.py).
 
 For a single Gaussian N(mu, s^2) the relative error of (R*(x) - x) / sigma^2
 against the true score (mu - x) / s^2 is exactly sigma^2 / (s^2 + sigma^2),
@@ -187,6 +190,56 @@ class GaussianMixture:
         object.__setattr__(self, "_last_smoothing", (sigma, consts))
         return consts
 
+    def _log_densities(self, x: np.ndarray, sigma: float) -> np.ndarray:
+        """(rows, k) component log-densities at sigma of one block x of points, shaped (rows, 1, d).
+
+        -0.5 * (sum_d (x - mu_k)^2 / var_k + logdet_k) + log w_k, with var and
+        logdet from _smoothed(sigma): one broadcast over (rows, k, d), or, in
+        a 1-D mixture's blocks of more than _COMPONENT_PASS_ROWS rows, one
+        column at a time.
+        """
+        var, logdet, _ = self._smoothed(sigma)
+        k, d = self.means.shape
+        if d == 1 and len(x) > _COMPONENT_PASS_ROWS:  # the operations below, with scalar operands
+            logc = np.empty((len(x), k))
+            col = np.empty(len(x))  # contiguous, unlike logc[:, j]
+            for j in range(k):
+                np.subtract(x[:, 0, 0], self.means[j, 0], out=col)
+                col *= col
+                col /= var[0, j, 0]
+                col += logdet[0, j]
+                col *= -0.5
+                col += self._log_weights[0, j]
+                logc[:, j] = col
+            return logc
+        quad = np.subtract(x, self.means)
+        quad *= quad
+        quad /= var
+        if d == 1:  # a sum over one coordinate is that coordinate
+            logc = np.add(quad[:, :, 0], logdet)
+        else:
+            logc = np.add.reduce(quad, axis=2)
+            logc += logdet
+        logc *= _MINUS_HALF
+        logc += self._log_weights
+        return logc
+
+    def _shrunken_means(self, x: np.ndarray, sigma: float) -> np.ndarray:
+        """(rows, k, d) component posterior means (v x + sigma^2 mu) / (v + sigma^2) of a block x."""
+        var, _, s2mu = self._smoothed(sigma)
+        shrunk = np.multiply(self.variances, x)
+        shrunk += s2mu
+        shrunk /= var
+        return shrunk
+
+    def sample(self, n: int, rng: Prng) -> np.ndarray:
+        """n unclipped ancestral draws (n, d): per row, one uniform picks a component
+        by weight, then one standard normal per coordinate scales by its std."""
+        picks = np.searchsorted(np.cumsum(self.weights), rng.uniform((n,)), side="right")
+        picks = np.minimum(picks, self.n_components - 1)
+        noise = rng.normal((n, self.dim), 1.0)
+        return self.means[picks] + np.sqrt(self.variances[picks]) * noise
+
 
 def confined_to_unit_box(gm: GaussianMixture) -> bool:
     """True when every mean +- UNIT_BOX_SPAN standard deviations stays inside (0, 1)."""
@@ -266,48 +319,12 @@ def _softmax(logc: np.ndarray, first_row: int = 0) -> np.ndarray:
     return logc
 
 
-def _component_log_densities(
-    gm: GaussianMixture, x: np.ndarray, var: np.ndarray, logdet: np.ndarray
-) -> np.ndarray:
-    """(rows, k) component log-densities of one block x of points, shaped (rows, 1, d).
-
-    -0.5 * (sum_d (x - mu_k)^2 / var_k + logdet_k) + log w_k, with var and
-    logdet from gm._smoothed: one broadcast over (rows, k, d), or, in a 1-D
-    mixture's blocks of more than _COMPONENT_PASS_ROWS rows, one column at
-    a time.
-    """
-    k, d = gm.means.shape
-    if d == 1 and len(x) > _COMPONENT_PASS_ROWS:  # the operations below, with scalar operands
-        logc = np.empty((len(x), k))
-        col = np.empty(len(x))  # contiguous, unlike logc[:, j]
-        for j in range(k):
-            np.subtract(x[:, 0, 0], gm.means[j, 0], out=col)
-            col *= col
-            col /= var[0, j, 0]
-            col += logdet[0, j]
-            col *= -0.5
-            col += gm._log_weights[0, j]
-            logc[:, j] = col
-        return logc
-    quad = np.subtract(x, gm.means)
-    quad *= quad
-    quad /= var
-    if d == 1:  # a sum over one coordinate is that coordinate
-        logc = np.add(quad[:, :, 0], logdet)
-    else:
-        logc = np.add.reduce(quad, axis=2)
-        logc += logdet
-    logc *= _MINUS_HALF
-    logc += gm._log_weights
-    return logc
-
-
-def _in_row_blocks(gm: GaussianMixture, pts: np.ndarray, var, logdet, finish, *args):
+def _in_row_blocks(gm: GaussianMixture, sigma: float, pts: np.ndarray, finish, *args):
     """finish(x, logc, first_row, *args) over the (n, d) batch pts, in row blocks.
 
     x is a block's points as (rows, 1, d), logc their (rows, k) component
-    log-densities under var and logdet (gm._smoothed), and first_row the
-    block's first row in the batch. finish returns a tuple of arrays, one
+    log-densities at sigma (gm._log_densities), and first_row the block's
+    first row in the batch. finish returns a tuple of arrays, one
     row per point. A batch whose (rows, k, d) float64 workspace fits
     _WORKSPACE_BYTES is one block, and its results come back as finish
     gives them. A larger one takes blocks of as many rows as fit, each
@@ -318,11 +335,11 @@ def _in_row_blocks(gm: GaussianMixture, pts: np.ndarray, var, logdet, finish, *a
     step = max(1, _WORKSPACE_BYTES // (8 * gm.means.size))
     if len(pts) <= step:
         x = pts[:, None, :]
-        return finish(x, _component_log_densities(gm, x, var, logdet), 0, *args)
+        return finish(x, gm._log_densities(x, sigma), 0, *args)
     results = ()
     for lo in range(0, len(pts), step):
         x = pts[lo:lo + step, None, :]
-        block = finish(x, _component_log_densities(gm, x, var, logdet), lo, *args)
+        block = finish(x, gm._log_densities(x, sigma), lo, *args)
         if not results:
             results = tuple(np.empty((len(pts),) + a.shape[1:], a.dtype) for a in block)
         for out, a in zip(results, block):
@@ -349,8 +366,7 @@ def mixture_log_pdf_and_mode(gm: GaussianMixture, xs) -> tuple[np.ndarray, np.nd
     larger log-density rather than the lower index.
     """
     pts, _ = as_rows(np.atleast_2d(xs), gm.dim, "point", "mixture dim")
-    var, logdet, _ = gm._smoothed(0.0)
-    return _in_row_blocks(gm, pts, var, logdet, _log_p_and_mode)
+    return _in_row_blocks(gm, 0.0, pts, _log_p_and_mode)
 
 
 def mixture_log_pdf_batch(gm: GaussianMixture, xs) -> np.ndarray:
@@ -365,22 +381,20 @@ def _responsibilities(x, logc, first_row):
 def responsibilities(gm: GaussianMixture, xs) -> np.ndarray:
     """Posterior component probabilities, one row per point."""
     pts, _ = as_rows(np.atleast_2d(xs), gm.dim, "point", "mixture dim")
-    var, logdet, _ = gm._smoothed(0.0)
-    (resp,) = _in_row_blocks(gm, pts, var, logdet, _responsibilities)
+    (resp,) = _in_row_blocks(gm, 0.0, pts, _responsibilities)
     return resp
 
 
-def _score(x, logc, first_row, means, var):
-    pull = np.subtract(means, x)
-    pull /= var
+def _score(x, logc, first_row, gm):
+    pull = np.subtract(gm.means, x)
+    pull /= gm.variances
     return (np.einsum("nk,nkd->nd", _softmax(logc, first_row), pull),)
 
 
 def analytic_score(gm: GaussianMixture, x) -> np.ndarray:
     """Closed-form d/dx log p(x) = sum_k resp_k(x) (mu_k - x) / v_k."""
     pts, single = as_rows(x, gm.dim, "point", "mixture dim")
-    var, logdet, _ = gm._smoothed(0.0)
-    (score,) = _in_row_blocks(gm, pts, var, logdet, _score, gm.means, var)
+    (score,) = _in_row_blocks(gm, 0.0, pts, _score, gm)
     return score[0] if single else score
 
 
@@ -430,13 +444,11 @@ class QuadratureSpec:
             raise ValueError("monte_carlo needs at least 10000 samples")
 
 
-def _posterior_means(x, logc, first_row, variances, var, s2mu):
-    """R* of one block: the shrunken means (v x + sigma^2 mu) / (v + sigma^2)
-    weighted by the responsibilities, summed over the components."""
+def _posterior_means(x, logc, first_row, gm, sigma):
+    """R* of one block: the components' shrunken means at sigma weighted by the
+    responsibilities, summed over the components."""
     resp = _softmax(logc, first_row)
-    shrunk = np.multiply(variances, x)
-    shrunk += s2mu
-    shrunk /= var
+    shrunk = gm._shrunken_means(x, sigma)
     shrunk *= resp[:, :, None]
     return (_fold(np.add, shrunk, from_identity=True),)
 
@@ -465,8 +477,7 @@ def optimal_reconstruction(
         recon = _quadrature_estimate(gm, sigma, pts[0], quad)
         return recon if single else recon[None, :]
 
-    var, logdet, s2mu = gm._smoothed(sigma)
-    (recon,) = _in_row_blocks(gm, pts, var, logdet, _posterior_means, gm.variances, var, s2mu)
+    (recon,) = _in_row_blocks(gm, sigma, pts, _posterior_means, gm, sigma)
     return recon[0] if single else recon
 
 
@@ -483,8 +494,7 @@ def _quadrature_estimate(
     """
     eps = Prng(quad.mc_seed).normal((quad.n_samples, gm.dim), sigma)
     shifted = xv[None, :] - eps  # candidate clean points x - eps
-    var, logdet, _ = gm._smoothed(0.0)
-    (logc,) = _in_row_blocks(gm, shifted, var, logdet, lambda x, logc, first_row: (logc,))
+    (logc,) = _in_row_blocks(gm, 0.0, shifted, lambda x, logc, first_row: (logc,))
     tau = _softmax(logc.reshape(1, -1)).reshape(logc.shape).sum(axis=1)
     return (tau[:, None] * shifted).sum(axis=0)
 

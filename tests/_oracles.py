@@ -6,6 +6,7 @@ reconstruction cross-checks either scan a dense grid of candidate outputs
 against a Monte-Carlo average of the pointwise BCE objective
 (bce_grid_minimizer) or average the noise by Gauss-Hermite quadrature
 (gauss_hermite_posterior_mean). Both read only the data density.
+read_pgm reads a written PGM grid back without the package's writer.
 """
 
 from __future__ import annotations
@@ -122,3 +123,15 @@ def mixture_posterior_mean(gm, sigma: float, xs) -> np.ndarray:
     resp /= resp.sum(axis=1, keepdims=True)
     cond = (gm.variances * xs[:, None, :] + sigma * sigma * gm.means) / var
     return np.einsum("nk,nkd->nd", resp, cond)
+
+
+def read_pgm(path) -> np.ndarray:
+    """Read back a binary PGM written by write_pgm_grid, as floats in [0, 1]."""
+    with open(path, "rb") as fh:
+        data = fh.read()
+    parts = data.split(b"\n", 3)
+    if len(parts) != 4 or parts[0] != b"P5" or parts[2] != b"255":
+        raise ValueError(f"{path} is not a maxval-255 binary PGM")
+    width, height = (int(tok) for tok in parts[1].split())
+    pixels = np.frombuffer(parts[3], dtype=np.uint8, count=width * height)
+    return pixels.reshape(height, width).astype(np.float64) / 255.0

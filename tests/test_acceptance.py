@@ -20,14 +20,13 @@ import time
 
 import numpy as np
 
-from _oracles import bce_grid_minimizer, finite_diff_param_grads, relative_error
+from _oracles import bce_grid_minimizer, finite_diff_param_grads, read_pgm, relative_error
 from conftest import SCOREBOARD
 
 from daechain.cli import main as cli_main
 from daechain.io_formats import (
     load_checkpoint,
     load_idx_images,
-    read_pgm,
     save_checkpoint,
     write_pgm_grid,
 )

@@ -17,10 +17,12 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from _oracles import read_pgm
+
 import daechain
 from daechain import cli
 from daechain.cli import main
-from daechain.io_formats import load_checkpoint, read_pgm, save_checkpoint
+from daechain.io_formats import load_checkpoint, save_checkpoint
 
 BASE_CONFIG = """
 dataset = mixture1d
@@ -189,6 +191,29 @@ class TestDaaeOnlyKeys:
         )
         assert code == 0
         assert (tmp_path / "model.ckpt").exists()
+
+
+class TestDatasetOnlyKeys:
+    """A dataset key that the chosen kind does not read is an error, as a model key is."""
+
+    @pytest.mark.parametrize(
+        "dataset, key, value",
+        [("blobs8x8", "mixture_means", "0.1;0.9"), ("mixture1d", "idx_path", "/nonexistent.idx")],
+    )
+    def test_rejected_before_any_work(self, tmp_path, monkeypatch, capsys, dataset, key, value):
+        def no_data(*args):
+            raise AssertionError("the dataset was built")
+
+        monkeypatch.setattr(cli, "build_dataset", no_data)
+        out = tmp_path / "run"
+        code = main(
+            ["train", "--set", f"dataset={dataset}", "--set", f"{key}={value}",
+             "--set", "epochs=1", "--set", "n_samples=200", "--set", f"out_dir={out}"]
+        )
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "error:" in err and repr(key) in err
+        assert not out.exists()
 
 
 class TestChains:

@@ -83,6 +83,21 @@ class TestMixtureDataset:
         corr = np.corrcoef(data[:, 0], data[:, 1])[0, 1]
         assert corr > 0.9
 
+    @pytest.mark.parametrize("dim", [1, 2])
+    def test_is_the_clipped_draws_of_the_mixture(self, dim):
+        # each mean sits just over 4 standard deviations inside the unit box,
+        # so a few of 10^5 draws leave it and the clip moves them
+        gm = GaussianMixture(
+            weights=np.array([0.3, 0.7]),
+            means=np.array([[0.2001] * dim, [0.7999] * dim]),
+            variances=np.full((2, dim), 0.0025),
+        )
+        drawn = gm.sample(100_000, Prng(4))
+        assert drawn.shape == (100_000, dim)
+        assert np.any((drawn < 0.0) | (drawn > 1.0))
+        clipped = np.clip(drawn, 0.0, 1.0).tobytes()
+        assert clipped == generate_mixture_dataset(gm, 100_000, Prng(4)).tobytes()
+
     def test_deterministic_for_fixed_seed(self):
         a = generate_mixture_dataset(two_mode(), 50, Prng(7))
         b = generate_mixture_dataset(two_mode(), 50, Prng(7))
@@ -176,6 +191,12 @@ class TestDatasetSpec:
     def test_rejects_nonpositive_sample_count(self):
         with pytest.raises(ValueError):
             DatasetSpec(kind="blobs8x8", n_samples=0)
+
+    def test_rejects_what_the_kind_does_not_read(self, tmp_path):
+        with pytest.raises(ValueError, match="blobs8x8 has no ground truth; 'mixture'"):
+            DatasetSpec(kind="blobs8x8", mixture=two_mode())
+        with pytest.raises(ValueError, match="mixture1d reads no file; 'idx_path'"):
+            DatasetSpec(kind="mixture1d", mixture=two_mode(), idx_path=str(tmp_path / "x.idx"))
 
 
 def _spec_of_each_kind(tmp_path):

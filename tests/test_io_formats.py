@@ -13,6 +13,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from _oracles import read_pgm
+
 from daechain.io_formats import (
     CHECKPOINT_MAGIC,
     CheckpointError,
@@ -23,7 +25,6 @@ from daechain.io_formats import (
     load_checkpoint,
     load_idx_images,
     read_idx_header,
-    read_pgm,
     save_checkpoint,
     write_csv,
     write_pgm_grid,
