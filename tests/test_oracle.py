@@ -623,6 +623,24 @@ def test_quadrature_estimator_runs_only_when_asked_for_single_points():
         optimal_reconstruction(gm, 0.05, np.array([0.4, 0.6]))
 
 
+@pytest.mark.parametrize(
+    "mixture, point, want",
+    [
+        (two_mode, [0.45], ["0x1.b41d9bcc39fc4p-2"]),
+        (two_component_2d, [0.45, 0.5], ["0x1.f73e19c8dd403p-2", "0x1.f2e3d92bddc53p-2"]),
+    ],
+    ids=["1d", "2d"],
+)
+def test_monte_carlo_estimate_has_pinned_bytes(mixture, point, want):
+    # 200,000 draws span several row blocks (4 of 65,536 rows in 1-D, 7 of
+    # 32,768 in 2-D), and one softmax sums all draws x components pairwise
+    # in draw-major order, so the bits pin how the blocks are laid out
+    got = optimal_reconstruction(
+        mixture(), 0.1, np.array(point), QuadratureSpec(n_samples=200_000, mc_seed=11)
+    )
+    assert [float.hex(float(v)) for v in got] == want
+
+
 def test_cli_import_loads_no_quadrature_rule():
     # the package averages no noise by Gauss-Hermite, so nothing imports
     # numpy.polynomial; a fresh interpreter sees what the CLI really loads
