@@ -13,7 +13,7 @@ The same keys can be overridden from the command line via repeated
 import dataclasses
 from dataclasses import dataclass
 
-from .datasets import GROUND_TRUTH_KINDS, DatasetSpec, ground_truth
+from .datasets import DRAWN_KINDS, GROUND_TRUTH_KINDS, DatasetSpec, ground_truth
 from .models import TrainConfig
 from .sampler import ChainConfig
 
@@ -145,16 +145,16 @@ def apply_overrides(cfg: RunConfig, overrides) -> RunConfig:
 # ---------------------------------------------------------------------------
 
 def dataset_spec_from_config(cfg: RunConfig) -> DatasetSpec:
-    """The dataset spec; a mixture key set for a kind with no ground truth is an error."""
+    """The dataset spec; a mixture key set for a kind with no ground truth, or
+    n_samples for a kind that reads a file, is an error. DatasetSpec cannot
+    tell a given n_samples from its default, so the check is here."""
     mixture = ground_truth(
         cfg.dataset, cfg.mixture_weights, cfg.mixture_means, cfg.mixture_variances
     )
-    if mixture is None:
-        for key in ("mixture_weights", "mixture_means", "mixture_variances"):
-            if getattr(cfg, key) != getattr(RunConfig(), key):
-                raise ConfigError(
-                    f"{key!r} applies only to dataset in {GROUND_TRUTH_KINDS}, not {cfg.dataset!r}"
-                )
+    for key in ("mixture_weights", "mixture_means", "mixture_variances", "n_samples"):
+        kinds = DRAWN_KINDS if key == "n_samples" else GROUND_TRUTH_KINDS
+        if cfg.dataset not in kinds and getattr(cfg, key) != getattr(RunConfig(), key):
+            raise ConfigError(f"{key!r} applies only to dataset in {kinds}, not {cfg.dataset!r}")
     return DatasetSpec(cfg.dataset, cfg.n_samples, mixture, cfg.idx_path or None)
 
 

@@ -2,8 +2,8 @@
 
 DATASET_KINDS is the one table of dataset kinds: each kind's ground truth,
 the density its rows are drawn from where one is known, and whether it
-reads a file. Only this module reads it; config and cli ask ground_truth
-and GROUND_TRUTH_KINDS. A new kind is one entry and one builder.
+reads a file. Only this module reads it; config and cli ask ground_truth,
+GROUND_TRUTH_KINDS and DRAWN_KINDS. A new kind is one entry and one builder.
 
 Mixture datasets are the mixture's own ancestral draws
 (GaussianMixture.sample), from mixtures confined to the unit cube, so the
@@ -35,6 +35,8 @@ DATASET_KINDS = {
 }
 # the kinds with a ground truth, which score-check and oracle-check judge against
 GROUND_TRUTH_KINDS = tuple(name for name, (dim, _) in DATASET_KINDS.items() if dim is not None)
+# the kinds that draw their rows, and so read n_samples
+DRAWN_KINDS = tuple(name for name, (_, reads_file) in DATASET_KINDS.items() if not reads_file)
 
 
 def _kind(name: str) -> tuple[int | None, bool]:

@@ -43,20 +43,16 @@ sigma^2 mu of the last sigma evaluated (0 for p), which a sweep over points
 at one sigma computes once. What is the Gaussian family's own is a
 GaussianMixture method: its draws (sample), and at a sigma its component
 log-densities and shrunken means. The block loop, the softmax and the
-folds are shared, and see only (rows, k) component log-densities. A call
-takes its rows in blocks whose (rows, k, d) workspace fits
+folds are shared, and see only (k, rows) component log-densities. A call
+takes its rows in blocks whose (k, rows, d) workspace fits
 _WORKSPACE_BYTES, so memory stays bounded at any number of rows; a batch
 that fits one block, a single point among them, is evaluated whole and
-pays for no block bookkeeping. A block's component log-densities are one
-broadcast evaluation over (rows, k, d), except in a 1-D mixture's blocks
-of more than _COMPONENT_PASS_ROWS rows, which take them one component at
-a time with scalar operands. Every operation over the component axis
-(the log-sum-exp, the mode, the softmax's max and sum, R*'s sum) follows
-one rule: with fewer than _PAIRWISE_TERMS (8) components it folds the
-short axis as whole-column ufunc calls, in the order numpy's reductions
-take (_fold), and from 8 on it is numpy's reduction. The arithmetic is
-the formulas' own, in their order, on every path, so every result has the
-bits of the plain whole-batch expressions (tests/_reference_oracle.py).
+pays for no block bookkeeping. A block is laid out component-major, so
+an operation over the components is numpy's reduction over axis 0
+(_fold); the log-sum-exp and the mode fold the k rows by hand below
+_PAIRWISE_TERMS (8). The arithmetic is the formulas' own, in their
+order, on every path, so every result has the bits of the plain
+whole-batch expressions (tests/_reference_oracle.py).
 
 For a single Gaussian N(mu, s^2) the relative error of (R*(x) - x) / sigma^2
 against the true score (mu - x) / s^2 is exactly sigma^2 / (s^2 + sigma^2),
@@ -65,6 +61,7 @@ independent of x. That closed form anchors the convergence study.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -88,20 +85,11 @@ UNIT_BOX_SPAN = 4.0  # standard deviations confined_to_unit_box keeps inside (0,
 # 49-component one 41.
 _WORKSPACE_BYTES = 1 << 20
 
-# A 1-D mixture's blocks of more rows than this take the log-density one
-# component at a time, in passes over a contiguous column with scalar
-# operands; numpy's broadcasting loop over the short (rows, k, 1) axes is
-# slower from about 200 rows of a two-component mixture (timeit, numpy 2.4,
-# 2-vCPU Xeon), and 3-4x slower at 65,536. Smaller blocks, single points
-# among them, keep the broadcast evaluation. Either way every element goes
-# through the same operations in the same order.
-_COMPONENT_PASS_ROWS = 256
-
 # numpy's add.reduce over an inner axis adds up to 7 terms left to right
-# from +0.0, and from 8 terms pairwise (numpy 2.4); over a middle axis it
-# adds left to right at any length. _fold folds fewer components than this
-# as whole-column ufunc calls in that order, with the same bits, and reduces
-# from here on. Not a tunable: it is numpy's summation order.
+# from +0.0, and from 8 terms pairwise (numpy 2.4); over an outer or middle
+# axis it adds left to right at any length. So from this many components,
+# _fold reduces a row-major copy where the reference's reduction is over
+# the inner axis. Not a tunable: it is numpy's summation order.
 _PAIRWISE_TERMS = 8
 
 
@@ -115,7 +103,6 @@ def _read_only(a: np.ndarray) -> np.ndarray:
 # one-row block (timeit, numpy 2.4). The float64 values, and so the bits,
 # are the same.
 _MINUS_HALF = _read_only(np.array(-0.5))
-_ZERO = _read_only(np.array(0.0))
 
 
 @dataclass(frozen=True, eq=False)
@@ -161,10 +148,12 @@ class GaussianMixture:
         object.__setattr__(self, "weights", _read_only(w))
         object.__setattr__(self, "means", _read_only(m))
         object.__setattr__(self, "variances", _read_only(v))
-        # The per-component constants carry a leading axis of length 1, so a
-        # one-row block meets them shape for shape: numpy's same-shape loop
-        # is about twice as fast as its broadcasting one on such tiny arrays.
-        object.__setattr__(self, "_log_weights", _read_only(np.log(w)[None, :]))
+        # Per-component constants are (k, 1, ...), so a one-row block meets
+        # them shape for shape: numpy's same-shape loop is about twice as fast
+        # as its broadcasting one on such tiny arrays.
+        object.__setattr__(self, "_log_weights", _read_only(np.log(w)[:, None]))
+        object.__setattr__(self, "_means", m[:, None])
+        object.__setattr__(self, "_variances", v[:, None])
         object.__setattr__(self, "_last_smoothing", (None, None))
 
     @property
@@ -181,53 +170,36 @@ class GaussianMixture:
         if last == sigma:
             return consts
         s2 = sigma * sigma
-        var = self.variances[None] + s2
+        var = self._variances + s2
         # sigma^2 = inf makes every row raise NumericError before s2mu is read
         with np.errstate(invalid="ignore"):
-            s2mu = s2 * self.means[None]
-        logdet = np.log(2.0 * np.pi * var).sum(axis=2)  # (1, k) log det(2 pi diag(v_k))
+            s2mu = s2 * self._means
+        logdet = np.log(2.0 * np.pi * var).sum(axis=2)  # (k, 1) log det(2 pi diag(v_k))
         consts = (_read_only(var), _read_only(logdet), _read_only(s2mu))
         object.__setattr__(self, "_last_smoothing", (sigma, consts))
         return consts
 
     def _log_densities(self, x: np.ndarray, sigma: float) -> np.ndarray:
-        """(rows, k) component log-densities at sigma of one block x of points, shaped (rows, 1, d).
+        """(k, rows) component log-densities at sigma of one (rows, d) block x of points.
 
         -0.5 * (sum_d (x - mu_k)^2 / var_k + logdet_k) + log w_k, with var and
-        logdet from _smoothed(sigma): one broadcast over (rows, k, d), or, in
-        a 1-D mixture's blocks of more than _COMPONENT_PASS_ROWS rows, one
-        column at a time.
+        logdet from _smoothed(sigma): one broadcast over (k, rows, d).
         """
         var, logdet, _ = self._smoothed(sigma)
-        k, d = self.means.shape
-        if d == 1 and len(x) > _COMPONENT_PASS_ROWS:  # the operations below, with scalar operands
-            logc = np.empty((len(x), k))
-            col = np.empty(len(x))  # contiguous, unlike logc[:, j]
-            for j in range(k):
-                np.subtract(x[:, 0, 0], self.means[j, 0], out=col)
-                col *= col
-                col /= var[0, j, 0]
-                col += logdet[0, j]
-                col *= -0.5
-                col += self._log_weights[0, j]
-                logc[:, j] = col
-            return logc
-        quad = np.subtract(x, self.means)
+        quad = np.subtract(x, self._means)
         quad *= quad
         quad /= var
-        if d == 1:  # a sum over one coordinate is that coordinate
-            logc = np.add(quad[:, :, 0], logdet)
-        else:
-            logc = np.add.reduce(quad, axis=2)
-            logc += logdet
+        # a sum over one coordinate is that coordinate
+        logc = quad[:, :, 0] if self.dim == 1 else np.add.reduce(quad, axis=2)
+        logc += logdet
         logc *= _MINUS_HALF
         logc += self._log_weights
         return logc
 
     def _shrunken_means(self, x: np.ndarray, sigma: float) -> np.ndarray:
-        """(rows, k, d) component posterior means (v x + sigma^2 mu) / (v + sigma^2) of a block x."""
+        """(k, rows, d) component posterior means (v x + sigma^2 mu) / (v + sigma^2) of block x."""
         var, _, s2mu = self._smoothed(sigma)
-        shrunk = np.multiply(self.variances, x)
+        shrunk = np.multiply(self._variances, x)
         shrunk += s2mu
         shrunk /= var
         return shrunk
@@ -249,48 +221,49 @@ def confined_to_unit_box(gm: GaussianMixture) -> bool:
     return bool(np.all(lo > 0.0) and np.all(hi < 1.0))
 
 
-def _fold(ufunc, a: np.ndarray, from_identity: bool = False) -> np.ndarray:
-    """ufunc.reduce(a, axis=1), with its bits, for an (n, k, ...) array.
+def _fold(ufunc, a: np.ndarray) -> np.ndarray:
+    """ufunc.reduce(a, axis=0) over the components of a (k, rows, ...) block,
+    with the bits of the reference's row-major reduction over axis 1.
 
-    Below _PAIRWISE_TERMS columns, whole-column calls combine the columns
-    left to right, as numpy's reductions do; on 65,536 x 2 rows the
-    softmax's two folds take ~0.9 ms against ~4.2 ms for its reductions,
-    while at 49 columns the reductions win (timeit, numpy 2.4, 2-vCPU
-    Xeon). From _PAIRWISE_TERMS on it is the reduction itself. The result
-    never shares memory with a, which the softmax writes to after its max.
-
-    np.add and np.logaddexp reduce from their identity (0 and -inf), which
-    keeps the first column as it is but turns -0.0 into +0.0, as adding
-    +0.0 does; from_identity adds it. R*'s terms may hold -0.0, and log p
-    takes it so that its bits are the reduction's by construction. The
-    softmax needs none: np.maximum has no identity, and exp gives no -0.0.
+    Both combine whole rows left to right, save where the row-major one is
+    over the inner axis ((k, rows), or (k, rows, 1) when d = 1) and sums
+    pairwise from _PAIRWISE_TERMS: there a row-major copy is reduced. The
+    result never shares memory with a, which the softmax writes to.
     """
-    k = a.shape[1]
-    if k >= _PAIRWISE_TERMS:
-        return ufunc.reduce(a, axis=1)
-    out = np.add(_ZERO, a[:, 0]) if from_identity else a[:, 0]
-    for j in range(1, k):
-        out = ufunc(out, a[:, j])  # on one-row blocks a new array beats out= (~0.4 us)
-    return out if from_identity or k > 1 else out.copy()
+    if len(a) >= _PAIRWISE_TERMS and a[0].size == len(a[0]):
+        return ufunc.reduce(a.swapaxes(0, 1).copy(), axis=1)
+    return ufunc.reduce(a, axis=0)
+
+
+def _logsumexp(a: np.ndarray) -> np.ndarray:
+    """np.logaddexp.reduce(a, axis=0) of a (k, rows) array, with its bits.
+
+    Below _PAIRWISE_TERMS rows, whole-row calls: the reduction's first pass,
+    from -inf, costs ~0.5 ms per 65,536 x 2 block (timeit, numpy 2.4, 2-vCPU
+    Xeon), and turns -0.0 into +0.0 as np.logaddexp of two rows does.
+    """
+    if 1 < len(a) < _PAIRWISE_TERMS:
+        return functools.reduce(np.logaddexp, a)
+    return np.logaddexp.reduce(a, axis=0)
 
 
 def _argmax_rows(a: np.ndarray) -> np.ndarray:
-    """np.argmax(a, axis=1) of an (n, k) array, folded over columns below _PAIRWISE_TERMS.
+    """np.argmax(a, axis=0) of a (k, rows) array, folded over rows below _PAIRWISE_TERMS.
 
-    It tracks an index, not a value, so it is no _fold, but it follows the
-    same rule. A column takes a row only where it is strictly larger than
-    every column before it, so ties go to the lower index, as with np.argmax.
+    np.argmax over the outer axis is ~30x slower on a 65,536 x 2 block
+    (timeit, numpy 2.4). A row takes a column only where it is strictly
+    larger than every row before it, so ties go to the lower index.
     """
-    k = a.shape[1]
+    k = len(a)
     if k >= _PAIRWISE_TERMS:
-        return np.argmax(a, axis=1)
+        return np.argmax(a, axis=0)
     if k == 1:
-        return np.zeros(a.shape[0], dtype=np.intp)
-    mode = (a[:, 1] > a[:, 0]).astype(np.intp)
-    best = a[:, 0]
+        return np.zeros(a.shape[1], dtype=np.intp)
+    mode = (a[1] > a[0]).astype(np.intp)
+    best = a[0]
     for j in range(2, k):
-        best = np.maximum(best, a[:, j - 1])
-        np.copyto(mode, j, where=a[:, j] > best)
+        best = np.maximum(best, a[j - 1])
+        np.copyto(mode, j, where=a[j] > best)
     return mode
 
 
@@ -303,42 +276,42 @@ def _raise_no_finite_row(bad: np.ndarray, largest: np.ndarray, first_row: int):
 
 
 def _softmax(logc: np.ndarray, first_row: int = 0) -> np.ndarray:
-    """Row-wise exp(logc) / sum(exp(logc)) in place, shifted by each row's max.
+    """exp(logc) / sum_k exp(logc) of a (k, rows) array in place, shifted by each column's max.
 
-    Raises NumericError for a row whose largest entry is not finite: then
-    no component has a finite log-density and the row has no softmax. The
-    message counts rows from first_row, the block's first row in the batch.
-    The max and the sum are _folds, with the bits of the axis=1 reductions.
+    Raises NumericError for a point (a column) whose largest entry is not
+    finite: then no component has a finite log-density and the point has
+    no softmax. The message counts rows from first_row, the block's first
+    row in the batch. The max and the sum are _folds.
     """
     top = _fold(np.maximum, logc)
     if np.count_nonzero(np.isfinite(top)) < len(top):
         _raise_no_finite_row(~np.isfinite(top), top, first_row)
-    logc -= top[:, None]
+    logc -= top
     np.exp(logc, out=logc)
-    logc /= _fold(np.add, logc)[:, None]
+    logc /= _fold(np.add, logc)
     return logc
 
 
 def _in_row_blocks(gm: GaussianMixture, sigma: float, pts: np.ndarray, finish, *args):
     """finish(x, logc, first_row, *args) over the (n, d) batch pts, in row blocks.
 
-    x is a block's points as (rows, 1, d), logc their (rows, k) component
+    x is a block's (rows, d) points, logc their (k, rows) component
     log-densities at sigma (gm._log_densities), and first_row the block's
-    first row in the batch. finish returns a tuple of arrays, one
-    row per point. A batch whose (rows, k, d) float64 workspace fits
-    _WORKSPACE_BYTES is one block, and its results come back as finish
-    gives them. A larger one takes blocks of as many rows as fit, each
-    copied into result arrays shaped after the first block's, so memory
-    holds the results and one block. Every row is a function of its own
-    point alone, so the blocks change no bits.
+    first row in the batch. Block arrays are component-major, (k, rows,
+    ...), so even a 1-D block's broadcasts run with the rows innermost.
+    finish returns a tuple of arrays, one row per point. A batch whose
+    (k, rows, d) float64 workspace fits _WORKSPACE_BYTES is one block, and
+    its results come back as finish gives them. A larger one takes blocks
+    of as many rows as fit, each copied into result arrays shaped after the
+    first block's, so memory holds the results and one block. Every row is
+    a function of its own point alone, so the blocks change no bits.
     """
     step = max(1, _WORKSPACE_BYTES // (8 * gm.means.size))
     if len(pts) <= step:
-        x = pts[:, None, :]
-        return finish(x, gm._log_densities(x, sigma), 0, *args)
+        return finish(pts, gm._log_densities(pts, sigma), 0, *args)
     results = ()
     for lo in range(0, len(pts), step):
-        x = pts[lo:lo + step, None, :]
+        x = pts[lo:lo + step]
         block = finish(x, gm._log_densities(x, sigma), lo, *args)
         if not results:
             results = tuple(np.empty((len(pts),) + a.shape[1:], a.dtype) for a in block)
@@ -348,10 +321,10 @@ def _in_row_blocks(gm: GaussianMixture, sigma: float, pts: np.ndarray, finish, *
 
 
 def _log_p_and_mode(x, logc, first_row):
-    nan = np.isnan(logc[:, 0])  # a NaN coordinate makes every column NaN
+    nan = np.isnan(logc[0])  # a NaN coordinate makes every component NaN
     if np.count_nonzero(nan):
-        _raise_no_finite_row(nan, logc[:, 0], first_row)
-    return _fold(np.logaddexp, logc, from_identity=True), _argmax_rows(logc)
+        _raise_no_finite_row(nan, logc[0], first_row)
+    return _logsumexp(logc), _argmax_rows(logc)
 
 
 def mixture_log_pdf_and_mode(gm: GaussianMixture, xs) -> tuple[np.ndarray, np.ndarray]:
@@ -375,7 +348,7 @@ def mixture_log_pdf_batch(gm: GaussianMixture, xs) -> np.ndarray:
 
 
 def _responsibilities(x, logc, first_row):
-    return (_softmax(logc, first_row),)
+    return (_softmax(logc, first_row).T.copy(),)
 
 
 def responsibilities(gm: GaussianMixture, xs) -> np.ndarray:
@@ -386,9 +359,11 @@ def responsibilities(gm: GaussianMixture, xs) -> np.ndarray:
 
 
 def _score(x, logc, first_row, gm):
-    pull = np.subtract(gm.means, x)
+    # einsum's order over k follows its operands' layout: row-major, as in the reference
+    resp = _softmax(logc, first_row).T.copy()
+    pull = np.subtract(gm.means, x[:, None])
     pull /= gm.variances
-    return (np.einsum("nk,nkd->nd", _softmax(logc, first_row), pull),)
+    return (np.einsum("nk,nkd->nd", resp, pull),)
 
 
 def analytic_score(gm: GaussianMixture, x) -> np.ndarray:
@@ -450,7 +425,7 @@ def _posterior_means(x, logc, first_row, gm, sigma):
     resp = _softmax(logc, first_row)
     shrunk = gm._shrunken_means(x, sigma)
     shrunk *= resp[:, :, None]
-    return (_fold(np.add, shrunk, from_identity=True),)
+    return (_fold(np.add, shrunk),)
 
 
 def optimal_reconstruction(
@@ -494,8 +469,8 @@ def _quadrature_estimate(
     """
     eps = Prng(quad.mc_seed).normal((quad.n_samples, gm.dim), sigma)
     shifted = xv[None, :] - eps  # candidate clean points x - eps
-    (logc,) = _in_row_blocks(gm, 0.0, shifted, lambda x, logc, first_row: (logc,))
-    tau = _softmax(logc.reshape(1, -1)).reshape(logc.shape).sum(axis=1)
+    (logc,) = _in_row_blocks(gm, 0.0, shifted, lambda x, logc, first_row: (logc.T,))
+    tau = _softmax(logc.reshape(-1, 1)).reshape(logc.shape).sum(axis=1)
     return (tau[:, None] * shifted).sum(axis=0)
 
 

@@ -198,7 +198,11 @@ class TestDatasetOnlyKeys:
 
     @pytest.mark.parametrize(
         "dataset, key, value",
-        [("blobs8x8", "mixture_means", "0.1;0.9"), ("mixture1d", "idx_path", "/nonexistent.idx")],
+        [
+            ("blobs8x8", "mixture_means", "0.1;0.9"),
+            ("mixture1d", "idx_path", "/nonexistent.idx"),
+            ("idx_images", "n_samples", "7"),
+        ],
     )
     def test_rejected_before_any_work(self, tmp_path, monkeypatch, capsys, dataset, key, value):
         def no_data(*args):

@@ -23,6 +23,7 @@ from daechain.oracle import (
     QuadratureSpec,
     _argmax_rows,
     _fold,
+    _logsumexp,
     analytic_score,
     confined_to_unit_box,
     high_density_grid,
@@ -168,7 +169,7 @@ def test_logsumexp_matches_scipy(scipy_special, a):
     # relative 1e-12; the absolute floor covers rows whose sum cancels to ~0
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        got = _fold(np.logaddexp, a, from_identity=True)
+        got = _logsumexp(np.ascontiguousarray(a.T))
     assert got.tobytes() == np.logaddexp.reduce(a, axis=1).tobytes()
     want = scipy_special.logsumexp(a, axis=1)
     np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-12)
@@ -248,8 +249,8 @@ def test_column_folds_have_the_bits_of_the_row_reductions(case):
         log_p, mode = mixture_log_pdf_and_mode(gm, xs)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        assert _fold(np.logaddexp, logc, from_identity=True).tobytes() == log_p.tobytes()
-        assert np.array_equal(_argmax_rows(logc), mode)
+        assert _logsumexp(np.ascontiguousarray(logc.T)).tobytes() == log_p.tobytes()
+        assert np.array_equal(_argmax_rows(np.ascontiguousarray(logc.T)), mode)
     assert log_p.tobytes() == np.logaddexp.reduce(logc, axis=1).tobytes()
     assert mode.dtype == np.intp
     assert np.array_equal(mode, np.argmax(logc, axis=1))
@@ -280,25 +281,29 @@ def _fold_operand(k, trailing=(), non_negative=False):
 
 @pytest.mark.parametrize("k", FOLD_WIDTHS)
 @pytest.mark.parametrize(
-    "ufunc, from_identity, trailing, non_negative",
+    "ufunc, trailing, non_negative",
     [
-        (np.maximum, False, (), False),  # the softmax's max
-        (np.add, False, (), True),  # the softmax's sum, over exp output
-        (np.logaddexp, True, (), False),  # log p
-        (np.add, True, (3,), False),  # R*'s sum over (rows, k, d)
-        (np.add, True, (1,), False),
+        (np.maximum, (), False),  # the softmax's max
+        (np.add, (), True),  # the softmax's sum, over exp output
+        (np.logaddexp, (), False),  # log p
+        (np.add, (3,), False),  # R*'s sum over (rows, k, d)
+        (np.add, (1,), False),
     ],
     ids=["max", "softmax-sum", "logaddexp", "rstar-sum-3d", "rstar-sum-1d"],
 )
-def test_fold_has_the_bits_of_numpys_reduction(ufunc, from_identity, trailing, non_negative, k):
+def test_fold_has_the_bits_of_numpys_reduction(ufunc, trailing, non_negative, k):
     a = _fold_operand(k, trailing, non_negative)
+    by_component = np.ascontiguousarray(a.swapaxes(0, 1))  # the package's (k, rows, ...) layout
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        got = _fold(ufunc, a, from_identity)
+        if ufunc is np.logaddexp:
+            got = _logsumexp(by_component)
+        else:
+            got = _fold(ufunc, by_component)
     want = ufunc.reduce(a, axis=1)
     assert got.shape == want.shape and got.dtype == want.dtype
     assert got.tobytes() == want.tobytes()
-    assert not np.shares_memory(got, a)  # the softmax writes to a after its max
+    assert not np.shares_memory(got, by_component)  # the softmax writes to it after its max
 
 
 @pytest.mark.parametrize("k", FOLD_WIDTHS)
@@ -309,7 +314,7 @@ def test_argmax_rows_is_numpys_argmax_with_ties_and_all_minus_inf_rows(k):
     a[3:6] = 1.0
     a[6, :] = 0.0
     a[6, ::2] = -0.0
-    got = _argmax_rows(a)
+    got = _argmax_rows(np.ascontiguousarray(a.T))
     assert got.dtype == np.intp
     assert np.array_equal(got, np.argmax(a, axis=1))
 
@@ -814,10 +819,7 @@ def signed_zero_byte_pin_case():
 def test_closed_form_has_the_bytes_of_the_written_out_reference(case):
     mixtures, block, xs, calls = case
     d, k = xs.shape[1], mixtures[0].n_components
-    # blocks of 3-4 rows of a 1-D mixture take the log-density one component
-    # at a time, blocks of 1-2 rows (single points among them) the broadcast
-    with mock.patch.object(oracle, "_WORKSPACE_BYTES", block * 8 * k * d), \
-            mock.patch.object(oracle, "_COMPONENT_PASS_ROWS", 2):
+    with mock.patch.object(oracle, "_WORKSPACE_BYTES", block * 8 * k * d):
         # alternating mixtures and sigmas, with log p (sigma = 0) between the
         # R* calls: each evicts the other from the one kept set of constants
         for gm, sigma in calls:

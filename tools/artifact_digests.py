@@ -29,19 +29,21 @@ import os
 import struct
 import sys
 
+# n_samples only for the kinds that draw their rows: idx_images loads its whole file
 DATASETS = {
-    "mixture1d": [],
+    "mixture1d": ["n_samples=600"],
     "mixture2d": [
+        "n_samples=600",
         "mixture_means=0.3,0.4; 0.7,0.6",
         "mixture_variances=0.0025,0.0025; 0.0025,0.0025",
     ],
-    "blobs8x8": [],
+    "blobs8x8": ["n_samples=600"],
     "idx_images": ["idx_path=images.idx"],
 }
 MODELS = ("dae", "dvae", "daae")
 LOSSES = ("bce", "mse")
 COMMANDS = ("train", "sample", "refine", "score-check", "oracle-check")
-COMMON = ["epochs=2", "n_samples=600", "n_chains=64", "inject_sigma=0.1", "seed=3"]
+COMMON = ["epochs=2", "n_chains=64", "inject_sigma=0.1", "seed=3"]
 
 
 def _write_idx(path: str) -> None:
