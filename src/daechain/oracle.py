@@ -87,9 +87,9 @@ _WORKSPACE_BYTES = 1 << 20
 
 # numpy's add.reduce over an inner axis adds up to 7 terms left to right
 # from +0.0, and from 8 terms pairwise (numpy 2.4); over an outer or middle
-# axis it adds left to right at any length. So from this many components,
-# _fold reduces a row-major copy where the reference's reduction is over
-# the inner axis. Not a tunable: it is numpy's summation order.
+# axis it adds left to right at any length. So from this many components
+# _fold reduces a row-major copy where the reference reduces the inner
+# axis. Not a tunable: it is numpy's summation order.
 _PAIRWISE_TERMS = 8
 
 
@@ -223,15 +223,15 @@ def confined_to_unit_box(gm: GaussianMixture) -> bool:
 
 def _fold(ufunc, a: np.ndarray) -> np.ndarray:
     """ufunc.reduce(a, axis=0) over the components of a (k, rows, ...) block,
-    with the bits of the reference's row-major reduction over axis 1.
-
-    Both combine whole rows left to right, save where the row-major one is
-    over the inner axis ((k, rows), or (k, rows, 1) when d = 1) and sums
-    pairwise from _PAIRWISE_TERMS: there a row-major copy is reduced. The
-    result never shares memory with a, which the softmax writes to.
+    with the bits of the reference's row-major reduction over axis 1: both
+    combine whole rows left to right, save where the row-major one is over
+    the inner axis ((k, rows), or (k, rows, 1) when d = 1), which numpy takes
+    in another order from _PAIRWISE_TERMS on (pairwise sums, the max's
+    signed zeros at k = 9); there a row-major copy is reduced. The result
+    never shares memory with a, which the softmax writes to.
     """
     if len(a) >= _PAIRWISE_TERMS and a[0].size == len(a[0]):
-        return ufunc.reduce(a.swapaxes(0, 1).copy(), axis=1)
+        return ufunc.reduce(np.ascontiguousarray(a.swapaxes(0, 1)), axis=1)
     return ufunc.reduce(a, axis=0)
 
 

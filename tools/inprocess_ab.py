@@ -43,7 +43,8 @@ SIDES = ("parent", "change")
 
 
 def _blob_mixture(pkg):
-    """49 equal-weight 8x8 blob templates 0.1 + 0.8 * bump on a 7x7 grid of centres, pixel std 0.02."""
+    """49 equal-weight 8x8 blob templates 0.1 + 0.8 * bump, centres on a 7x7 grid,
+    pixel std 0.02: the blob-template mixture of tests/test_oracle.py."""
     ds = pkg.datasets
     axis = np.linspace(*ds.BLOB_CENTER_BOX, 7)
     centers = np.stack(np.meshgrid(axis, axis, indexing="ij"), axis=-1).reshape(49, 2)
@@ -80,7 +81,8 @@ def _cases(pkg):
         ("R*, 1e5 rows, 2-D", 1, lambda: [opt(gm2, 0.1, rows2)]),
         ("1e5 chains x 10 steps with the mixture", 1, chains),
         ("R*, 1024 rows of the 49-component 64-d mixture", 1, lambda: [opt(blob, 0.05, blob_rows)]),
-        ("log p and mode, same 1024 rows", 1, lambda: oracle.mixture_log_pdf_and_mode(blob, blob_rows)),
+        ("log p and mode, same 1024 rows", 1,
+         lambda: oracle.mixture_log_pdf_and_mode(blob, blob_rows)),
     ]
 
 
@@ -102,11 +104,6 @@ def _run(body, repeat: int):
         out = body()
         best = min(best, time.perf_counter() - start)
     return best, b"".join(np.asarray(a).tobytes() for a in out)
-
-
-def _quartiles(values):
-    q1, med, q3 = statistics.quantiles(values, n=4, method="inclusive")
-    return q1, med, q3
 
 
 def main(argv=None) -> int:
@@ -138,7 +135,9 @@ def main(argv=None) -> int:
     print(f"{args.pairs} pairs, fastest of {args.repeat} runs per sample; us per unit: "
           "median [q1, q3]")
     for name, units, _ in cases["parent"]:
-        (pq1, pmed, pq3), (cq1, cmed, cq3) = (_quartiles(times[name, s]) for s in SIDES)
+        (pq1, pmed, pq3), (cq1, cmed, cq3) = (
+            statistics.quantiles(times[name, s], n=4, method="inclusive") for s in SIDES
+        )
         unit = "point" if units > 1 else "call"
         print(f"{name} (per {unit}): parent {pmed:.2f} [{pq1:.2f}, {pq3:.2f}]  "
               f"change {cmed:.2f} [{cq1:.2f}, {cq3:.2f}]  ratio {cmed / pmed:.3f}")
