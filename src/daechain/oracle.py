@@ -78,7 +78,7 @@ GRID_CANDIDATES = 4001
 HIGH_DENSITY_NATS = 4.0
 UNIT_BOX_SPAN = 4.0  # standard deviations confined_to_unit_box keeps inside (0, 1)
 
-# The closed form takes its rows in blocks whose (rows, k, d) float64
+# The closed form takes its rows in blocks whose (k, rows, d) float64
 # workspace fits in this many bytes, as models._BLOCK_ROWS bounds inference.
 # Every result is a function of its own row, so the block size changes no
 # bits. A 1-D two-component mixture takes 65,536 rows per block, a 64-d
@@ -222,7 +222,7 @@ def confined_to_unit_box(gm: GaussianMixture) -> bool:
 
 
 def _fold(ufunc, a: np.ndarray) -> np.ndarray:
-    """ufunc.reduce(a, axis=0) over the components of a (k, rows, ...) block,
+    """ufunc.reduce(a, axis=0) over the components of a (k, rows[, d]) block,
     with the bits of the reference's row-major reduction over axis 1: both
     combine whole rows left to right, save where the row-major one is over
     the inner axis ((k, rows), or (k, rows, 1) when d = 1), which numpy takes
@@ -230,7 +230,7 @@ def _fold(ufunc, a: np.ndarray) -> np.ndarray:
     signed zeros at k = 9); there a row-major copy is reduced. The result
     never shares memory with a, which the softmax writes to.
     """
-    if len(a) >= _PAIRWISE_TERMS and a[0].size == len(a[0]):
+    if len(a) >= _PAIRWISE_TERMS and (a.ndim == 2 or a.shape[2] == 1):
         return ufunc.reduce(np.ascontiguousarray(a.swapaxes(0, 1)), axis=1)
     return ufunc.reduce(a, axis=0)
 

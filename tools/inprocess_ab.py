@@ -8,7 +8,7 @@ so both sides share one interpreter, one numpy and one BLAS thread pool,
 and the run-to-run noise of separate processes drops out. A pair times
 every case once on each side, alternating which side goes first from pair
 to pair, and asserts that the two sides' outputs have the same bytes. A
-side's sample is the fastest of --repeat runs. The output is one line per
+side's sample is the fastest of REPEAT (3) runs. The output is one line per
 case: each side's median and quartiles over the pairs, in microseconds per
 unit of the case, and the ratio of the change's median to the parent's.
 
@@ -40,6 +40,7 @@ MIX2 = ([0.5, 0.5], [[0.3, 0.4], [0.7, 0.6]], [[0.0025] * 2] * 2)
 SIGMAS_1D = (1.0, 0.5, 0.2, 0.1, 0.05, 0.02, 0.01)
 SIGMAS_2D = (0.5, 0.1)
 SIDES = ("parent", "change")
+REPEAT = 3  # runs per sample; a sample is the fastest of them
 
 
 def _blob_mixture(pkg):
@@ -96,10 +97,10 @@ def _import_copy(src: str, tmp: str, side: str):
     return importlib.import_module(name)  # imports every module the cases use
 
 
-def _run(body, repeat: int):
-    """The fastest of repeat runs of body, in seconds, and its last output as bytes."""
+def _run(body):
+    """The fastest of REPEAT runs of body, in seconds, and its last output as bytes."""
     best = float("inf")
-    for _ in range(repeat):
+    for _ in range(REPEAT):
         start = time.perf_counter()
         out = body()
         best = min(best, time.perf_counter() - start)
@@ -111,10 +112,9 @@ def main(argv=None) -> int:
     parser.add_argument("--parent", required=True, help="the parent checkout's src/ directory")
     parser.add_argument("--change", required=True, help="the changed checkout's src/ directory")
     parser.add_argument("--pairs", type=int, default=10, help="alternating pairs per case")
-    parser.add_argument("--repeat", type=int, default=3, help="runs per sample, fastest kept")
     args = parser.parse_args(argv)
-    if args.pairs < 2 or args.repeat < 1:
-        parser.error("need --pairs >= 2 and --repeat >= 1")
+    if args.pairs < 2:
+        parser.error("need --pairs >= 2")
     with tempfile.TemporaryDirectory() as tmp:
         sys.path.insert(0, tmp)
         cases = {
@@ -128,11 +128,11 @@ def main(argv=None) -> int:
         for i, (name, units, _) in enumerate(cases["parent"]):
             outputs = {}
             for side in order:
-                seconds, outputs[side] = _run(cases[side][i][2], args.repeat)
+                seconds, outputs[side] = _run(cases[side][i][2])
                 times[name, side].append(seconds / units * 1e6)
             if outputs["parent"] != outputs["change"]:
                 sys.exit(f"pair {pair}: {name}: the outputs of the two sides differ")
-    print(f"{args.pairs} pairs, fastest of {args.repeat} runs per sample; us per unit: "
+    print(f"{args.pairs} pairs, fastest of {REPEAT} runs per sample; us per unit: "
           "median [q1, q3]")
     for name, units, _ in cases["parent"]:
         (pq1, pmed, pq3), (cq1, cmed, cq3) = (
