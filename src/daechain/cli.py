@@ -111,20 +111,14 @@ def _stream(cfg: RunConfig, offset: int) -> Prng:
     return Prng(cfg.seed + offset)
 
 
-# each key that only one model kind reads, and that kind
-_MODEL_KEYS = (("dropout", "daae"), ("disc_hidden", "daae"), ("regularizer_weight", "dvae"))
-
-
 def _cmd_train(cfg: RunConfig) -> int:
     """train a model on the configured dataset and save a checkpoint"""
-    for key, kind in _MODEL_KEYS:
-        if cfg.model != kind and getattr(cfg, key) != getattr(RunConfig(), key):
-            raise ConfigError(f"{key!r} applies only to model = {kind}, not {cfg.model!r}")
+    train_cfg = train_config_from_config(cfg)
     data = build_dataset(dataset_spec_from_config(cfg), _stream(cfg, 1))
     model, trace = train(
         cfg.model,
         data,
-        train_config_from_config(cfg),
+        train_cfg,
         latent_dim=cfg.latent,
         hidden=cfg.hidden,
         sigma=cfg.sigma,
@@ -153,8 +147,9 @@ def _run_chains(cfg: RunConfig, run_from_start, prefix: str) -> int:
             f"image_shape {shape[0]},{shape[1]} does not match the model's "
             f"data dim {model.data_dim}"
         )
-    if cfg.grid_cols < 1:
-        raise ConfigError(f"grid_cols must be >= 1, got {cfg.grid_cols}")
+    for key in ("grid_cols", "n_chains"):
+        if getattr(cfg, key) < 1:
+            raise ConfigError(f"{key} must be >= 1, got {getattr(cfg, key)}")
     chain_cfg = chain_config_from_config(cfg)
     trace = run_from_start(model, cfg.n_chains, chain_cfg, rng, spec.mixture)
 

@@ -14,7 +14,7 @@ import dataclasses
 from dataclasses import dataclass
 
 from .datasets import DRAWN_KINDS, GROUND_TRUTH_KINDS, DatasetSpec, ground_truth
-from .models import TrainConfig
+from .models import MODEL_KINDS, TrainConfig
 from .sampler import ChainConfig
 
 
@@ -144,6 +144,14 @@ def apply_overrides(cfg: RunConfig, overrides) -> RunConfig:
 # derived objects
 # ---------------------------------------------------------------------------
 
+def _check_kind_keys(cfg: RunConfig, kind_key: str, pairs) -> None:
+    """Raise if the key of a (key, kinds that read it) pair is off its default for another kind."""
+    kind = getattr(cfg, kind_key)
+    for key, kinds in pairs:
+        if kind not in kinds and getattr(cfg, key) != getattr(RunConfig(), key):
+            raise ConfigError(f"{key!r} applies only to {kind_key} in {kinds}, not {kind!r}")
+
+
 def dataset_spec_from_config(cfg: RunConfig) -> DatasetSpec:
     """The dataset spec; a mixture key set for a kind with no ground truth, or
     n_samples for a kind that reads a file, is an error. DatasetSpec cannot
@@ -151,24 +159,21 @@ def dataset_spec_from_config(cfg: RunConfig) -> DatasetSpec:
     mixture = ground_truth(
         cfg.dataset, cfg.mixture_weights, cfg.mixture_means, cfg.mixture_variances
     )
-    for key in ("mixture_weights", "mixture_means", "mixture_variances", "n_samples"):
-        kinds = DRAWN_KINDS if key == "n_samples" else GROUND_TRUTH_KINDS
-        if cfg.dataset not in kinds and getattr(cfg, key) != getattr(RunConfig(), key):
-            raise ConfigError(f"{key!r} applies only to dataset in {kinds}, not {cfg.dataset!r}")
+    mixture_keys = ("mixture_weights", "mixture_means", "mixture_variances")
+    pairs = [(key, GROUND_TRUTH_KINDS) for key in mixture_keys] + [("n_samples", DRAWN_KINDS)]
+    _check_kind_keys(cfg, "dataset", pairs)
     return DatasetSpec(cfg.dataset, cfg.n_samples, mixture, cfg.idx_path or None)
 
 
 def train_config_from_config(cfg: RunConfig) -> TrainConfig:
-    return TrainConfig(
-        loss_kind=cfg.loss,
-        epochs=cfg.epochs,
-        batch_size=cfg.batch_size,
-        seed=cfg.seed,
-        regularizer_weight=cfg.regularizer_weight,
-        alpha=cfg.alpha,
-        beta1=cfg.beta1,
-        beta2=cfg.beta2,
-    )
+    """TrainConfig's fields by their names and loss as loss_kind; an unknown
+    model, or a key set that the model does not read, is an error."""
+    if cfg.model not in MODEL_KINDS:
+        raise ConfigError(f"model must be one of {MODEL_KINDS}, got {cfg.model!r}")
+    pairs = (("dropout", ("daae",)), ("disc_hidden", ("daae",)), ("regularizer_weight", ("dvae",)))
+    _check_kind_keys(cfg, "model", pairs)
+    names = [f.name for f in dataclasses.fields(TrainConfig) if f.name != "loss_kind"]
+    return TrainConfig(loss_kind=cfg.loss, **{name: getattr(cfg, name) for name in names})
 
 
 def chain_config_from_config(cfg: RunConfig) -> ChainConfig:

@@ -175,6 +175,28 @@ class TestDaaeOnlyKeys:
         assert "error:" in err and repr(key) in err
         assert not out.exists()
 
+    @pytest.mark.parametrize(
+        "settings, shown",
+        [("epochs=0", "epochs"), ("batch_size=0", "batch_size"), ("model=foo", "'foo'"),
+         ("loss=xx", "'xx'"), ("model=dvae regularizer_weight=-1", "regularizer_weight")],
+    )
+    def test_bad_train_setting_rejected_before_any_work(
+        self, tmp_path, monkeypatch, capsys, settings, shown
+    ):
+        # TrainConfig's messages name the value or the field, not always the key
+        def no_data(*args):
+            raise AssertionError("the dataset was built")
+
+        monkeypatch.setattr(cli, "build_dataset", no_data)
+        out = tmp_path / "run"
+        argv = ["train", "--set", f"out_dir={out}"]
+        for setting in settings.split():
+            argv += ["--set", setting]
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert "error:" in err and shown in err
+        assert not out.exists()
+
     def test_daae_takes_dropout(self, config_path, tmp_path):
         code = main(
             ["train", "--config", config_path, "--set", "model=daae",
@@ -305,17 +327,22 @@ class TestChains:
             assert f"image_shape needs two integers >= 1, got '{shape}'" in capsys.readouterr().err
             assert list(tmp_path.iterdir()) == []
 
+    @pytest.mark.parametrize(
+        "key, message",
+        [("grid_cols", "grid_cols must be >= 1, got 0"), ("n_chains", "n_chains must be >= 1, got 0")],
+        ids=["grid_cols", "n_chains"],
+    )
     @pytest.mark.parametrize("command", ["sample", "refine"])
     def test_grid_cols_below_one_fails_before_any_file(
-        self, config_path, trained_dir, tmp_path, capsys, command
+        self, config_path, trained_dir, tmp_path, capsys, command, key, message
     ):
         code = main(
             [command, "--config", config_path, "--set", f"out_dir={tmp_path}",
              "--set", f"checkpoint={trained_dir / 'model.ckpt'}",
-             "--set", "grid_cols=0"]
+             "--set", f"{key}=0"]
         )
         assert code == 2
-        assert "grid_cols must be >= 1, got 0" in capsys.readouterr().err
+        assert message in capsys.readouterr().err
         assert list(tmp_path.iterdir()) == []
 
     @pytest.mark.parametrize("seed", [-2, 2**64 - 2])

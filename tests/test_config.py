@@ -165,6 +165,16 @@ class TestDerivedObjects:
         assert tc.beta1 == 0.5
         assert tc.beta2 == 0.999
 
+    @pytest.mark.parametrize(
+        "overrides, message",
+        [(["model=foo"], "model must be one of"),
+         (["model=dvae", "dropout=0.7"], "'dropout' applies only to model in ('daae',), not 'dvae'")],
+        ids=["unknown-model", "unread-key"],
+    )
+    def test_train_config_rejects_unknown_model_and_unread_model_key(self, overrides, message):
+        with pytest.raises(ConfigError, match=re.escape(message)):
+            train_config_from_config(apply_overrides(RunConfig(), overrides))
+
     def test_chain_config_mapping(self):
         cfg = apply_overrides(
             RunConfig(), ["chain_steps=12", "inject_sigma=0.3", "record_every=4"]
