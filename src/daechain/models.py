@@ -37,6 +37,8 @@ from .nn import (
     ForwardCache,
     Mlp,
     MlpSpec,
+    _bias_operands,
+    _check_adam_settings,
     _forward,
     adam_step,
     init_adam,
@@ -158,6 +160,7 @@ class TrainConfig:
             raise ValueError(
                 f"regularizer_weight must be finite and >= 0, got {self.regularizer_weight}"
             )
+        _check_adam_settings(self.alpha, self.beta1, self.beta2)
 
 
 @dataclass
@@ -230,7 +233,9 @@ def _infer(x, stages, what: str) -> np.ndarray:
     sized for the widest layer of the last, longest block, so each layer
     reads the other's output; a fan-in-1 layer also builds its (rows, 2)
     input [h | 1] per block (nn._forward). Memory does not grow with the
-    batch, and a block's working set stays in cache.
+    batch, and a block's working set stays in cache. A batch of two blocks
+    or more builds each layer's bias operand once (nn._bias_operands); on
+    one block that costs more than it saves.
     """
     rows, single = as_rows(x, stages[0][0].spec.in_dim, what)
     n = rows.shape[0]
@@ -242,10 +247,11 @@ def _infer(x, stages, what: str) -> np.ndarray:
     turn = itertools.count()
     bufs = [[spaces[next(turn) % 2][: longest * w].reshape(longest, w) for w in ws]
             for ws in widths]
+    biases = [_bias_operands(mlp, longest) if n >= 2 * _BLOCK_ROWS else None for mlp, _ in stages]
     for start, stop in zip(edges, edges[1:]):
         h = rows[start:stop]
-        for (mlp, keep), buf in zip(stages, bufs):
-            h = _forward(mlp, h, buf)[:, :keep]
+        for (mlp, keep), buf, ops in zip(stages, bufs, biases):
+            h = _forward(mlp, h, buf, biases=ops)[:, :keep]
         out[start:stop] = h
     return out[0] if single else out
 

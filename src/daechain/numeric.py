@@ -83,13 +83,21 @@ def sample_gaussian(rng: Prng, shape, sigma: float) -> np.ndarray:
     if sigma == 0.0:
         return np.zeros(shape)
     half = (n + 1) // 2
-    u1 = rng._gen.random(half)
-    u2 = rng._gen.random(half)
-    # u1 in [0, 1) so 1 - u1 in (0, 1]; log stays finite
-    radius = np.sqrt(-2.0 * np.log1p(-u1))
-    angle = 2.0 * np.pi * u2
-    z = np.concatenate([radius * np.cos(angle), radius * np.sin(angle)])[:n]
-    return (sigma * z).reshape(shape)
+    # one draw is the stream's next 2 * half values: u1, then u2
+    u = rng._gen.random(2 * half)
+    radius, angle = u[:half], u[half:]
+    # sqrt(-2 log(1 - u1)) in place; u1 in [0, 1) so 1 - u1 in (0, 1] and log stays finite
+    np.log1p(np.negative(radius, out=radius), out=radius)
+    radius *= -2.0
+    np.sqrt(radius, out=radius)
+    angle *= 2.0 * np.pi
+    z = np.empty((2, half))
+    np.cos(angle, out=z[0])
+    np.sin(angle, out=z[1])
+    z *= radius
+    z = z.reshape(-1)[:n]
+    z *= sigma  # the products commute, so these are the bits of sigma * (radius * cos)
+    return z.reshape(shape)
 
 
 def as_rows(x, dim: int, what: str, dim_name: str = "expected dim"):

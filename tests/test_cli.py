@@ -178,7 +178,8 @@ class TestDaaeOnlyKeys:
     @pytest.mark.parametrize(
         "settings, shown",
         [("epochs=0", "epochs"), ("batch_size=0", "batch_size"), ("model=foo", "'foo'"),
-         ("loss=xx", "'xx'"), ("model=dvae regularizer_weight=-1", "regularizer_weight")],
+         ("loss=xx", "'xx'"), ("model=dvae regularizer_weight=-1", "regularizer_weight"),
+         ("alpha=-1", "alpha"), ("beta1=1", "beta1"), ("beta2=1", "beta2")],
     )
     def test_bad_train_setting_rejected_before_any_work(
         self, tmp_path, monkeypatch, capsys, settings, shown

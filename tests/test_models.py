@@ -23,7 +23,7 @@ from daechain.models import (
     train,
 )
 from daechain.nn import MlpSpec, _forward, init_mlp, mlp_forward
-from daechain.numeric import NumericError, Prng, ShapeError
+from daechain.numeric import NumericError, Prng, ShapeError, sigmoid
 import _reference_training as reference_training
 
 
@@ -258,6 +258,52 @@ def test_single_point_inference_equals_its_one_row_batch(kind):
     assert np.array_equal(decode_latent(model, z), decode_latent(model, z[None, :])[0])
 
 
+def blockwise(stages, x):
+    """Inference written out block by block, with the blocks' edges: each
+    layer h @ w.T into a buffer, then + b, and relu, or the head's sigmoid."""
+    n, size = len(x), models._BLOCK_ROWS
+    edges = [size * i for i in range(max(n // size, 1))] + [n]
+    out = []
+    for start, stop in zip(edges, edges[1:]):
+        h = x[start:stop]
+        for mlp, keep in stages:
+            last = len(mlp.weights) - 1
+            for i, (w, b) in enumerate(zip(mlp.weights, mlp.biases)):
+                z = np.empty((len(h), w.shape[0]))
+                np.matmul(h, w.T, out=z)
+                z = z + b
+                if i < last:
+                    h = np.maximum(z, 0.0)
+                else:
+                    h = sigmoid(z) if mlp.spec.output_activation == "sigmoid" else z
+            h = h[:, :keep]
+        out.append(h)
+    return np.concatenate(out)
+
+
+@pytest.mark.parametrize("bufsize", [4096, None, 65536])
+@pytest.mark.parametrize("d, hidden, latent", [(1, (48, 96), 3), (64, (64, 64), 2)])
+def test_multi_block_inference_has_the_bytes_of_the_block_loop(d, hidden, latent, bufsize):
+    # bias tiles are sized by the ufunc buffer, so each buffer size leaves
+    # other remainders of whole tiles in the blocks of these batches
+    model = build_model("dae", d, latent, Prng(8), hidden=hidden)
+    gen = np.random.default_rng(d)
+    for mlp in model.networks:
+        for b in mlp.biases:  # nonzero biases, so a misplaced tile shows
+            b[...] = 0.1 * gen.standard_normal(b.shape)
+    encode = [(model.encoder, latent)]
+    decode = [(model.decoder, d)]
+    old = np.setbufsize(bufsize or np.getbufsize())
+    try:
+        for n in (2048, 2049, 5000):
+            x = gen.random((n, d)) * 1.4 - 0.2
+            z = gen.standard_normal((n, latent))
+            assert reconstruct(model, x).tobytes() == blockwise(encode + decode, x).tobytes()
+            assert decode_latent(model, z).tobytes() == blockwise(decode, z).tobytes()
+    finally:
+        np.setbufsize(old)
+
+
 def test_reconstruct_peak_memory_does_not_grow_with_the_batch():
     # 1e5 x 64 float64 is 51 MB per layer; caching every layer peaked at 210 MB
     model = build_model("dae", 1, 2, Prng(0))
@@ -272,8 +318,9 @@ def test_reconstruct_peak_memory_does_not_grow_with_the_batch():
 
 
 def test_reconstruct_runs_in_two_workspaces():
-    # two ping-pong workspaces of 1696 x 64 (the last block, widest layer)
-    # and the output come to ~2.6 MB; a buffer per layer came to ~4.4 MB
+    # two ping-pong workspaces of 1696 x 64 (the last block, widest layer),
+    # the output and the bias tiles come to ~2.8 MB (~2.6 MB before the
+    # tiles); a buffer per layer came to ~4.4 MB
     model = build_model("dae", 1, 2, Prng(0))
     x = np.random.default_rng(0).random((100_000, 1))
     tracemalloc.start()

@@ -91,6 +91,26 @@ def test_gaussian_sample_variance():
     assert abs(z.mean()) < 0.002
 
 
+def _box_muller_reference(rng, n, sigma):
+    """Box-Muller as two draws of half the values each, written out in full."""
+    half = (n + 1) // 2
+    u1 = rng._gen.random(half)
+    u2 = rng._gen.random(half)
+    radius = np.sqrt(-2.0 * np.log1p(-u1))
+    angle = 2.0 * np.pi * u2
+    z = np.concatenate([radius * np.cos(angle), radius * np.sin(angle)])[:n]
+    return sigma * z
+
+
+@pytest.mark.parametrize("sigma", [1e-3, 0.5, 3.0])
+@pytest.mark.parametrize("n", [1, 2, 3, 100, 101, 100_001])
+def test_gaussian_has_the_bytes_and_stream_position_of_box_muller(n, sigma):
+    got_rng, want_rng = Prng(11), Prng(11)
+    got = sample_gaussian(got_rng, (n,), sigma)
+    assert got.tobytes() == _box_muller_reference(want_rng, n, sigma).tobytes()
+    assert got_rng._gen.random(3).tobytes() == want_rng._gen.random(3).tobytes()
+
+
 def test_uniform_bounds_and_mean():
     rng = Prng(5)
     u = sample_uniform(rng, (1_000_000,), 0.0, 1.0)

@@ -9,7 +9,8 @@ Two checkouts whose artifacts have the same bytes print the same lines:
 train, sample, refine, score-check and oracle-check run in process through
 daechain.cli.main, over mixture1d, mixture2d, blobs8x8 and idx_images x
 dae, dvae, daae x bce, mse, at small sizes with a fixed seed and the
-default grid_cols. The idx_images runs read images.idx, 600 4x4 images
+default grid_cols; then train, sample and refine run once more on
+mixture1d with 2500 chains of 2 steps, a batch of several inference blocks. The idx_images runs read images.idx, 600 4x4 images
 that the tool writes into --out first, so no download is needed. Each
 combination writes into its own directory under --out.
 The commands run from inside --out, so the paths they print are relative;
@@ -44,6 +45,10 @@ MODELS = ("dae", "dvae", "daae")
 LOSSES = ("bce", "mse")
 COMMANDS = ("train", "sample", "refine", "score-check", "oracle-check")
 COMMON = ["epochs=2", "n_chains=64", "inject_sigma=0.1", "seed=3"]
+# chains that span more than one inference block (2 x models._BLOCK_ROWS rows and up)
+WIDE_RUN = "mixture1d-dae-bce-wide"
+WIDE = ["dataset=mixture1d", "model=dae", "loss=bce", "n_samples=600",
+        "n_chains=2500", "chain_steps=2"]
 
 
 def _write_idx(path: str) -> None:
@@ -112,6 +117,8 @@ def main(argv=None) -> int:
                 settings = [f"dataset={dataset}", f"model={model}", f"loss={loss}", *overrides]
                 for command in COMMANDS:
                     print(f"exit {_run(cli, run, command, settings)}  {run} {command}")
+    for command in ("train", "sample", "refine"):
+        print(f"exit {_run(cli, WIDE_RUN, command, WIDE)}  {WIDE_RUN} {command}")
     print("\n".join(_digests(out)))
     return 0
 

@@ -1,4 +1,4 @@
-"""Time the closed-form oracle of two checkouts side by side in one process.
+"""Time the closed-form oracle and inference of two checkouts side by side in one process.
 
     python3 tools/inprocess_ab.py --parent ../parent/src --change src --pairs 10
 
@@ -17,8 +17,10 @@ perfbench's oracle_grid family (7 sigmas x 401 points in 1-D, 2 x 441 in
 2-D; per point), large 1-D and 2-D batches (per call), 1e5 chains of 10
 steps of an untrained DAE scored against the mixture (per call; the oracle
 part is log p and the mode of the 1.1e6 recorded states), and the
-49-component 64-d blob-template mixture of tests/test_oracle.py. Only the
-standard library and numpy are used.
+49-component 64-d blob-template mixture of tests/test_oracle.py, and
+inference: a 1e5-row 1-D reconstruct (many blocks) and a 256-row 64-d one
+(one block, the CLI's chain batch). Only the standard library and numpy
+are used.
 """
 
 from __future__ import annotations
@@ -65,7 +67,9 @@ def _cases(pkg):
     rows1, rows2 = gen.uniform(-0.25, 1.25, (100_000, 1)), gen.uniform(0.0, 1.0, (100_000, 2))
     trace1 = gen.uniform(0.0, 1.0, (1_100_000, 1))
     blob_rows = gen.uniform(0.0, 1.0, (1024, 64))
+    wide_rows = gen.uniform(0.0, 1.0, (256, 64))
     model = pkg.build_model("dae", 1, 2, Prng(1), hidden=(64, 64), sigma=0.5)
+    wide = pkg.build_model("dae", 64, 2, Prng(3), hidden=(64, 64), sigma=0.5)
     chain_cfg = sampler.ChainConfig(10, 0.5)
 
     def chains():
@@ -84,6 +88,8 @@ def _cases(pkg):
         ("R*, 1024 rows of the 49-component 64-d mixture", 1, lambda: [opt(blob, 0.05, blob_rows)]),
         ("log p and mode, same 1024 rows", 1,
          lambda: oracle.mixture_log_pdf_and_mode(blob, blob_rows)),
+        ("reconstruct, 1e5 rows, 1-D", 1, lambda: [pkg.reconstruct(model, rows1)]),
+        ("reconstruct, 256 rows, 64-d", 1, lambda: [pkg.reconstruct(wide, wide_rows)]),
     ]
 
 
