@@ -33,9 +33,9 @@ from .config import (
     load_config,
     train_config_from_config,
 )
-from .datasets import GROUND_TRUTH_KINDS, build_dataset
+from .datasets import GROUND_TRUTH_KINDS, DatasetSpec, build_dataset
 from .io_formats import load_checkpoint, save_checkpoint, write_csv, write_pgm_grid
-from .models import reconstruct, train
+from .models import build_model, reconstruct, train
 from .numeric import NumericError, Prng
 from .oracle import (
     analytic_score,
@@ -84,24 +84,27 @@ def _out_path(cfg: RunConfig, name: str) -> str:
     return path
 
 
-def _load_model(cfg: RunConfig, gm):
-    """The checkpoint's model; with a mixture gm, its data dim must be gm's."""
+def _load_model(cfg: RunConfig, shape: tuple[int, int]):
+    """The checkpoint's model, whose data dim must be rows x cols of the dataset's image shape."""
     ckpt = _path(cfg, cfg.checkpoint)
     model = load_checkpoint(ckpt)
-    if gm is not None and gm.dim != model.data_dim:
-        raise ConfigError(f"checkpoint {ckpt} has data dim {model.data_dim}, mixture dim {gm.dim}")
+    dim = shape[0] * shape[1]
+    if model.data_dim != dim:
+        raise ConfigError(
+            f"checkpoint {ckpt} has data dim {model.data_dim}, "
+            f"dataset {cfg.dataset!r} has data dim {dim}"
+        )
     return model
 
 
-def _ground_truth(cfg: RunConfig):
+def _ground_truth(spec: DatasetSpec):
     """The mixture the dataset is drawn from, which score-check and oracle-check judge."""
-    gm = dataset_spec_from_config(cfg).mixture
-    if gm is None:
+    if spec.mixture is None:
         raise ConfigError(
-            f"dataset {cfg.dataset!r} has no ground-truth mixture; "
+            f"dataset {spec.kind!r} has no ground-truth mixture; "
             f"score-check and oracle-check need one of {GROUND_TRUTH_KINDS}"
         )
-    return gm
+    return spec.mixture
 
 
 def _stream(cfg: RunConfig, offset: int) -> Prng:
@@ -114,17 +117,15 @@ def _stream(cfg: RunConfig, offset: int) -> Prng:
 def _cmd_train(cfg: RunConfig) -> int:
     """train a model on the configured dataset and save a checkpoint"""
     train_cfg = train_config_from_config(cfg)
-    data = build_dataset(dataset_spec_from_config(cfg), _stream(cfg, 1))
-    model, trace = train(
-        cfg.model,
-        data,
-        train_cfg,
-        latent_dim=cfg.latent,
-        hidden=cfg.hidden,
-        sigma=cfg.sigma,
-        dropout_rate=cfg.dropout,
-        disc_hidden=cfg.disc_hidden,
-    )
+    spec = dataset_spec_from_config(cfg)
+    rows, cols = spec.image_shape
+    sizes = dict(hidden=cfg.hidden, sigma=cfg.sigma, dropout_rate=cfg.dropout,
+                 disc_hidden=cfg.disc_hidden)
+    # a throwaway model, so CorruptionSpec, MlpSpec and Autoencoder check sigma,
+    # latent and the sizes before the dataset is built
+    build_model(cfg.model, rows * cols, cfg.latent, _stream(cfg, 0), **sizes)
+    data = build_dataset(spec, _stream(cfg, 1))
+    model, trace = train(cfg.model, data, train_cfg, latent_dim=cfg.latent, **sizes)
     ckpt = _out_path(cfg, cfg.checkpoint)
     save_checkpoint(model, ckpt)
     losses = {key: [entry[key] for entry in trace] for key in trace[0]}
@@ -140,13 +141,8 @@ def _cmd_train(cfg: RunConfig) -> int:
 def _run_chains(cfg: RunConfig, run_from_start, prefix: str) -> int:
     rng = _stream(cfg, 2)
     spec = dataset_spec_from_config(cfg)
-    model = _load_model(cfg, spec.mixture)
-    shape = cfg.image_shape or spec.image_shape
-    if shape[0] * shape[1] != model.data_dim:
-        raise ConfigError(
-            f"image_shape {shape[0]},{shape[1]} does not match the model's "
-            f"data dim {model.data_dim}"
-        )
+    shape = spec.image_shape
+    model = _load_model(cfg, shape)
     for key in ("grid_cols", "n_chains"):
         if getattr(cfg, key) < 1:
             raise ConfigError(f"{key} must be >= 1, got {getattr(cfg, key)}")
@@ -215,8 +211,9 @@ def _cmd_score_check(cfg: RunConfig) -> int:
     """compare model score estimates with the analytic score"""
     if cfg.grid_points < 2:
         raise ConfigError(f"score-check needs grid_points >= 2, got {cfg.grid_points}")
-    gm = _ground_truth(cfg)
-    model = _load_model(cfg, gm)
+    spec = dataset_spec_from_config(cfg)
+    gm = _ground_truth(spec)
+    model = _load_model(cfg, spec.image_shape)
     grid = high_density_grid(gm, cfg.grid_points)
     estimate = score_from_reconstruction(reconstruct(model, grid), grid, model.corruption.sigma)
     truth = analytic_score(gm, grid)
@@ -233,7 +230,7 @@ def _cmd_score_check(cfg: RunConfig) -> int:
 
 def _cmd_oracle_check(cfg: RunConfig) -> int:
     """run the exact-denoiser convergence study"""
-    gm = _ground_truth(cfg)
+    gm = _ground_truth(dataset_spec_from_config(cfg))
     grid = high_density_grid(gm, cfg.grid_points)
     study = limit_convergence_study(gm, cfg.check_sigmas, grid)
     columns = {"sigma": study.sigmas, "max_rel_error": study.max_rel_errors}

@@ -54,7 +54,6 @@ class RunConfig:
     grid_points: int = 10
     out_dir: str = "out"
     checkpoint: str = "model.ckpt"
-    image_shape: tuple[int, int] | None = None
     grid_cols: int = 16
 
 
@@ -73,15 +72,6 @@ def _parse_points(text: str) -> tuple[tuple[float, ...], ...]:
     return tuple(points)
 
 
-def _parse_shape(text: str) -> tuple[int, int] | None:
-    if not text.strip():
-        return None
-    shape = _parse_ints(text)
-    if len(shape) != 2 or min(shape) < 1:
-        raise ValueError(f"image_shape needs two integers >= 1, got {text.strip()!r}")
-    return shape
-
-
 # Each RunConfig field is parsed by the parser of its annotation; a field
 # whose annotation has none fails here, at import.
 _PARSE_BY_TYPE = {
@@ -91,7 +81,6 @@ _PARSE_BY_TYPE = {
     tuple[int, ...]: _parse_ints,
     tuple[float, ...]: _parse_floats,
     tuple[tuple[float, ...], ...]: _parse_points,
-    tuple[int, int] | None: _parse_shape,
 }
 _PARSERS = {f.name: _PARSE_BY_TYPE[f.type] for f in dataclasses.fields(RunConfig)}
 

@@ -251,7 +251,10 @@ def write_csv(columns, path) -> None:
 def read_idx_header(path) -> tuple[int, int, int]:
     """Return (n_images, rows, cols) from an IDX image file header."""
     with open(path, "rb") as fh:
-        header = fh.read(16)
+        return _parse_idx_header(path, fh.read(16))
+
+
+def _parse_idx_header(path, header: bytes) -> tuple[int, int, int]:
     if len(header) < 4:
         raise IdxFormatError(f"{path}: file ends at byte {len(header)}, no magic")
     (magic,) = struct.unpack(">I", header[:4])
@@ -271,13 +274,13 @@ def read_idx_header(path) -> tuple[int, int, int]:
 
 def load_idx_images(path) -> np.ndarray:
     """Load an IDX image file as (n, rows*cols) floats in [0, 1]."""
-    n, rows, cols = read_idx_header(path)
     with open(path, "rb") as fh:
-        data = fh.read()
-    expected = 16 + n * rows * cols
-    if len(data) < expected:
-        raise IdxFormatError(f"{path}: payload truncated at byte {len(data)}, expected {expected}")
-    if len(data) > expected:
+        n, rows, cols = _parse_idx_header(path, fh.read(16))
+        payload = fh.read()
+    end, expected = 16 + len(payload), 16 + n * rows * cols
+    if end < expected:
+        raise IdxFormatError(f"{path}: payload truncated at byte {end}, expected {expected}")
+    if end > expected:
         raise IdxFormatError(f"{path}: trailing data at byte {expected}")
-    pixels = np.frombuffer(data, dtype=np.uint8, offset=16)
+    pixels = np.frombuffer(payload, dtype=np.uint8)
     return pixels.reshape(n, rows * cols).astype(np.float64) / 255.0

@@ -179,12 +179,15 @@ class TestDaaeOnlyKeys:
         "settings, shown",
         [("epochs=0", "epochs"), ("batch_size=0", "batch_size"), ("model=foo", "'foo'"),
          ("loss=xx", "'xx'"), ("model=dvae regularizer_weight=-1", "regularizer_weight"),
-         ("alpha=-1", "alpha"), ("beta1=1", "beta1"), ("beta2=1", "beta2")],
+         ("alpha=-1", "alpha"), ("beta1=1", "beta1"), ("beta2=1", "beta2"),
+         ("sigma=-1", "sigma"), ("latent=0", "(1, 64, 64, 0)"), ("hidden=0", "(1, 0, 2)"),
+         ("model=daae dropout=1.5", "dropout_rate"), ("model=daae disc_hidden=0", "(2, 0, 1)")],
     )
     def test_bad_train_setting_rejected_before_any_work(
         self, tmp_path, monkeypatch, capsys, settings, shown
     ):
-        # TrainConfig's messages name the value or the field, not always the key
+        # TrainConfig's messages name the value or the field, not always the key;
+        # MlpSpec's name the layer sizes
         def no_data(*args):
             raise AssertionError("the dataset was built")
 
@@ -304,29 +307,15 @@ class TestChains:
     def test_bad_image_shape_fails_before_any_chain(
         self, config_path, trained_dir, tmp_path, capsys, command
     ):
+        # the image shape is the dataset's own; no key sets another
         code = main(
             [command, "--config", config_path, "--set", f"out_dir={tmp_path}",
              "--set", f"checkpoint={trained_dir / 'model.ckpt'}",
-             "--set", "image_shape=2,3"]
+             "--set", "image_shape=8,8"]
         )
         assert code == 2
-        assert "image_shape 2,3" in capsys.readouterr().err
+        assert "unknown key 'image_shape'" in capsys.readouterr().err
         assert list(tmp_path.iterdir()) == []
-
-    @pytest.mark.parametrize("command", ["sample", "refine"])
-    def test_image_shape_below_one_fails_before_any_file(
-        self, config_path, trained_dir, tmp_path, capsys, command
-    ):
-        # (-1) * (-1) matches the 1-d model's data dim; the sizes still fail
-        for shape in ("-1,-1", "0,5"):
-            code = main(
-                [command, "--config", config_path, "--set", f"out_dir={tmp_path}",
-                 "--set", f"checkpoint={trained_dir / 'model.ckpt'}",
-                 "--set", f"image_shape={shape}"]
-            )
-            assert code == 2
-            assert f"image_shape needs two integers >= 1, got '{shape}'" in capsys.readouterr().err
-            assert list(tmp_path.iterdir()) == []
 
     @pytest.mark.parametrize(
         "key, message",
@@ -437,11 +426,23 @@ class TestChainDatasetKeys:
 
     @pytest.mark.parametrize("command", ["sample", "refine"])
     def test_checkpoint_of_another_dim_exits_2_before_any_file(
-        self, blob_checkpoint, tmp_path, capsys, command
+        self, blob_checkpoint, trained_dir, tmp_path, capsys, command
     ):
-        # the default config is the 1-d mixture; the checkpoint holds 8x8 images
-        err = _exits_2_before_any_file(command, blob_checkpoint, [], tmp_path, capsys)
-        assert f"checkpoint {blob_checkpoint} has data dim 64, mixture dim 1" in err
+        # rows x cols of the dataset's image shape is the one data dim a checkpoint may have
+        idx = tmp_path / "wide.idx"
+        idx.write_bytes(struct.pack(">IIII", 0x00000803, 2, 3, 5) + bytes(range(30)))
+        mixture_checkpoint = trained_dir / "model.ckpt"
+        cases = [
+            (blob_checkpoint, [], "64, dataset 'mixture1d' has data dim 1"),
+            (mixture_checkpoint, ["dataset=blobs8x8"], "1, dataset 'blobs8x8' has data dim 64"),
+            (mixture_checkpoint, ["dataset=idx_images", f"idx_path={idx}"],
+             "1, dataset 'idx_images' has data dim 15"),
+        ]
+        out = tmp_path / "out"
+        out.mkdir()
+        for ckpt, overrides, dims in cases:
+            err = _exits_2_before_any_file(command, ckpt, overrides, out, capsys)
+            assert f"checkpoint {ckpt} has data dim {dims}" in err
 
 
 class TestScoreCheck:
@@ -470,7 +471,8 @@ class TestScoreCheck:
         capsys.readouterr()
         assert main(["score-check", *base]) == 2
         ckpt = re.escape(str(tmp_path / "model.ckpt"))
-        assert re.search(f"checkpoint {ckpt} has data dim 64, mixture dim 1", capsys.readouterr().err)
+        err = capsys.readouterr().err
+        assert re.search(f"checkpoint {ckpt} has data dim 64, dataset 'mixture1d' has data dim 1", err)
         assert not (tmp_path / "score.csv").exists()
 
     def test_non_finite_checkpoint_parameter_exits_2_before_writing(self, trained_dir, tmp_path, capsys):

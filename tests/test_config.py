@@ -48,7 +48,6 @@ class TestParseConfig:
         mixture_means = 0.3,0.4 ; 0.7,0.6
         mixture_variances = 0.001,0.002 ; 0.003,0.004
         check_sigmas = 0.2, 0.1
-        image_shape = 8,8
         idx_path = data/train.idx
         """
         cfg = parse_config(text)
@@ -60,11 +59,7 @@ class TestParseConfig:
         assert cfg.mixture_means == ((0.3, 0.4), (0.7, 0.6))
         assert cfg.mixture_variances == ((0.001, 0.002), (0.003, 0.004))
         assert cfg.check_sigmas == (0.2, 0.1)
-        assert cfg.image_shape == (8, 8)
         assert cfg.idx_path == "data/train.idx"
-
-    def test_empty_image_shape_means_none(self):
-        assert parse_config("image_shape =").image_shape is None
 
     def test_value_containing_equals_sign(self):
         # Only the first '=' splits; the rest stays in the value.
@@ -87,8 +82,9 @@ class TestParseConfig:
             parse_config("epochs = 1\nepochs = 2\n")
 
     def test_bad_image_shape_rejected(self):
-        for text in ("8,8,8", "-1,-1", "0,5"):
-            with pytest.raises(ConfigError, match="image_shape"):
+        # a row's image shape is its dataset's; no key sets another
+        for text in ("8,8", "8,8,8", "-1,-1", ""):
+            with pytest.raises(ConfigError, match="line 1: unknown key 'image_shape'"):
                 parse_config(f"image_shape = {text}")
 
     def test_empty_mixture_means_rejected(self):
@@ -224,9 +220,6 @@ _strs = st.text(
 
 def _values_like(default):
     """Strategy for valid values of a field, read off its default."""
-    if default is None:  # image_shape, whose sizes are >= 1
-        sizes = st.integers(min_value=1, max_value=10**12)
-        return st.none() | st.tuples(sizes, sizes)
     if isinstance(default, tuple) and isinstance(default[0], tuple):
         return st.lists(st.lists(_floats, min_size=1, max_size=3).map(tuple),
                         min_size=1, max_size=3).map(tuple)
@@ -238,8 +231,6 @@ def _values_like(default):
 
 def _render(value) -> str:
     """Config-file text for a value, written independently of the parser."""
-    if value is None:
-        return ""
     if isinstance(value, tuple):
         sep = ";" if value and isinstance(value[0], tuple) else ","
         return sep.join(_render(v) for v in value)

@@ -15,6 +15,7 @@ from hypothesis import strategies as st
 
 from _oracles import read_pgm
 
+from daechain import io_formats
 from daechain.io_formats import (
     CHECKPOINT_MAGIC,
     CheckpointError,
@@ -362,10 +363,15 @@ class TestIdx:
         self.write_idx(path, 2, 2, 2, bytes(8))
         assert read_idx_header(path) == (2, 2, 2)
 
-    def test_loads_scaled_pixels(self, tmp_path):
+    def test_loads_scaled_pixels(self, tmp_path, monkeypatch):
         path = tmp_path / "img.idx"
         self.write_idx(path, 2, 2, 2, bytes([0, 255, 128, 64, 1, 2, 3, 4]))
+        opened = []
+        monkeypatch.setattr(
+            io_formats, "open", lambda *args: opened.append(args) or open(*args), raising=False
+        )
         images = load_idx_images(path)
+        assert len(opened) == 1  # the header is parsed from the one read of the file
         assert images.shape == (2, 4)
         assert np.array_equal(images[0], np.array([0, 255, 128, 64]) / 255.0)
         assert np.array_equal(images[1], np.array([1, 2, 3, 4]) / 255.0)

@@ -10,7 +10,11 @@ train, sample, refine, score-check and oracle-check run in process through
 daechain.cli.main, over mixture1d, mixture2d, blobs8x8 and idx_images x
 dae, dvae, daae x bce, mse, at small sizes with a fixed seed and the
 default grid_cols; then train, sample and refine run once more on
-mixture1d with 2500 chains of 2 steps, a batch of several inference blocks. The idx_images runs read images.idx, 600 4x4 images
+mixture1d with 2500 chains of 2 steps, a batch of several inference blocks.
+Two runs then read a checkpoint under a dataset of another data dim: a
+mixture1d model under blobs8x8 and a blobs8x8 model under mixture1d, each
+through sample, refine and score-check, which exit 2 and write only their
+logs. The idx_images runs read images.idx, 600 4x4 images
 that the tool writes into --out first, so no download is needed. Each
 combination writes into its own directory under --out.
 The commands run from inside --out, so the paths they print are relative;
@@ -49,6 +53,8 @@ COMMON = ["epochs=2", "n_chains=64", "inject_sigma=0.1", "seed=3"]
 WIDE_RUN = "mixture1d-dae-bce-wide"
 WIDE = ["dataset=mixture1d", "model=dae", "loss=bce", "n_samples=600",
         "n_chains=2500", "chain_steps=2"]
+# (dataset trained on, dataset the checkpoint is then read under)
+MISMATCHES = (("mixture1d", "blobs8x8"), ("blobs8x8", "mixture1d"))
 
 
 def _write_idx(path: str) -> None:
@@ -119,6 +125,12 @@ def main(argv=None) -> int:
                     print(f"exit {_run(cli, run, command, settings)}  {run} {command}")
     for command in ("train", "sample", "refine"):
         print(f"exit {_run(cli, WIDE_RUN, command, WIDE)}  {WIDE_RUN} {command}")
+    for trained, other in MISMATCHES:
+        run = f"{trained}-under-{other}"
+        steps = [("train", trained)] + [(c, other) for c in ("sample", "refine", "score-check")]
+        for command, dataset in steps:
+            settings = [f"dataset={dataset}", *DATASETS[dataset]]
+            print(f"exit {_run(cli, run, command, settings)}  {run} {command}")
     print("\n".join(_digests(out)))
     return 0
 
