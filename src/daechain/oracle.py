@@ -98,13 +98,6 @@ def _read_only(a: np.ndarray) -> np.ndarray:
     return a
 
 
-# The closed form's scalar operands as 0-d arrays: numpy takes a Python float
-# through its scalar promotion on every call, ~0.15 us more per call on a
-# one-row block (timeit, numpy 2.4). The float64 values, and so the bits,
-# are the same.
-_MINUS_HALF = _read_only(np.array(-0.5))
-
-
 @dataclass(frozen=True, eq=False)
 class GaussianMixture:
     """Mixture of diagonal Gaussians: weights (k,), means (k, d), variances (k, d).
@@ -164,8 +157,13 @@ class GaussianMixture:
     def dim(self) -> int:
         return self.means.shape[1]
 
-    def _smoothed(self, sigma: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """v + sigma^2, its log-normalisers and sigma^2 mu, kept for the last sigma only."""
+    def _smoothed(self, sigma: float) -> tuple:
+        """v + sigma^2, its log-normalisers and sigma^2 mu, kept for the last sigma only.
+
+        The fourth constant is _point_reconstruction's table, the same values
+        as Python floats, for a mixture of fewer than _PAIRWISE_TERMS
+        components in fewer than _PAIRWISE_TERMS dims, and None for any other.
+        """
         last, consts = self._last_smoothing
         if last == sigma:
             return consts
@@ -175,7 +173,17 @@ class GaussianMixture:
         with np.errstate(invalid="ignore"):
             s2mu = s2 * self._means
         logdet = np.log(2.0 * np.pi * var).sum(axis=2)  # (k, 1) log det(2 pi diag(v_k))
-        consts = (_read_only(var), _read_only(logdet), _read_only(s2mu))
+        table = None
+        if self.n_components < _PAIRWISE_TERMS and self.dim < _PAIRWISE_TERMS:
+            # per component: logdet, log w, and (mu, v, v + sigma^2, sigma^2 mu) per coordinate
+            table = tuple(
+                (ld, lw, tuple(zip(mu, v, vs, smu)))
+                for ld, lw, mu, v, vs, smu in zip(
+                    logdet[:, 0].tolist(), self._log_weights[:, 0].tolist(), self.means.tolist(),
+                    self.variances.tolist(), var[:, 0].tolist(), s2mu[:, 0].tolist(),
+                )
+            )
+        consts = (_read_only(var), _read_only(logdet), _read_only(s2mu), table)
         object.__setattr__(self, "_last_smoothing", (sigma, consts))
         return consts
 
@@ -185,20 +193,20 @@ class GaussianMixture:
         -0.5 * (sum_d (x - mu_k)^2 / var_k + logdet_k) + log w_k, with var and
         logdet from _smoothed(sigma): one broadcast over (k, rows, d).
         """
-        var, logdet, _ = self._smoothed(sigma)
+        var, logdet, _, _ = self._smoothed(sigma)
         quad = np.subtract(x, self._means)
         quad *= quad
         quad /= var
         # a sum over one coordinate is that coordinate
         logc = quad[:, :, 0] if self.dim == 1 else np.add.reduce(quad, axis=2)
         logc += logdet
-        logc *= _MINUS_HALF
+        logc *= -0.5
         logc += self._log_weights
         return logc
 
     def _shrunken_means(self, x: np.ndarray, sigma: float) -> np.ndarray:
         """(k, rows, d) component posterior means (v x + sigma^2 mu) / (v + sigma^2) of block x."""
-        var, _, s2mu = self._smoothed(sigma)
+        var, _, s2mu, _ = self._smoothed(sigma)
         shrunk = np.multiply(self._variances, x)
         shrunk += s2mu
         shrunk /= var
@@ -428,6 +436,41 @@ def _posterior_means(x, logc, first_row, gm, sigma):
     return (_fold(np.add, shrunk),)
 
 
+def _point_reconstruction(table: tuple, x: list) -> np.ndarray:
+    """R* of one point x (d Python floats) from _smoothed's table at sigma.
+
+    The arithmetic of _log_densities, _softmax and _posterior_means on a
+    one-row block, in Python floats and in their order, with their bits:
+    with fewer than _PAIRWISE_TERMS terms each of numpy's sums adds left to
+    right from +0.0, as these loops do, so a sum of -0.0 terms is +0.0.
+    exp stays np.exp, whose bits math.exp does not share, and a NaN
+    log-density is the largest, as np.maximum makes it.
+    """
+    logc = []
+    for logdet, log_w, coords in table:
+        quad = 0.0
+        for xj, (mu, _, var, _) in zip(x, coords):
+            diff = xj - mu
+            quad += diff * diff / var
+        logc.append((quad + logdet) * -0.5 + log_w)
+    top = logc[0]
+    for c in logc:
+        if c > top or c != c:
+            top = c
+    if not math.isfinite(top):
+        _raise_no_finite_row([True], [top], 0)
+    e = np.exp([c - top for c in logc]).tolist()
+    total = 0.0
+    for ek in e:
+        total += ek
+    recon = [0.0] * len(x)
+    for ek, (_, _, coords) in zip(e, table):
+        resp = ek / total
+        for j, (xj, (_, v, var, s2mu)) in enumerate(zip(x, coords)):
+            recon[j] += (v * xj + s2mu) / var * resp
+    return np.array(recon)
+
+
 def optimal_reconstruction(
     gm: GaussianMixture, sigma: float, x, quad: QuadratureSpec | None = None
 ) -> np.ndarray:
@@ -452,6 +495,10 @@ def optimal_reconstruction(
         recon = _quadrature_estimate(gm, sigma, pts[0], quad)
         return recon if single else recon[None, :]
 
+    if single:
+        table = gm._smoothed(sigma)[3]
+        if table is not None:
+            return _point_reconstruction(table, pts[0].tolist())
     (recon,) = _in_row_blocks(gm, sigma, pts, _posterior_means, gm, sigma)
     return recon[0] if single else recon
 

@@ -540,6 +540,20 @@ def test_row_with_no_finite_log_density_raises_numeric_error(name, bad):
         fn(gm, np.array([[0.5], [bad], [0.4]]))
     with pytest.raises(NumericError, match="row 1"):
         fn(two_component_2d(), np.array([[0.5, 0.5], [0.3, bad]]))
+    with pytest.raises(NumericError, match="row 0"):
+        fn(two_component_2d(), np.array([0.3, bad]))
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("gm, x", [
+    (two_mode(), np.array([0.3])),
+    (two_mode(), np.array([[0.3], [0.5]])),
+    (two_component_2d(), np.array([0.3, 0.5])),
+])
+def test_sigma_whose_square_overflows_raises_numeric_error(gm, x):
+    # v + sigma^2 is inf, so no component has a finite smoothed log-density
+    with pytest.raises(NumericError, match=r"row 0 \(largest -inf\)"):
+        optimal_reconstruction(gm, 1e200, x)
 
 
 _LOG_DENSITY_FUNCTIONS = {
@@ -815,6 +829,11 @@ def signed_zero_byte_pin_case():
 @example(case=fixed_byte_pin_case(8, 1))
 @example(case=fixed_byte_pin_case(9, 1))
 @example(case=fixed_byte_pin_case(1, 9))
+# the largest mixture optimal_reconstruction takes a single point of in
+# Python floats, and the smallest ones on either side of that guard
+@example(case=fixed_byte_pin_case(7, 7))
+@example(case=fixed_byte_pin_case(7, 8))
+@example(case=fixed_byte_pin_case(8, 7))
 @example(case=signed_zero_byte_pin_case())
 def test_closed_form_has_the_bytes_of_the_written_out_reference(case):
     mixtures, block, xs, calls = case
@@ -825,7 +844,8 @@ def test_closed_form_has_the_bytes_of_the_written_out_reference(case):
         for gm, sigma in calls:
             _assert_same_bytes(optimal_reconstruction(gm, sigma, xs), ref.optimal_reconstruction(gm, sigma, xs))
             _assert_same_bytes(mixture_log_pdf_batch(gm, xs), ref.mixture_log_pdf_batch(gm, xs))
-            _assert_same_bytes(optimal_reconstruction(gm, sigma, xs[1]), ref.optimal_reconstruction(gm, sigma, xs[1:2])[0])
+            for i in range(len(xs)):
+                _assert_same_bytes(optimal_reconstruction(gm, sigma, xs[i]), ref.optimal_reconstruction(gm, sigma, xs[i:i + 1])[0])
             _assert_same_bytes(mixture_log_pdf_and_mode(gm, xs)[0], ref.mixture_log_pdf_batch(gm, xs))
         for gm in mixtures:
             _assert_same_bytes(responsibilities(gm, xs), ref.responsibilities(gm, xs))

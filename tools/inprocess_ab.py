@@ -14,13 +14,15 @@ unit of the case, and the ratio of the change's median to the parent's.
 
 The cases are the closed form's hot shapes: the single-point R* sweeps of
 perfbench's oracle_grid family (7 sigmas x 401 points in 1-D, 2 x 441 in
-2-D; per point), large 1-D and 2-D batches (per call), 1e5 chains of 10
-steps of an untrained DAE scored against the mixture (per call; the oracle
-part is log p and the mode of the 1.1e6 recorded states), and the
-49-component 64-d blob-template mixture of tests/test_oracle.py, and
-inference: a 1e5-row 1-D reconstruct (many blocks) and a 256-row 64-d one
-(one block, the CLI's chain batch). Only the standard library and numpy
-are used.
+2-D; per point), the same 1-D sweep on a 7-component mixture (the largest
+whose single points optimal_reconstruction evaluates in Python floats),
+large 1-D and 2-D batches (per call), 1e5 chains of 10 steps of an
+untrained DAE scored against the mixture (per call; the oracle part is log
+p and the mode of the 1.1e6 recorded states), and the 49-component 64-d
+blob-template mixture of tests/test_oracle.py, whose single points take the
+row-block path (per point), and inference: a 1e5-row 1-D reconstruct (many
+blocks) and a 256-row 64-d one (one block, the CLI's chain batch). Only the
+standard library and numpy are used.
 """
 
 from __future__ import annotations
@@ -41,6 +43,8 @@ MIX1 = ([0.5, 0.5], [[0.35], [0.65]], [[0.0025], [0.0025]])
 MIX2 = ([0.5, 0.5], [[0.3, 0.4], [0.7, 0.6]], [[0.0025] * 2] * 2)
 SIGMAS_1D = (1.0, 0.5, 0.2, 0.1, 0.05, 0.02, 0.01)
 SIGMAS_2D = (0.5, 0.1)
+# 7 equal components in 1-D, means 0.2 to 0.8
+MIX7 = (np.full(7, 1.0 / 7), np.linspace(0.2, 0.8, 7)[:, None], np.full((7, 1), 0.0025))
 SIDES = ("parent", "change")
 REPEAT = 3  # runs per sample; a sample is the fastest of them
 
@@ -60,6 +64,7 @@ def _cases(pkg):
     oracle, sampler, Prng = pkg.oracle, pkg.sampler, pkg.Prng
     opt = oracle.optimal_reconstruction
     gm1, gm2, blob = pkg.GaussianMixture(*MIX1), pkg.GaussianMixture(*MIX2), _blob_mixture(pkg)
+    gm7 = pkg.GaussianMixture(*MIX7)
     gen = np.random.default_rng(0)
     points1 = np.sort(gen.uniform(-0.25, 1.25, 401))[:, None]
     axes = [np.sort(gen.uniform(0.0, 1.0, 21)) for _ in range(2)]
@@ -81,6 +86,10 @@ def _cases(pkg):
          lambda: [opt(gm1, s, p) for s in SIGMAS_1D for p in points1]),
         ("single-point R* sweep, 2-D", len(SIGMAS_2D) * len(points2),
          lambda: [opt(gm2, s, p) for s in SIGMAS_2D for p in points2]),
+        ("single-point R* sweep, 1-D, 7 components", len(SIGMAS_1D) * len(points1),
+         lambda: [opt(gm7, s, p) for s in SIGMAS_1D for p in points1]),
+        ("single-point R*, 64 points of the 49-component 64-d mixture", 64,
+         lambda: [opt(blob, 0.05, p) for p in blob_rows[:64]]),
         ("log p and mode, 1.1e6 1-D rows", 1, lambda: oracle.mixture_log_pdf_and_mode(gm1, trace1)),
         ("R*, 1e5 rows, 1-D", 1, lambda: [opt(gm1, 0.1, rows1)]),
         ("R*, 1e5 rows, 2-D", 1, lambda: [opt(gm2, 0.1, rows2)]),
