@@ -34,13 +34,18 @@ one point remains available through an explicit QuadratureSpec; the tests'
 independent cross-checks (Gauss-Hermite among them) live in tests/_oracles.py.
 
 One evaluation path serves the log-density, its mode, the
-responsibilities, the score and R*. A GaussianMixture holds read-only
+responsibilities, the score and R*, with one exception: R* of a single
+(d,) point of a mixture of fewer than _PAIRWISE_TERMS components in fewer
+than _PAIRWISE_TERMS dims is evaluated in Python floats
+(_point_reconstruction), where numpy's calls on arrays of a few values
+cost more than their arithmetic. A GaussianMixture holds read-only
 copies of its arrays, so what a caller later writes to its own arrays
 cannot reach them, and computes log w once. The data density p is the
 sigma = 0 member of the smoothed family p * N(0, sigma^2 I), so one cache
 serves both: the constants v + sigma^2, their log-normalisers and
-sigma^2 mu of the last sigma evaluated (0 for p), which a sweep over points
-at one sigma computes once. What is the Gaussian family's own is a
+sigma^2 mu of the last sigma evaluated (0 for p), and for a small mixture
+the same values as Python floats, which a sweep over points at one sigma
+computes once. What is the Gaussian family's own is a
 GaussianMixture method: its draws (sample), and at a sigma its component
 log-densities and shrunken means. The block loop, the softmax and the
 folds are shared, and see only (k, rows) component log-densities. A call
@@ -477,7 +482,9 @@ def optimal_reconstruction(
     """Evaluate R*(x) = E[p(x - eps)(x - eps)] / E[p(x - eps)].
 
     With no `quad` this is the exact conjugate posterior mean, vectorised
-    over rows: x of shape (d,) gives (d,), and (n, d) gives (n, d). The
+    over rows: x of shape (d,) gives (d,), and (n, d) gives (n, d); a (d,)
+    point of a mixture of fewer than 8 components in fewer than 8 dims
+    takes _point_reconstruction, with the same bits. The
     responsibilities use the smoothed variances v + sigma^2 and weight the
     shrunken means (v x + sigma^2 mu) / (v + sigma^2). A point far from the
     mass gets the exact, finite R*; a row with no finite smoothed component
