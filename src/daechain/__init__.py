@@ -13,9 +13,6 @@ from .config import ConfigError, RunConfig, apply_overrides, load_config
 from .datasets import DatasetSpec, build_dataset
 from .io_formats import (
     CheckpointError,
-    CheckpointFormatError,
-    CheckpointTruncatedError,
-    CheckpointVersionError,
     IdxFormatError,
     load_checkpoint,
     load_idx_images,

@@ -69,6 +69,10 @@ def _parse_points(text: str) -> tuple[tuple[float, ...], ...]:
     points = [_parse_floats(part) for part in text.split(";") if part.strip()]
     if not points:
         raise ValueError("expected at least one ';'-separated component")
+    dims = [len(point) for point in points]
+    for i, dim in enumerate(dims[1:], start=2):
+        if dim != dims[0]:
+            raise ValueError(f"component {i} has {dim} coordinates, component 1 has {dims[0]}")
     return tuple(points)
 
 

@@ -15,7 +15,7 @@ order (encoder, decoder, then discriminator if present), per layer the
 weights row-major then the biases. Loading rebuilds the specs first, so
 every shape and cross-network invariant is re-validated on the way in,
 and every parameter must be finite; a rejected value raises
-CheckpointFormatError naming its byte offset.
+CheckpointError naming its byte offset.
 
 Images are exported as binary PGM (P5, maxval 255), tiled row-major with
 one-pixel black separators; values are clamped to [0, 1] and quantized at
@@ -41,19 +41,7 @@ IDX_IMAGE_MAGIC = 0x00000803
 
 
 class CheckpointError(ValueError):
-    """Base class for unreadable checkpoint files."""
-
-
-class CheckpointFormatError(CheckpointError):
-    """Bad magic, unknown tag, or leftover bytes."""
-
-
-class CheckpointVersionError(CheckpointError):
-    """The file declares a format version this code does not speak."""
-
-
-class CheckpointTruncatedError(CheckpointError):
-    """The file ends before the declared content does."""
+    """An unreadable checkpoint; the message says why and, for a rejected value, at which byte."""
 
 
 class IdxFormatError(ValueError):
@@ -98,11 +86,11 @@ def save_checkpoint(model: Autoencoder, path) -> None:
 
 @contextmanager
 def _decoded(offset: int, what: str):
-    """Report a decoded value the model types reject as a format error."""
+    """Report a decoded value the model types reject as a CheckpointError."""
     try:
         yield
     except ValueError as exc:
-        raise CheckpointFormatError(f"{what} at byte {offset}: {exc}") from exc
+        raise CheckpointError(f"{what} at byte {offset}: {exc}") from exc
 
 
 def load_checkpoint(path) -> Autoencoder:
@@ -113,26 +101,24 @@ def load_checkpoint(path) -> Autoencoder:
 
     def need(end: int) -> None:
         if end > size:
-            raise CheckpointTruncatedError(f"checkpoint {path} ends at byte {size}, needed {end}")
+            raise CheckpointError(f"checkpoint {path} ends at byte {size}, needed {end}")
 
     if not CHECKPOINT_MAGIC.startswith(data[: len(CHECKPOINT_MAGIC)]):
-        raise CheckpointFormatError(f"bad magic in {path}; not a checkpoint file")
+        raise CheckpointError(f"bad magic in {path}; not a checkpoint file")
     need(_HEADER.size)
     _, version, kind_tag, sigma, latent, dropout, n_mlps = _HEADER.unpack_from(data)
     if version != CHECKPOINT_VERSION:
-        raise CheckpointVersionError(
+        raise CheckpointError(
             f"checkpoint version {version} is not supported (expected {CHECKPOINT_VERSION})"
         )
     if kind_tag >= len(MODEL_KINDS):  # tags are unsigned: only the top end can be out of range
-        raise CheckpointFormatError(f"unknown model kind tag {kind_tag} at byte {_KIND_AT}")
+        raise CheckpointError(f"unknown model kind tag {kind_tag} at byte {_KIND_AT}")
     kind = MODEL_KINDS[kind_tag]
     with _decoded(_SIGMA_AT, "corruption sigma"):
         corruption = CorruptionSpec(sigma)
     expected = 3 if kind == "daae" else 2
     if n_mlps != expected:
-        raise CheckpointFormatError(
-            f"{kind} checkpoint declares {n_mlps} networks, expected {expected}"
-        )
+        raise CheckpointError(f"{kind} checkpoint declares {n_mlps} networks, expected {expected}")
     offset, specs = _HEADER.size, []
     for _ in range(n_mlps):
         need(offset + 1)  # the size count, which sizes the rest of the block
@@ -140,11 +126,11 @@ def load_checkpoint(path) -> Autoencoder:
         need(offset + struct.calcsize(fmt))
         n_sizes, *sizes, hidden_tag, output_tag, slope = struct.unpack_from(fmt, data, offset)
         if n_sizes < 2:
-            raise CheckpointFormatError(f"network with {n_sizes} layer sizes at byte {offset}")
+            raise CheckpointError(f"network with {n_sizes} layer sizes at byte {offset}")
         if hidden_tag >= len(HIDDEN_ACTIVATIONS) or output_tag >= len(OUTPUT_ACTIVATIONS):
             field = 2 if hidden_tag >= len(HIDDEN_ACTIVATIONS) else 3
             at = offset + _field_at(fmt, field)
-            raise CheckpointFormatError(f"unknown activation tag at byte {at}")
+            raise CheckpointError(f"unknown activation tag at byte {at}")
         with _decoded(offset, "network spec"):
             names = HIDDEN_ACTIVATIONS[hidden_tag], OUTPUT_ACTIVATIONS[output_tag]
             specs.append(MlpSpec(sizes, *names, slope))
@@ -156,15 +142,15 @@ def load_checkpoint(path) -> Autoencoder:
         finite = np.isfinite(flat)
         if not finite.all():
             i = int(np.argmin(finite))
-            raise CheckpointFormatError(f"non-finite parameter {flat[i]} at byte {offset + 8 * i}")
+            raise CheckpointError(f"non-finite parameter {flat[i]} at byte {offset + 8 * i}")
         mlps.append(Mlp(spec, flat))
         offset += 8 * spec.n_params
     if offset != size:
-        raise CheckpointFormatError(f"trailing data after byte {offset} in {path}")
+        raise CheckpointError(f"trailing data after byte {offset} in {path}")
     with _decoded(_KIND_AT, f"{kind} model declared"):
         model = Autoencoder(kind, mlps[0], mlps[1], corruption, *mlps[2:], dropout_rate=dropout)
     if model.latent_dim != latent:
-        raise CheckpointFormatError(
+        raise CheckpointError(
             f"declared latent dim {latent} does not match networks ({model.latent_dim})"
         )
     return model

@@ -22,7 +22,7 @@ from _oracles import read_pgm
 import daechain
 from daechain import cli
 from daechain.cli import main
-from daechain.io_formats import load_checkpoint, save_checkpoint
+from daechain.io_formats import load_checkpoint
 
 BASE_CONFIG = """
 dataset = mixture1d
@@ -475,14 +475,32 @@ class TestScoreCheck:
         assert re.search(f"checkpoint {ckpt} has data dim 64, dataset 'mixture1d' has data dim 1", err)
         assert not (tmp_path / "score.csv").exists()
 
-    def test_non_finite_checkpoint_parameter_exits_2_before_writing(self, trained_dir, tmp_path, capsys):
-        model = load_checkpoint(trained_dir / "model.ckpt")
-        model.decoder.flat[0] = np.nan
-        ckpt = tmp_path / "nan.ckpt"
-        save_checkpoint(model, ckpt)
+    @pytest.mark.parametrize(
+        "corrupt, message",
+        [
+            (lambda raw: b"X" + raw[1:], "bad magic in {ckpt}; not a checkpoint file"),
+            (
+                lambda raw: raw[:4] + struct.pack("<I", 7) + raw[8:],
+                "checkpoint version 7 is not supported (expected 1)",
+            ),
+            (lambda raw: raw[:10], "checkpoint {ckpt} ends at byte 10, needed 30"),
+            (
+                lambda raw: raw[:-8] + struct.pack("<d", np.nan),
+                "non-finite parameter nan at byte {last}",
+            ),
+        ],
+        ids=["bad-magic", "version-7", "truncated-header", "nan-parameter"],
+    )
+    def test_corrupt_checkpoint_exits_2_before_writing(
+        self, trained_dir, tmp_path, capsys, corrupt, message
+    ):
+        raw = (trained_dir / "model.ckpt").read_bytes()
+        ckpt = tmp_path / "corrupt.ckpt"
+        ckpt.write_bytes(corrupt(raw))
         out = tmp_path / "out"
         assert main(["score-check", "--set", f"out_dir={out}", "--set", f"checkpoint={ckpt}"]) == 2
-        assert "non-finite parameter nan at byte" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert f"error: {message.format(ckpt=ckpt, last=len(raw) - 8)}\n" in err
         assert not (out / "score.csv").exists()
 
     def test_one_grid_point_exits_2_before_writing(self, config_path, trained_dir, tmp_path, capsys):
@@ -609,12 +627,9 @@ def _exported_errors():
     )
 
 
-def test_exported_errors_are_the_eight_error_types():
+def test_exported_errors_are_the_five_error_types():
     assert [cls.__name__ for cls in _exported_errors()] == [
         "CheckpointError",
-        "CheckpointFormatError",
-        "CheckpointTruncatedError",
-        "CheckpointVersionError",
         "ConfigError",
         "IdxFormatError",
         "NumericError",
@@ -634,7 +649,7 @@ def test_public_names_are_the_readme_python_api():
         if not name.startswith("_") and not isinstance(obj, types.ModuleType)
     }
     assert public == listed
-    assert len(public) == 32
+    assert len(public) == 29
 
 
 @pytest.mark.parametrize("error", _exported_errors(), ids=lambda cls: cls.__name__)

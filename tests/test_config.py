@@ -88,8 +88,14 @@ class TestParseConfig:
                 parse_config(f"image_shape = {text}")
 
     def test_empty_mixture_means_rejected(self):
-        with pytest.raises(ConfigError, match="mixture_means"):
-            parse_config("mixture_means = ;")
+        # no component, and components of unequal dimension
+        cases = {
+            ";": "",
+            "0.3,0.4;0.7": ": component 2 has 1 coordinates, component 1 has 2",
+        }
+        for text, reason in cases.items():
+            with pytest.raises(ConfigError, match=f"line 1: bad value for 'mixture_means'{reason}"):
+                parse_config(f"mixture_means = {text}")
 
 
 class TestLoadConfig:
@@ -221,8 +227,9 @@ _strs = st.text(
 def _values_like(default):
     """Strategy for valid values of a field, read off its default."""
     if isinstance(default, tuple) and isinstance(default[0], tuple):
-        return st.lists(st.lists(_floats, min_size=1, max_size=3).map(tuple),
-                        min_size=1, max_size=3).map(tuple)
+        # components of one mixture share their dimension
+        point = st.integers(1, 3).map(lambda dim: st.tuples(*[_floats] * dim))
+        return point.flatmap(lambda p: st.lists(p, min_size=1, max_size=3).map(tuple))
     if isinstance(default, tuple):
         scalars = _ints if isinstance(default[0], int) else _floats
         return st.lists(scalars, max_size=4).map(tuple)

@@ -14,7 +14,11 @@ mixture1d with 2500 chains of 2 steps, a batch of several inference blocks.
 Two runs then read a checkpoint under a dataset of another data dim: a
 mixture1d model under blobs8x8 and a blobs8x8 model under mixture1d, each
 through sample, refine and score-check, which exit 2 and write only their
-logs. The idx_images runs read images.idx, 600 4x4 images
+logs. Six copies of the mixture1d-dae-bce checkpoint, each in its own
+directory under corrupt-checkpoints/, carry one corruption each (bad
+magic, version 7, a 10-byte prefix, one trailing byte, kind tag 3, a NaN
+last parameter); sample reads each, exits 2 and writes only its log.
+The idx_images runs read images.idx, 600 4x4 images
 that the tool writes into --out first, so no download is needed. Each
 combination writes into its own directory under --out.
 The commands run from inside --out, so the paths they print are relative;
@@ -30,6 +34,7 @@ import argparse
 import contextlib
 import hashlib
 import io
+import math
 import os
 import struct
 import sys
@@ -55,6 +60,15 @@ WIDE = ["dataset=mixture1d", "model=dae", "loss=bce", "n_samples=600",
         "n_chains=2500", "chain_steps=2"]
 # (dataset trained on, dataset the checkpoint is then read under)
 MISMATCHES = (("mixture1d", "blobs8x8"), ("blobs8x8", "mixture1d"))
+# each a checkpoint's bytes -> the same bytes with one fault the reader rejects
+CORRUPTIONS = {
+    "bad-magic": lambda raw: b"X" + raw[1:],
+    "version-7": lambda raw: raw[:4] + struct.pack("<I", 7) + raw[8:],
+    "prefix-10": lambda raw: raw[:10],
+    "trailing-byte": lambda raw: raw + b"\x00",
+    "kind-tag-3": lambda raw: raw[:8] + b"\x03" + raw[9:],
+    "nan-parameter": lambda raw: raw[:-8] + struct.pack("<d", math.nan),
+}
 
 
 def _write_idx(path: str) -> None:
@@ -131,6 +145,15 @@ def main(argv=None) -> int:
         for command, dataset in steps:
             settings = [f"dataset={dataset}", *DATASETS[dataset]]
             print(f"exit {_run(cli, run, command, settings)}  {run} {command}")
+    with open(os.path.join("mixture1d-dae-bce", "model.ckpt"), "rb") as fh:
+        raw = fh.read()
+    settings = ["dataset=mixture1d", "model=dae", "loss=bce", *DATASETS["mixture1d"]]
+    for name, corrupt in CORRUPTIONS.items():
+        run = f"corrupt-checkpoints/{name}"
+        os.makedirs(run)
+        with open(os.path.join(run, "model.ckpt"), "wb") as fh:
+            fh.write(corrupt(raw))
+        print(f"exit {_run(cli, run, 'sample', settings)}  {run} sample")
     print("\n".join(_digests(out)))
     return 0
 
