@@ -9,6 +9,9 @@ with respect to the tensor that the training step backpropagates.
   the gradient is with respect to the encoder output [mu | logvar].
 - adversarial_losses: BCE of discriminator scores against one constant
   label; the gradient is with respect to the scores.
+
+Means are np.add.reduce(..., axis=None) / n and clamps np.minimum of
+np.maximum: np.mean's and np.clip's bits, without their Python wrappers.
 """
 
 from __future__ import annotations
@@ -47,7 +50,7 @@ def mse_loss(target, reconstruction) -> LossValue:
     x, r = _check_pair(target, reconstruction)
     diff = r - x
     n = x.size
-    return LossValue(float(np.mean(diff * diff)), 2.0 * diff / n)
+    return LossValue(float(np.add.reduce(diff * diff, axis=None) / n), 2.0 * diff / n)
 
 
 def bce_loss(target, reconstruction) -> LossValue:
@@ -62,11 +65,10 @@ def bce_loss(target, reconstruction) -> LossValue:
     x, r = _check_pair(target, reconstruction)
     if not np.all((x >= 0.0) & (x <= 1.0)):
         raise ValueError("bce targets must lie in [0, 1]")
-    r = np.clip(r, BCE_CLAMP, 1.0 - BCE_CLAMP)
-    value = float(np.mean(-(x * np.log(r) + (1.0 - x) * np.log1p(-r))))
-    n = x.size
-    grad = -(x / r - (1.0 - x) / (1.0 - r)) / n
-    return LossValue(value, grad)
+    r = np.minimum(np.maximum(r, BCE_CLAMP), 1.0 - BCE_CLAMP)
+    n, x_bar = x.size, 1.0 - x
+    value = float(np.add.reduce(-(x * np.log(r) + x_bar * np.log1p(-r)), axis=None) / n)
+    return LossValue(value, -(x / r - x_bar / (1.0 - r)) / n)
 
 
 def kl_to_standard_normal(mu, logvar) -> LossValue:
@@ -102,8 +104,8 @@ def adversarial_losses(scores, real: bool) -> LossValue:
         raise ValueError("adversarial loss needs a non-empty score tensor")
     if not np.all((s >= 0.0) & (s <= 1.0)):
         raise ValueError("discriminator scores must lie in [0, 1]")
-    s = np.clip(s, BCE_CLAMP, 1.0 - BCE_CLAMP)
+    s = np.minimum(np.maximum(s, BCE_CLAMP), 1.0 - BCE_CLAMP)
     n = s.size
     if real:
-        return LossValue(float(np.mean(-np.log(s))), -1.0 / (s * n))
-    return LossValue(float(np.mean(-np.log1p(-s))), 1.0 / ((1.0 - s) * n))
+        return LossValue(float(np.add.reduce(-np.log(s), axis=None) / n), -1.0 / (s * n))
+    return LossValue(float(np.add.reduce(-np.log1p(-s), axis=None) / n), 1.0 / ((1.0 - s) * n))

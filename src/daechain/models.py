@@ -379,7 +379,7 @@ def daae_train_step(
     scores_fool, cache_fool = mlp_forward(disc, z_encoded, cache=opt.caches["encoded"])
     fool = adversarial_losses(scores_fool, True)
     _check_finite(fool.value, "encoder adversarial loss")
-    _, grad_z_fool = mlp_backward(disc, cache_fool, fool.grad)
+    _, grad_z_fool = mlp_backward(disc, cache_fool, fool.grad, param_grads=False)
     enc_grads_fool, _ = mlp_backward(model.encoder, enc_cache, grad_z_fool, input_grad=False)
     adam_step(model.encoder, enc_grads_fool, opt.encoder)
 

@@ -133,7 +133,10 @@ def _activate(spec: MlpSpec, z: np.ndarray, derivative: np.ndarray | None = None
 
 def _stacked(w: np.ndarray, b: np.ndarray) -> np.ndarray:
     """A fan-in-1 layer's two-term gemm operand [w[:, 0]; b + 0.0] (see _forward)."""
-    return np.stack((w[:, 0], b + 0.0))
+    operand = np.empty((2, b.size))
+    operand[0] = w[:, 0]
+    np.add(b, 0.0, out=operand[1])
+    return operand
 
 
 def _bias_operands(mlp: Mlp, rows: int) -> list[np.ndarray]:
@@ -186,6 +189,7 @@ def _forward(mlp: Mlp, h: np.ndarray, bufs, work=None, dropout_rate=0.0, rng=Non
     layers keep the broadcast product h * w.T and add b + 0.0.
     """
     spec, rows, last = mlp.spec, h.shape[0], len(mlp.weights) - 1
+    keep_scale = 1.0 / (1.0 - dropout_rate)  # a kept unit's inverted-dropout factor
     for i, (w, b) in enumerate(zip(mlp.weights, mlp.biases)):
         z = bufs[i][:rows]
         if w.shape[1] > 1:
@@ -207,9 +211,8 @@ def _forward(mlp: Mlp, h: np.ndarray, bufs, work=None, dropout_rate=0.0, rng=Non
         derivative = None if work is None else _activation_derivative(spec, z, work[i][1][:rows])
         h = _activate(spec, z, derivative)
         if dropout_rate > 0.0:
-            mask = np.greater_equal(rng.uniform(h.shape), dropout_rate, out=work[i][2][:rows])
-            mask /= 1.0 - dropout_rate
-            h *= mask
+            keep = np.greater_equal(rng.uniform(h.shape), dropout_rate)
+            h *= np.multiply(keep, keep_scale, out=work[i][2][:rows])
 
 
 def mlp_forward(
@@ -249,15 +252,19 @@ def mlp_forward(
 
 
 def mlp_backward(
-    mlp: Mlp, cache: ForwardCache, grad_output: np.ndarray, *, input_grad: bool = True
-) -> tuple[Mlp, np.ndarray | None]:
+    mlp: Mlp, cache: ForwardCache, grad_output: np.ndarray, *,
+    input_grad: bool = True, param_grads: bool = True,
+) -> tuple[Mlp | None, np.ndarray | None]:
     """Backpropagate d(loss)/d(output) through the cached forward pass.
 
     Returns the parameter gradients, as an Mlp in this network's layout kept
     in the cache, and the gradient with respect to the input. A caller that
     has no use for the input gradient (the training steps' encoder and
     phase-2 discriminator passes) passes input_grad=False, which skips its
-    product and returns None in its place.
+    product and returns None in its place; one that has no use for the
+    parameter gradients (the DAAE's phase-3 discriminator pass) passes
+    param_grads=False, which skips the weight and bias products and returns
+    None in their place. The gradients that are returned keep their bits.
     """
     spec, rows = mlp.spec, len(cache.x)
     if [cache.x.shape[1], *(a[0].shape[1] for a in cache.work)] != list(spec.layer_sizes):
@@ -274,14 +281,15 @@ def mlp_backward(
     else:
         g = grad_output
 
-    if cache.grads is None or cache.grads.spec is not spec:
+    if param_grads and (cache.grads is None or cache.grads.spec is not spec):
         cache.grads = Mlp(spec, np.empty_like(mlp.flat))
-    grads = cache.grads
+    grads = cache.grads if param_grads else None
     for i in reversed(range(spec.n_layers)):
         # g = d(loss)/d(z_i); d(loss)/d(z_i-1) goes over the spent input h of layer i
         h, derivative, mask = [a[:rows] for a in cache.work[i - 1]] if i else (cache.x, None, None)
-        np.matmul(g.T, h, out=grads.weights[i])
-        g.sum(axis=0, out=grads.biases[i])
+        if param_grads:
+            np.matmul(g.T, h, out=grads.weights[i])
+            np.add.reduce(g, axis=0, out=grads.biases[i])  # g.sum's bits, without its wrapper
         if i == 0:
             return grads, (g @ mlp.weights[0] if input_grad else None)
         g = np.matmul(g, mlp.weights[i], out=h)

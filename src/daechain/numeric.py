@@ -60,14 +60,17 @@ class Prng:
 
 
 def sample_uniform(rng: Prng, shape, lo: float, hi: float) -> np.ndarray:
-    """Draw uniforms on [lo, hi) from the rng's stream."""
+    """Draw uniforms on [lo, hi) from the rng's stream; lo, hi and hi - lo must be finite."""
     if not lo < hi:
         raise ValueError(f"need lo < hi, got lo={lo}, hi={hi}")
+    if not math.isfinite(hi - lo):  # also an infinite lo or hi
+        raise ValueError(f"need finite lo, hi and hi - lo, got lo={lo}, hi={hi}")
     shape = _as_shape(shape)
     n = math.prod(shape)
     u = rng._gen.random(n)
-    u *= hi - lo  # lo + (hi - lo) * u, in place
-    u += lo
+    if lo != 0.0 or hi != 1.0:  # on [0, 1) both passes are exact, so skip them
+        u *= hi - lo  # lo + (hi - lo) * u, in place
+        u += lo
     return u.reshape(shape)
 
 
@@ -123,7 +126,8 @@ def sigmoid(x) -> np.ndarray:
     """Logistic function 1 / (1 + exp(-x)), overflow-safe for any |x|."""
     x = np.asarray(x, dtype=np.float64)
     t = np.exp(-np.abs(x))
-    return np.where(x >= 0, 1.0 / (1.0 + t), t / (1.0 + t))
+    # each element is the one of 1 / (1 + t) and t / (1 + t) that its sign picks
+    return np.where(x >= 0, 1.0, t) / (1.0 + t)
 
 
 def derivative_of_sigmoid(y) -> np.ndarray:

@@ -239,6 +239,17 @@ def test_dropout_expectation_matches_eval_activation():
     assert np.max(rel) <= 0.02
 
 
+@pytest.mark.parametrize("hidden", HIDDEN_ACTIVATIONS)
+@pytest.mark.parametrize("rate", [0.2, 0.3, 0.5, 0.9])
+def test_dropout_masks_hold_zero_and_the_inverted_keep_scale(hidden, rate):
+    # +0.0 for a dropped unit, 1 / (1 - rate) (rounded once) for a kept one
+    mlp = small_net(sizes=(3, 8, 8, 2), hidden=hidden)
+    _, cache = mlp_forward(mlp, Prng(3).uniform((50, 3)), dropout_rate=rate, rng=Prng(9))
+    for _, _, mask in cache.work[:-1]:
+        assert np.unique(mask).tolist() == [0.0, 1.0 / (1.0 - rate)]
+        assert not np.signbit(mask).any()
+
+
 def test_dropout_masks_are_seed_deterministic():
     mlp = small_net()
     x = Prng(3).uniform((8, 3))
@@ -342,6 +353,22 @@ def test_backward_without_input_gradient_keeps_the_parameter_gradient_bytes():
     grads, gin = mlp_backward(mlp, cache, np.ones_like(y), input_grad=False)
     assert gin is None
     assert grads.flat.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("hidden", HIDDEN_ACTIVATIONS)
+@pytest.mark.parametrize("rate", [0.0, 0.4])
+def test_backward_without_parameter_gradients_keeps_the_input_gradient_bytes(hidden, rate):
+    mlp = small_net(seed=3, sizes=(3, 5, 4, 2), out="sigmoid", hidden=hidden)
+    x, grad_output = Prng(4).normal((6, 3), 1.0), Prng(5).normal((6, 2), 1.0)
+
+    def backward(**flags):  # a fresh forward: backward spends the cached activations
+        _, cache = mlp_forward(mlp, x, rate, Prng(9))
+        return mlp_backward(mlp, cache, grad_output, **flags)
+
+    want = backward()[1]
+    grads, gin = backward(param_grads=False)
+    assert grads is None
+    assert gin.tobytes() == want.tobytes()
 
 
 def test_backward_rejects_mismatched_cache():

@@ -1,3 +1,4 @@
+import math
 import tracemalloc
 
 import numpy as np
@@ -34,6 +35,19 @@ def test_sigmoid_values():
     assert sigmoid(0.0) == 0.5
     x = np.linspace(-6, 6, 25)
     np.testing.assert_allclose(sigmoid(x) + sigmoid(-x), 1.0, atol=1e-15)
+
+
+@pytest.mark.parametrize("x", [
+    0.0, -0.0, 0.3, -2.5, 800.0, -800.0, math.inf, -math.inf, math.nan,
+    np.array(-1.7), np.array(0.0), np.array([-800.0, -0.0, 0.0, 1e-300, 36.0, 800.0]),
+    np.linspace(-40.0, 40.0, 1601),
+])
+def test_sigmoid_is_the_three_pass_formula_bit_for_bit(x):
+    xv = np.asarray(x, dtype=np.float64)
+    t = np.exp(-np.abs(xv))
+    want = np.where(xv >= 0, 1.0 / (1.0 + t), t / (1.0 + t))
+    got = np.asarray(sigmoid(x))
+    assert got.shape == want.shape and got.tobytes() == want.tobytes()
 
 
 def test_sigmoid_is_stable_for_large_inputs():
@@ -123,6 +137,16 @@ def test_uniform_rejects_bad_range():
         sample_uniform(Prng(0), (2,), 1.0, 1.0)
     with pytest.raises(ValueError):
         sample_uniform(Prng(0), (2,), 2.0, 1.0)
+
+
+@pytest.mark.parametrize("lo, hi", [
+    (0.0, math.inf), (-math.inf, 0.0), (-math.inf, math.inf), (-1e308, 1e308), (math.nan, 1.0),
+])
+def test_uniform_rejects_a_non_finite_range_before_drawing(lo, hi):
+    rng = Prng(0)
+    with pytest.raises(ValueError):
+        rng.uniform(3, lo, hi)
+    assert rng.uniform(3).tobytes() == Prng(0).uniform(3).tobytes()  # stream untouched
 
 
 def test_uniform_is_the_scaled_and_shifted_stream():

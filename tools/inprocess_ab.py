@@ -1,4 +1,4 @@
-"""Time the closed-form oracle and inference of two checkouts side by side in one process.
+"""Time the closed-form oracle, inference and training of two checkouts side by side in one process.
 
     python3 tools/inprocess_ab.py --parent ../parent/src --change src --pairs 10
 
@@ -10,7 +10,8 @@ every case once on each side, alternating which side goes first from pair
 to pair, and asserts that the two sides' outputs have the same bytes. A
 side's sample is the fastest of REPEAT (3) runs. The output is one line per
 case: each side's median and quartiles over the pairs, in microseconds per
-unit of the case, and the ratio of the change's median to the parent's.
+point or call (milliseconds per fit), and the ratio of the change's median
+to the parent's.
 
 The cases are the closed form's hot shapes: the single-point R* sweeps of
 perfbench's oracle_grid family (7 sigmas x 401 points in 1-D, 2 x 441 in
@@ -20,9 +21,12 @@ large 1-D and 2-D batches (per call), 1e5 chains of 10 steps of an
 untrained DAE scored against the mixture (per call; the oracle part is log
 p and the mode of the 1.1e6 recorded states), and the 49-component 64-d
 blob-template mixture of tests/test_oracle.py, whose single points take the
-row-block path (per point), and inference: a 1e5-row 1-D reconstruct (many
-blocks) and a 256-row 64-d one (one block, the CLI's chain batch). Only the
-standard library and numpy are used.
+row-block path (per point), inference: a 1e5-row 1-D reconstruct (many
+blocks) and a 256-row 64-d one (one block, the CLI's chain batch), and
+perfbench's train_small fits (dae/bce, dvae/mse and daae/bce on 10,000
+mixture1d rows, 1 epoch, batch 100, latent 2, hidden 64,64, sigma 0.5; per
+fit, their parameters and trace rows compared). Only the standard library
+and numpy are used.
 """
 
 from __future__ import annotations
@@ -45,8 +49,12 @@ SIGMAS_1D = (1.0, 0.5, 0.2, 0.1, 0.05, 0.02, 0.01)
 SIGMAS_2D = (0.5, 0.1)
 # 7 equal components in 1-D, means 0.2 to 0.8
 MIX7 = (np.full(7, 1.0 / 7), np.linspace(0.2, 0.8, 7)[:, None], np.full((7, 1), 0.0025))
+# perfbench/workloads.py's TRAIN_FITS and N_SAMPLES
+TRAIN_FITS = (("dae", "bce"), ("dvae", "mse"), ("daae", "bce"))
+TRAIN_ROWS = 10_000
 SIDES = ("parent", "change")
 REPEAT = 3  # runs per sample; a sample is the fastest of them
+SCALES = {"point": ("us", 1e6), "call": ("us", 1e6), "fit": ("ms", 1e3)}
 
 
 def _blob_mixture(pkg):
@@ -59,8 +67,15 @@ def _blob_mixture(pkg):
     return pkg.GaussianMixture(np.full(49, 1.0 / 49), templates, np.full((49, 64), 0.02**2))
 
 
+def _fit(pkg, kind, loss, data):
+    """A train_small fit: the model's parameters and its trace rows' values."""
+    cfg = pkg.TrainConfig(loss_kind=loss, epochs=1, batch_size=100, seed=5)
+    model, trace = pkg.train(kind, data, cfg, latent_dim=2, hidden=(64, 64), sigma=0.5)
+    return [mlp.flat for mlp in model.networks] + [[v for row in trace for v in row.values()]]
+
+
 def _cases(pkg):
-    """(name, unit count, body) for each case; a body returns the arrays it computed."""
+    """(name, unit, unit count, body) for each case; a body returns the arrays it computed."""
     oracle, sampler, Prng = pkg.oracle, pkg.sampler, pkg.Prng
     opt = oracle.optimal_reconstruction
     gm1, gm2, blob = pkg.GaussianMixture(*MIX1), pkg.GaussianMixture(*MIX2), _blob_mixture(pkg)
@@ -76,29 +91,35 @@ def _cases(pkg):
     model = pkg.build_model("dae", 1, 2, Prng(1), hidden=(64, 64), sigma=0.5)
     wide = pkg.build_model("dae", 64, 2, Prng(3), hidden=(64, 64), sigma=0.5)
     chain_cfg = sampler.ChainConfig(10, 0.5)
+    train_rows = pkg.build_dataset(pkg.DatasetSpec("mixture1d", TRAIN_ROWS, gm1), Prng(4))
 
     def chains():
         trace = sampler.sample_from_noise(model, 100_000, chain_cfg, Prng(2), gm1)
         return trace.states, trace.log_densities, trace.mode_membership
 
     return [
-        ("single-point R* sweep, 1-D", len(SIGMAS_1D) * len(points1),
+        ("single-point R* sweep, 1-D", "point", len(SIGMAS_1D) * len(points1),
          lambda: [opt(gm1, s, p) for s in SIGMAS_1D for p in points1]),
-        ("single-point R* sweep, 2-D", len(SIGMAS_2D) * len(points2),
+        ("single-point R* sweep, 2-D", "point", len(SIGMAS_2D) * len(points2),
          lambda: [opt(gm2, s, p) for s in SIGMAS_2D for p in points2]),
-        ("single-point R* sweep, 1-D, 7 components", len(SIGMAS_1D) * len(points1),
+        ("single-point R* sweep, 1-D, 7 components", "point", len(SIGMAS_1D) * len(points1),
          lambda: [opt(gm7, s, p) for s in SIGMAS_1D for p in points1]),
-        ("single-point R*, 64 points of the 49-component 64-d mixture", 64,
+        ("single-point R*, 64 points of the 49-component 64-d mixture", "point", 64,
          lambda: [opt(blob, 0.05, p) for p in blob_rows[:64]]),
-        ("log p and mode, 1.1e6 1-D rows", 1, lambda: oracle.mixture_log_pdf_and_mode(gm1, trace1)),
-        ("R*, 1e5 rows, 1-D", 1, lambda: [opt(gm1, 0.1, rows1)]),
-        ("R*, 1e5 rows, 2-D", 1, lambda: [opt(gm2, 0.1, rows2)]),
-        ("1e5 chains x 10 steps with the mixture", 1, chains),
-        ("R*, 1024 rows of the 49-component 64-d mixture", 1, lambda: [opt(blob, 0.05, blob_rows)]),
-        ("log p and mode, same 1024 rows", 1,
+        ("log p and mode, 1.1e6 1-D rows", "call", 1,
+         lambda: oracle.mixture_log_pdf_and_mode(gm1, trace1)),
+        ("R*, 1e5 rows, 1-D", "call", 1, lambda: [opt(gm1, 0.1, rows1)]),
+        ("R*, 1e5 rows, 2-D", "call", 1, lambda: [opt(gm2, 0.1, rows2)]),
+        ("1e5 chains x 10 steps with the mixture", "call", 1, chains),
+        ("R*, 1024 rows of the 49-component 64-d mixture", "call", 1,
+         lambda: [opt(blob, 0.05, blob_rows)]),
+        ("log p and mode, same 1024 rows", "call", 1,
          lambda: oracle.mixture_log_pdf_and_mode(blob, blob_rows)),
-        ("reconstruct, 1e5 rows, 1-D", 1, lambda: [pkg.reconstruct(model, rows1)]),
-        ("reconstruct, 256 rows, 64-d", 1, lambda: [pkg.reconstruct(wide, wide_rows)]),
+        ("reconstruct, 1e5 rows, 1-D", "call", 1, lambda: [pkg.reconstruct(model, rows1)]),
+        ("reconstruct, 256 rows, 64-d", "call", 1, lambda: [pkg.reconstruct(wide, wide_rows)]),
+        *((f"train_small fit, {kind}/{loss}", "fit", 1,
+           lambda kind=kind, loss=loss: _fit(pkg, kind, loss, train_rows))
+          for kind, loss in TRAIN_FITS),
     ]
 
 
@@ -137,24 +158,23 @@ def main(argv=None) -> int:
             for side, src in zip(SIDES, (args.parent, args.change))
         }
         sys.path.remove(tmp)
-    times = {(name, side): [] for name, _, _ in cases["parent"] for side in SIDES}
+    times = {(name, side): [] for name, *_ in cases["parent"] for side in SIDES}
     for pair in range(args.pairs):
         order = SIDES if pair % 2 == 0 else SIDES[::-1]
-        for i, (name, units, _) in enumerate(cases["parent"]):
+        for i, (name, unit, units, _) in enumerate(cases["parent"]):
             outputs = {}
             for side in order:
-                seconds, outputs[side] = _run(cases[side][i][2])
-                times[name, side].append(seconds / units * 1e6)
+                seconds, outputs[side] = _run(cases[side][i][3])
+                times[name, side].append(seconds / units * SCALES[unit][1])
             if outputs["parent"] != outputs["change"]:
                 sys.exit(f"pair {pair}: {name}: the outputs of the two sides differ")
-    print(f"{args.pairs} pairs, fastest of {REPEAT} runs per sample; us per unit: "
+    print(f"{args.pairs} pairs, fastest of {REPEAT} runs per sample; time per unit: "
           "median [q1, q3]")
-    for name, units, _ in cases["parent"]:
+    for name, unit, _, _ in cases["parent"]:
         (pq1, pmed, pq3), (cq1, cmed, cq3) = (
             statistics.quantiles(times[name, s], n=4, method="inclusive") for s in SIDES
         )
-        unit = "point" if units > 1 else "call"
-        print(f"{name} (per {unit}): parent {pmed:.2f} [{pq1:.2f}, {pq3:.2f}]  "
+        print(f"{name} ({SCALES[unit][0]} per {unit}): parent {pmed:.2f} [{pq1:.2f}, {pq3:.2f}]  "
               f"change {cmed:.2f} [{cq1:.2f}, {cq3:.2f}]  ratio {cmed / pmed:.3f}")
     return 0
 
