@@ -97,6 +97,8 @@ _WORKSPACE_BYTES = 1 << 20
 # axis. Not a tunable: it is numpy's summation order.
 _PAIRWISE_TERMS = 8
 
+_FLOAT64 = np.dtype(np.float64)  # the one dtype optimal_reconstruction reads as it is
+
 
 def _read_only(a: np.ndarray) -> np.ndarray:
     a.flags.writeable = False
@@ -448,8 +450,9 @@ def _point_reconstruction(table: tuple, x: list) -> np.ndarray:
     one-row block, in Python floats and in their order, with their bits:
     with fewer than _PAIRWISE_TERMS terms each of numpy's sums adds left to
     right from +0.0, as these loops do, so a sum of -0.0 terms is +0.0.
-    exp stays np.exp, whose bits math.exp does not share, and a NaN
-    log-density is the largest, as np.maximum makes it.
+    exp stays np.exp, whose bits math.exp does not share; a scalar call has
+    the list call's bits, and the largest log-density's term is exp(0) = 1.0.
+    A NaN log-density is the largest, as np.maximum makes it.
     """
     logc = []
     for logdet, log_w, coords in table:
@@ -464,7 +467,7 @@ def _point_reconstruction(table: tuple, x: list) -> np.ndarray:
             top = c
     if not math.isfinite(top):
         _raise_no_finite_row([True], [top], 0)
-    e = np.exp([c - top for c in logc]).tolist()
+    e = [1.0 if c == top else float(np.exp(c - top)) for c in logc]
     total = 0.0
     for ek in e:
         total += ek
@@ -484,7 +487,8 @@ def optimal_reconstruction(
     With no `quad` this is the exact conjugate posterior mean, vectorised
     over rows: x of shape (d,) gives (d,), and (n, d) gives (n, d); a (d,)
     point of a mixture of fewer than 8 components in fewer than 8 dims
-    takes _point_reconstruction, with the same bits. The
+    takes _point_reconstruction, with the same bits: a float64 np.ndarray
+    point as it is, any other x (a list, another dtype) through as_rows. The
     responsibilities use the smoothed variances v + sigma^2 and weight the
     shrunken means (v x + sigma^2 mu) / (v + sigma^2). A point far from the
     mass gets the exact, finite R*; a row with no finite smoothed component
@@ -495,6 +499,11 @@ def optimal_reconstruction(
     """
     if not (math.isfinite(sigma) and sigma > 0.0):
         raise ValueError(f"sigma must be finite and > 0, got {sigma}")
+    if quad is None and type(x) is np.ndarray and x.dtype == _FLOAT64 and x.shape == (gm.dim,):
+        table = gm._smoothed(sigma)[3]
+        if table is not None:
+            return _point_reconstruction(table, x.tolist())
+        return _in_row_blocks(gm, sigma, x[None, :], _posterior_means, gm, sigma)[0][0]
     pts, single = as_rows(x, gm.dim, "point", "mixture dim")
     if quad is not None:
         if pts.shape[0] != 1:

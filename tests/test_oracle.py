@@ -21,6 +21,7 @@ from daechain.numeric import NumericError, Prng, ShapeError
 from daechain.oracle import (
     GaussianMixture,
     QuadratureSpec,
+    _PAIRWISE_TERMS,
     _argmax_rows,
     _fold,
     _logsumexp,
@@ -890,6 +891,100 @@ def test_1d_closed_form_has_the_reference_bytes_across_a_65536_row_block():
     _assert_same_bytes(analytic_score(gm, xs), ref.analytic_score(gm, xs))
     for sigma in (0.05, 0.5):
         _assert_same_bytes(optimal_reconstruction(gm, sigma, xs), ref.optimal_reconstruction(gm, sigma, xs))
+
+
+class _ArraySubclass(np.ndarray):
+    pass
+
+
+class _Untouchable:
+    """An x that fails the test as soon as anything reads or converts it."""
+
+    def __getattr__(self, name):
+        raise AssertionError(f"x.{name} was read")
+
+    def __array__(self, *args, **kwargs):
+        raise AssertionError("x was converted")
+
+
+def _point_inputs(point):
+    """(name, x, read as it is) for one point: float64 arrays of several
+    layouts, which optimal_reconstruction reads as they are, and inputs that
+    go through as_rows."""
+    base = np.array(point)
+    frozen = base.copy()
+    frozen.flags.writeable = False
+    return [
+        ("float64", base, True),
+        ("read-only", frozen, True),
+        ("row of a Fortran-ordered array", np.asfortranarray(np.stack([base - 0.1, base, base + 0.1]))[1], True),
+        ("reversed view", base[::-1].copy()[::-1], True),
+        ("list", list(point), False),
+        ("float32", base.astype(np.float32), False),
+        ("int", np.arange(len(point)), False),
+        ("big-endian float64", base.astype(">f8"), False),
+        ("ndarray subclass", base.view(_ArraySubclass), False),
+        ("one-row batch", base[None, :], False),
+    ]
+
+
+_POINT_MIXTURES = pytest.mark.parametrize(
+    "mixture, point", [(two_mode, [0.45]), (two_component_2d, [0.45, 0.5])], ids=["1d", "2d"]
+)
+
+
+@_POINT_MIXTURES
+def test_a_point_of_any_input_kind_has_the_bytes_of_a_one_row_batch(mixture, point):
+    gm = mixture()
+    for name, x, as_is in _point_inputs(point):
+        for sigma in (0.05, 0.5):
+            want = optimal_reconstruction(gm, sigma, np.asarray(x).reshape(1, -1))
+            if np.ndim(x) == 1:
+                want = want[0]
+            with mock.patch.object(oracle, "as_rows", wraps=oracle.as_rows) as as_rows:
+                got = optimal_reconstruction(gm, sigma, x)
+            _assert_same_bytes(got, want)
+            assert as_rows.called is not as_is, name
+
+
+@_POINT_MIXTURES
+def test_a_point_is_rejected_as_before(mixture, point):
+    gm, d = mixture(), len(point)
+    for x in (np.full(d + 1, 0.5), [0.5] * (d + 1)):
+        with pytest.raises(ShapeError, match=rf"^point shape \({d + 1},\) does not match mixture dim {d}$"):
+            optimal_reconstruction(gm, 0.1, x)
+    # sigma is checked before x is looked at
+    for sigma in (0.0, -0.1, np.nan, np.inf):
+        with pytest.raises(ValueError, match="sigma must be finite"):
+            optimal_reconstruction(gm, sigma, _Untouchable())
+    for x in (np.array(point[:-1] + [np.nan]), point[:-1] + [np.nan]):
+        with pytest.raises(NumericError, match=r"row 0 \(largest nan\)"):
+            optimal_reconstruction(gm, 0.1, x)
+
+
+@_POINT_MIXTURES
+def test_a_float64_point_with_quad_takes_the_monte_carlo_estimate(mixture, point):
+    gm, x, quad = mixture(), np.array(point), QuadratureSpec(n_samples=10_000, mc_seed=3)
+    with mock.patch.object(oracle, "_quadrature_estimate", wraps=oracle._quadrature_estimate) as mc:
+        got = optimal_reconstruction(gm, 0.1, x, quad)
+    assert mc.call_count == 1
+    _assert_same_bytes(got, optimal_reconstruction(gm, 0.1, x[None, :], quad)[0])
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(
+    st.one_of(st.floats(-760.0, 0.0), st.floats(max_value=0.0), st.floats(-1e-300, 0.0)),
+    min_size=1, max_size=_PAIRWISE_TERMS - 1,
+))
+# -inf, signed zeros and subnormal arguments; arguments whose exp is subnormal
+@example([-np.inf, -0.0, 0.0, -5e-324, -2.2250738585072014e-308])
+@example([-745.13, -745.0, -744.5, -720.0, -708.4, -708.39])
+def test_a_scalar_exp_has_the_bits_of_the_list_exp(values):
+    # the premise of _point_reconstruction's exponentials: one np.exp per
+    # component has the bits of np.exp over all k < 8 of them, and the
+    # largest log-density's term, exp(0), is 1.0
+    assert [float(np.exp(v)).hex() for v in values] == [e.hex() for e in np.exp(values).tolist()]
+    assert np.exp(0.0) == 1.0 and np.exp([0.0]).tolist() == [1.0]
 
 
 def test_mixture_keeps_read_only_copies_of_its_arrays():

@@ -6,12 +6,15 @@ Each tree's daechain package is copied into a temporary directory under
 its own name (daechain_parent, daechain_change) and both are imported here,
 so both sides share one interpreter, one numpy and one BLAS thread pool,
 and the run-to-run noise of separate processes drops out. A pair times
-every case once on each side, alternating which side goes first from pair
-to pair, and asserts that the two sides' outputs have the same bytes. A
-side's sample is the fastest of REPEAT (3) runs. The output is one line per
-case: each side's median and quartiles over the pairs, in microseconds per
-point or call (milliseconds per fit), and the ratio of the change's median
-to the parent's.
+every case on both sides and asserts that the two sides' outputs have the
+same bytes. Within a pair the sides' runs interleave (parent, change,
+parent, ..., REPEAT (3) runs each, the side that goes first alternating
+from pair to pair), and a side's sample is its fastest run, so host load
+that comes and goes falls on both sides of a pair alike. The output is one
+line per case: each side's median and quartiles over the pairs, in
+microseconds per point or call (milliseconds per fit), the median and
+quartiles of the per-pair ratio change / parent, and the number of pairs
+in which the change was faster.
 
 The cases are the closed form's hot shapes: the single-point R* sweeps of
 perfbench's oracle_grid family (7 sigmas x 401 points in 1-D, 2 x 441 in
@@ -133,14 +136,28 @@ def _import_copy(src: str, tmp: str, side: str):
     return importlib.import_module(name)  # imports every module the cases use
 
 
-def _run(body):
-    """The fastest of REPEAT runs of body, in seconds, and its last output as bytes."""
-    best = float("inf")
+def _sample(bodies):
+    """Each body's fastest of REPEAT runs, in seconds, the bodies run in turn
+    (one run of each, REPEAT times), and each body's last output as bytes."""
+    best, outs = [float("inf")] * len(bodies), [None] * len(bodies)
     for _ in range(REPEAT):
-        start = time.perf_counter()
-        out = body()
-        best = min(best, time.perf_counter() - start)
-    return best, b"".join(np.asarray(a).tobytes() for a in out)
+        for i, body in enumerate(bodies):
+            start = time.perf_counter()
+            outs[i] = body()
+            best[i] = min(best[i], time.perf_counter() - start)
+    return best, [b"".join(np.asarray(a).tobytes() for a in out) for out in outs]
+
+
+def summary(parent, change):
+    """Quartiles (q1, median, q3) of the parent's samples, of the change's and
+    of the per-pair ratios change / parent, and the number of pairs the change
+    won (took less time), for two equally long lists of paired samples."""
+    def quartiles(values):
+        return tuple(statistics.quantiles(values, n=4, method="inclusive"))
+
+    ratios = [c / p for p, c in zip(parent, change, strict=True)]
+    won = sum(c < p for p, c in zip(parent, change))
+    return quartiles(parent), quartiles(change), quartiles(ratios), won
 
 
 def main(argv=None) -> int:
@@ -162,20 +179,20 @@ def main(argv=None) -> int:
     for pair in range(args.pairs):
         order = SIDES if pair % 2 == 0 else SIDES[::-1]
         for i, (name, unit, units, _) in enumerate(cases["parent"]):
-            outputs = {}
-            for side in order:
-                seconds, outputs[side] = _run(cases[side][i][3])
-                times[name, side].append(seconds / units * SCALES[unit][1])
-            if outputs["parent"] != outputs["change"]:
+            seconds, outputs = _sample([cases[side][i][3] for side in order])
+            for side, sec in zip(order, seconds):
+                times[name, side].append(sec / units * SCALES[unit][1])
+            if outputs[0] != outputs[1]:
                 sys.exit(f"pair {pair}: {name}: the outputs of the two sides differ")
-    print(f"{args.pairs} pairs, fastest of {REPEAT} runs per sample; time per unit: "
+    print(f"{args.pairs} pairs, fastest of {REPEAT} interleaved runs per side and pair; "
           "median [q1, q3]")
     for name, unit, _, _ in cases["parent"]:
-        (pq1, pmed, pq3), (cq1, cmed, cq3) = (
-            statistics.quantiles(times[name, s], n=4, method="inclusive") for s in SIDES
+        (pq1, pmed, pq3), (cq1, cmed, cq3), (rq1, rmed, rq3), won = summary(
+            times[name, "parent"], times[name, "change"]
         )
         print(f"{name} ({SCALES[unit][0]} per {unit}): parent {pmed:.2f} [{pq1:.2f}, {pq3:.2f}]  "
-              f"change {cmed:.2f} [{cq1:.2f}, {cq3:.2f}]  ratio {cmed / pmed:.3f}")
+              f"change {cmed:.2f} [{cq1:.2f}, {cq3:.2f}]  "
+              f"ratio {rmed:.3f} [{rq1:.3f}, {rq3:.3f}]  won {won}/{args.pairs}")
     return 0
 
 
