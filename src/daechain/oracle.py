@@ -503,7 +503,6 @@ def optimal_reconstruction(
         table = gm._smoothed(sigma)[3]
         if table is not None:
             return _point_reconstruction(table, x.tolist())
-        return _in_row_blocks(gm, sigma, x[None, :], _posterior_means, gm, sigma)[0][0]
     pts, single = as_rows(x, gm.dim, "point", "mixture dim")
     if quad is not None:
         if pts.shape[0] != 1:
