@@ -56,19 +56,33 @@ def mse_loss(target, reconstruction) -> LossValue:
 def bce_loss(target, reconstruction) -> LossValue:
     """Binary cross-entropy for real-valued targets in [0, 1].
 
-    value = mean(-(x log r + (1 - x) log(1 - r)))
+    value = mean(-(x log r + (1 - x) log1p(-r)))
     grad  = -(x / r - (1 - x) / (1 - r)) / N
 
     Reconstructions are clamped to [1e-7, 1 - 1e-7] before the logs, so the
-    value and gradient stay finite even at saturated outputs.
+    value and gradient stay finite even at saturated outputs. The clamp goes
+    into a new array, and value and gradient are built in it and two more
+    temporaries, operation by operation in the formulas' order.
     """
     x, r = _check_pair(target, reconstruction)
-    if not np.all((x >= 0.0) & (x <= 1.0)):
+    if not (x.min() >= 0.0 and x.max() <= 1.0):  # a NaN fails both comparisons
         raise ValueError("bce targets must lie in [0, 1]")
-    r = np.minimum(np.maximum(r, BCE_CLAMP), 1.0 - BCE_CLAMP)
+    r = np.maximum(r, BCE_CLAMP)
+    np.minimum(r, 1.0 - BCE_CLAMP, out=r)
     n, x_bar = x.size, 1.0 - x
-    value = float(np.add.reduce(-(x * np.log(r) + x_bar * np.log1p(-r)), axis=None) / n)
-    return LossValue(value, -(x / r - x_bar / (1.0 - r)) / n)
+    a = np.log(r)
+    a *= x
+    b = np.negative(r)
+    np.log1p(b, out=b)
+    b *= x_bar
+    a += b
+    value = float(np.add.reduce(np.negative(a, out=a), axis=None) / n)
+    np.divide(x, r, out=a)
+    np.divide(x_bar, np.subtract(1.0, r, out=b), out=b)
+    a -= b
+    np.negative(a, out=a)
+    a /= n
+    return LossValue(value, a)
 
 
 def kl_to_standard_normal(mu, logvar) -> LossValue:
@@ -76,6 +90,9 @@ def kl_to_standard_normal(mu, logvar) -> LossValue:
 
     value = mean over batch of 0.5 * sum_j (exp(logvar) + mu^2 - 1 - logvar)
     grad  = [mu | 0.5 (exp(logvar) - 1)] / batch, shaped like [mu | logvar]
+
+    The value is 0.5 * sum(exp(logvar) + mu * mu - 1 - logvar) / batch, and
+    both halves of the gradient go into one (batch, 2L) array.
     """
     mu = np.asarray(mu, dtype=np.float64)
     logvar = np.asarray(logvar, dtype=np.float64)
@@ -83,10 +100,20 @@ def kl_to_standard_normal(mu, logvar) -> LossValue:
         raise ShapeError(f"mu shape {mu.shape} does not match logvar shape {logvar.shape}")
     if mu.ndim != 2 or mu.size == 0:
         raise ShapeError(f"posterior stats must be (batch, latent), got {mu.shape}")
-    batch = mu.shape[0]
+    batch, latent = mu.shape
     var = np.exp(logvar)
-    value = float(0.5 * np.sum(var + mu * mu - 1.0 - logvar) / batch)
-    return LossValue(value, np.concatenate([mu / batch, 0.5 * (var - 1.0) / batch], axis=1))
+    terms = np.multiply(mu, mu)
+    terms += var
+    terms -= 1.0
+    terms -= logvar
+    value = float(0.5 * np.add.reduce(terms, axis=None) / batch)
+    grad = np.empty((batch, 2 * latent))
+    np.divide(mu, batch, out=grad[:, :latent])
+    var -= 1.0  # in var, contiguous: an in-place pass over a strided half costs more
+    var *= 0.5
+    var /= batch
+    grad[:, latent:] = var
+    return LossValue(value, grad)
 
 
 def adversarial_losses(scores, real: bool) -> LossValue:

@@ -71,7 +71,9 @@ class CorruptionSpec:
 def corrupt(x, spec: CorruptionSpec, rng: Prng) -> np.ndarray:
     """Add noise to a batch; the output is intentionally not clamped."""
     xv = np.asarray(x, dtype=np.float64)
-    return xv + rng.normal(xv.shape, spec.sigma)
+    noisy = rng.normal(xv.shape, spec.sigma)
+    noisy += xv  # into the fresh draw: noise + x has the bits of x + noise
+    return noisy
 
 
 @dataclass

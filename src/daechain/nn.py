@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .numeric import NumericError, Prng, ShapeError, derivative_of_sigmoid, sigmoid
+from .numeric import NumericError, Prng, ShapeError, sigmoid
 
 # Each tuple's order is its checkpoint tag (io_formats): append, never reorder.
 HIDDEN_ACTIVATIONS = ("relu", "leaky_relu")
@@ -96,9 +96,11 @@ class ForwardCache:
     """What mlp_forward keeps for the matching backward pass, in workspaces it reuses.
 
     work[i] holds layer i's output, activation derivative and dropout mask,
-    in len(x) of its rows. mlp_backward writes over the outputs, and into grads.
+    in len(x) of its rows, for the network of spec. mlp_backward writes over
+    the outputs, and into grads.
     """
 
+    spec: MlpSpec | None = None  # the network the workspaces were built for
     x: np.ndarray | None = None  # the input
     output: np.ndarray | None = None  # final activated output
     dropout: bool = False
@@ -208,8 +210,14 @@ def _forward(mlp: Mlp, h: np.ndarray, bufs, work=None, dropout_rate=0.0, rng=Non
             z += b + 0.0
         if i == last:
             return sigmoid(z) if spec.output_activation == "sigmoid" else z
-        derivative = None if work is None else _activation_derivative(spec, z, work[i][1][:rows])
-        h = _activate(spec, z, derivative)
+        if work is None:
+            h = _activate(spec, z)
+        else:  # _activate with its derivative kept, written out: two calls fewer per layer
+            derivative = np.greater_equal(z, 0.0, out=work[i][1][:rows])
+            if spec.hidden_activation == "relu":
+                h = np.maximum(z, 0.0, out=z)
+            else:
+                h = np.multiply(z, np.maximum(derivative, spec.leaky_slope, out=derivative), out=z)
         if dropout_rate > 0.0:
             keep = np.greater_equal(rng.uniform(h.shape), dropout_rate)
             h *= np.multiply(keep, keep_scale, out=work[i][2][:rows])
@@ -228,7 +236,9 @@ def mlp_forward(
     dropout (kept units scaled by 1/(1-rate)), which needs an rng; masked
     outputs match the rate-0 output in expectation. At rate 0 no mask is
     drawn, so a given rng is left untouched. A cache from an earlier call
-    on this network is refilled, reusing its workspaces.
+    is refilled: its workspaces are reused when they were built for this
+    spec (the same MlpSpec object) and at least as many rows, and rebuilt
+    otherwise.
     """
     x = np.asarray(x, dtype=np.float64)
     spec = mlp.spec
@@ -241,11 +251,11 @@ def mlp_forward(
     if dropout_rate > 0.0 and rng is None:
         raise ValueError("dropout requires an rng")
     cache = ForwardCache() if cache is None else cache
-    widths = spec.layer_sizes[1:]
-    if [a[0].shape[1] for a in cache.work] != list(widths) or len(cache.work[0][0]) < len(x):
+    if cache.spec is not spec or len(cache.work[0][0]) < len(x):
         # relu's derivative is its z >= 0 mask, which multiplies as 1.0 and 0.0
         kinds = (float, bool if spec.hidden_activation == "relu" else float, float)
-        cache.work = [[np.empty((len(x), w), kind) for kind in kinds] for w in widths]
+        cache.work = [[np.empty((len(x), w), kind) for kind in kinds] for w in spec.layer_sizes[1:]]
+        cache.spec = spec
     cache.x, cache.dropout = x, dropout_rate > 0.0
     cache.output = _forward(mlp, x, [a[0] for a in cache.work], cache.work, dropout_rate, rng)
     return cache.output, cache
@@ -265,10 +275,20 @@ def mlp_backward(
     parameter gradients (the DAAE's phase-3 discriminator pass) passes
     param_grads=False, which skips the weight and bias products and returns
     None in their place. The gradients that are returned keep their bits.
+
+    The cache's workspaces hold the intermediates: a sigmoid head's
+    y * (1 - y) goes into the last layer's, each layer's g @ W into the
+    output of the layer below. A one-column g (a 64 -> 1 head) takes that
+    product as np.dot plus 0.0. np.matmul leaves BLAS for its own loop on
+    such a product, at about twice the time, and its sums start from +0.0,
+    so each element is g * W + 0.0; np.dot's BLAS kernel may keep the sign
+    of a product that underflows to -0.0, which adding 0.0 clears, and
+    scales by 0 without multiplying when W has one column too, so a
+    one-column W keeps np.matmul.
     """
     spec, rows = mlp.spec, len(cache.x)
-    if [cache.x.shape[1], *(a[0].shape[1] for a in cache.work)] != list(spec.layer_sizes):
-        raise ValueError("stale cache: its shapes do not match this network")
+    if cache.spec is not spec and cache.spec != spec:
+        raise ValueError("stale cache: it was filled for another network spec")
     grad_output = np.asarray(grad_output, dtype=np.float64)
     if grad_output.shape != cache.output.shape:
         raise ShapeError(
@@ -276,8 +296,11 @@ def mlp_backward(
             f"shape {cache.output.shape}"
         )
 
-    if spec.output_activation == "sigmoid":
-        g = grad_output * derivative_of_sigmoid(cache.output)
+    if spec.output_activation == "sigmoid":  # grad_output * (y * (1 - y)), in place
+        y = cache.output
+        g = np.subtract(1.0, y, out=cache.work[-1][0][:rows])
+        g *= y
+        g *= grad_output
     else:
         g = grad_output
 
@@ -292,7 +315,12 @@ def mlp_backward(
             np.add.reduce(g, axis=0, out=grads.biases[i])  # g.sum's bits, without its wrapper
         if i == 0:
             return grads, (g @ mlp.weights[0] if input_grad else None)
-        g = np.matmul(g, mlp.weights[i], out=h)
+        w = mlp.weights[i]
+        if g.shape[1] == 1 and w.shape[1] > 1:
+            g = np.dot(g, w, out=h)
+            g += 0.0
+        else:
+            g = np.matmul(g, w, out=h)
         if cache.dropout:
             g *= mask
         g *= derivative
@@ -347,23 +375,29 @@ def adam_step(mlp: Mlp, grads: Mlp, state: AdamState) -> None:
     Moments and temporaries are written in place, by the textbook formulas'
     operations in their order. A non-finite gradient raises NumericError
     naming the first bad layer, before anything (the step count included)
-    is changed.
+    is changed. The update's g * g goes into the workspace first and screens
+    the gradient: its largest element is finite only when every element of g
+    is, and only a screen that fails runs the exact per-layer check. A
+    finite g whose square overflows fails the screen, passes the check and
+    updates as before. (Under np.errstate(over="raise") that square raises
+    before the check, whether or not another element is NaN.)
     """
     g = grads.flat
     if g.shape != mlp.flat.shape:
         raise ShapeError("gradient size does not match the network")
-    if not np.isfinite(g).all():
+    m, v, (step, root) = state.m, state.v, state.work
+    np.multiply(g, g, out=root)
+    if not math.isfinite(np.maximum.reduce(root)):  # NaN propagates through the max
         for i, (w, b) in enumerate(zip(grads.weights, grads.biases)):
             for kind, part in (("weight", w), ("bias", b)):
                 if not np.all(np.isfinite(part)):
                     raise NumericError(f"layer {i} {kind} gradient is not finite")
     state.t += 1
     b1, b2 = state.beta1, state.beta2
-    m, v, (step, root) = state.m, state.v, state.work
     m *= b1
     m += np.multiply(g, 1.0 - b1, out=step)
     v *= b2
-    v += np.multiply(np.multiply(g, g, out=root), 1.0 - b2, out=root)
+    v += np.multiply(root, 1.0 - b2, out=root)
     np.divide(m, 1.0 - b1**state.t, out=step)  # m_hat
     step *= state.alpha
     np.sqrt(np.divide(v, 1.0 - b2**state.t, out=root), out=root)  # sqrt(v_hat)

@@ -1,4 +1,4 @@
-"""tools/inprocess_ab.py's sampling and summary, on fixed numbers.
+"""tools/inprocess_ab.py's sampling, summary and case filter, on fixed numbers.
 
 The tool is loaded from its file; these tests import no daechain module.
 """
@@ -56,3 +56,14 @@ def test_sample_interleaves_the_sides_and_keeps_each_sides_fastest_run(tool, mon
     # a took 5, 2 and 0.5; b took 1, 1 and 3.5
     assert best == [0.5, 1.0]
     assert outputs == [np.array([5.0]).tobytes(), np.array([6.0]).tobytes()]
+
+
+def test_only_keeps_the_cases_whose_name_contains_the_substring(tool):
+    cases = [(name, "fit", 1, None) for name in
+             ("single-point R* sweep, 1-D", "train_small fit, dae/bce", "train_small fit, daae/bce")]
+    assert tool.select(cases, None) == cases
+    assert tool.select(cases, "train") == cases[1:]
+    assert tool.select(cases, "dae/") == cases[1:2]
+    assert tool.select(cases, "R*") == cases[:1]
+    assert tool.select(cases, "Train") == []  # case-sensitive
+

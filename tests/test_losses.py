@@ -2,6 +2,9 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from daechain.losses import (
     BCE_CLAMP,
@@ -77,6 +80,55 @@ def test_bce_gradient_identity_on_random_pairs():
     out = bce_loss(x[None, :], r[None, :])
     expected = -(x / r - (1.0 - x) / (1.0 - r)) / x.size
     assert np.max(np.abs(out.grad[0] - expected)) <= 1e-12
+
+
+# reconstructions at the clamp edges, one ulp inside and outside them, and beyond
+CLAMP_EDGES = (
+    -0.5, -0.0, 0.0, 5e-324, float(np.nextafter(BCE_CLAMP, 0.0)), BCE_CLAMP,
+    float(np.nextafter(BCE_CLAMP, 1.0)), 0.5, float(np.nextafter(1.0 - BCE_CLAMP, 0.0)),
+    1.0 - BCE_CLAMP, float(np.nextafter(1.0 - BCE_CLAMP, 1.0)), 1.0, 1.5,
+)
+SHAPES = st.tuples(st.integers(1, 6), st.integers(1, 4))
+
+
+def value_and_grad_bytes(value, grad):
+    return np.float64(value).tobytes() + np.asarray(grad).tobytes()
+
+
+@settings(max_examples=200, deadline=None)
+@given(shape=SHAPES, data=st.data())
+def test_bce_loss_has_the_bytes_of_its_formulas(shape, data):
+    x = data.draw(arrays(np.float64, shape, elements=st.one_of(
+        st.sampled_from([0.0, -0.0, 1.0]), st.floats(0.0, 1.0))))
+    r = data.draw(arrays(np.float64, shape, elements=st.one_of(
+        st.sampled_from(CLAMP_EDGES), st.floats(-1.0, 2.0))))
+    given_r = r.tobytes()
+    out = bce_loss(x, r)
+    # the docstring's formulas, on the clamped reconstruction
+    c = np.clip(r, BCE_CLAMP, 1.0 - BCE_CLAMP)
+    value = float(np.mean(-(x * np.log(c) + (1.0 - x) * np.log1p(-c))))
+    grad = -(x / c - (1.0 - x) / (1.0 - c)) / x.size
+    assert value_and_grad_bytes(out.value, out.grad) == value_and_grad_bytes(value, grad)
+    assert r.tobytes() == given_r  # the clamp goes into a new array
+
+
+@settings(max_examples=200, deadline=None)
+@given(shape=SHAPES, halves=st.booleans(), data=st.data())
+def test_kl_has_the_bytes_of_its_formulas(shape, halves, data):
+    # mu and logvar as arrays of their own, or as the two halves of one
+    # (batch, 2L) encoder output, as the DVAE step passes them
+    batch, latent = shape
+    elements = st.one_of(st.sampled_from([0.0, -0.0, 5e-324, -5e-324]), st.floats(-20.0, 20.0))
+    if halves:
+        h = data.draw(arrays(np.float64, (batch, 2 * latent), elements=elements))
+        mu, logvar = h[:, :latent], h[:, latent:]
+    else:
+        mu, logvar = (data.draw(arrays(np.float64, shape, elements=elements)) for _ in range(2))
+    out = kl_to_standard_normal(mu, logvar)
+    var = np.exp(logvar)
+    value = float(0.5 * np.sum(var + mu * mu - 1.0 - logvar) / batch)
+    grad = np.concatenate([mu / batch, 0.5 * (var - 1.0) / batch], axis=1)
+    assert value_and_grad_bytes(out.value, out.grad) == value_and_grad_bytes(value, grad)
 
 
 def test_kl_known_value_and_grads():

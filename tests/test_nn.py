@@ -331,10 +331,16 @@ def test_backward_with_dropout_uses_cached_mask():
 
 def test_a_refilled_cache_gives_the_bytes_of_a_fresh_one():
     # a cache handed back grows to more rows, keeps its size for fewer, is
-    # rebuilt for a network of other widths, and drops a stale dropout mask
+    # rebuilt for a network of other widths or of another activation at the
+    # same widths (relu keeps a bool derivative, leaky_relu a float one), and
+    # drops a stale dropout mask
     a, b = small_net(seed=1), small_net(seed=2, sizes=(3, 5, 2))
+    leaky = small_net(seed=3, hidden="leaky_relu")
     cache = None
-    for mlp, rows, rate in ((a, 3, 0.3), (a, 7, 0.0), (a, 5, 0.3), (b, 4, 0.0), (a, 6, 0.0)):
+    for mlp, rows, rate in (
+        (a, 3, 0.3), (a, 7, 0.0), (a, 5, 0.3), (b, 4, 0.0), (a, 6, 0.0),
+        (leaky, 6, 0.3), (a, 5, 0.0), (leaky, 4, 0.0),
+    ):
         x = Prng(rows).normal((rows, 3), 1.0)
         y, cache = mlp_forward(mlp, x, rate, Prng(9), cache)
         grads, gin = mlp_backward(mlp, cache, np.ones_like(y))
@@ -369,6 +375,48 @@ def test_backward_without_parameter_gradients_keeps_the_input_gradient_bytes(hid
     grads, gin = backward(param_grads=False)
     assert grads is None
     assert gin.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("rows", [1, 2, 100, 256])
+@pytest.mark.parametrize("out", OUTPUT_ACTIVATIONS)
+@pytest.mark.parametrize("sizes", [(1, 64, 1), (2, 64, 64, 1)])
+def test_one_column_backprop_has_the_bytes_of_matmul_and_of_the_products(sizes, out, rows):
+    # a one-column g meets the layer below as g @ W; mlp_backward takes it
+    # through BLAS (np.dot plus 0.0), which must keep the bits of np.matmul's
+    # own loop and of the products g * W + 0.0, signed zeros, subnormals,
+    # overflowing and underflowing products among them
+    gen = np.random.default_rng(rows)
+    spec = MlpSpec(sizes, output_activation=out)
+    mlp = Mlp(spec, gen.choice(RANK1_VALUES, spec.n_params))
+    x = gen.choice(RANK1_VALUES, (rows, sizes[0]))
+    grad_output = gen.choice(RANK1_VALUES, (rows, 1))
+    grad_output[: len(RANK1_VALUES), 0] = RANK1_VALUES[:rows]
+
+    def written_out(product):
+        """mlp_backward with the one-column product given: the flat gradient,
+        each hidden layer's d(loss)/dz (which mlp_backward leaves in that
+        layer's workspace) and the input gradient, as bytes."""
+        y, cache = mlp_forward(mlp, x)
+        hidden = [(a[0].copy(), a[1].astype(np.float64)) for a in cache.work[:-1]]
+        g = grad_output * (y * (1.0 - y)) if out == "sigmoid" else grad_output
+        parts, dz = [], []
+        for i in reversed(range(spec.n_layers)):
+            h = hidden[i - 1][0] if i else x
+            parts[:0] = [(g.T @ h).ravel(), np.add.reduce(g, axis=0)]
+            w = mlp.weights[i]
+            g = product(g, w) if g.shape[1] == 1 else g @ w
+            if i:
+                g = g * hidden[i - 1][1]
+                dz[:0] = [g.tobytes()]
+        return [np.concatenate(parts).tobytes(), *dz, g.tobytes()]
+
+    with np.errstate(over="ignore", under="ignore", invalid="ignore"):
+        y, cache = mlp_forward(mlp, x)
+        grads, gin = mlp_backward(mlp, cache, grad_output)
+        got = [grads.flat.tobytes(), *(a[0][:rows].tobytes() for a in cache.work[:-1]),
+               gin.tobytes()]
+        for product in (np.matmul, lambda g, w: g * w + 0.0):
+            assert got == written_out(product)
 
 
 def test_backward_rejects_mismatched_cache():
@@ -425,41 +473,54 @@ def test_adam_rejects_non_finite_gradients():
 
 
 def test_adam_rejected_step_changes_nothing():
-    mlp = small_net()
-    state = init_adam(mlp)
-    before = mlp.flat.copy()
-    grads = Mlp(mlp.spec, np.zeros_like(mlp.flat))
-    grads.biases[1][0] = np.inf
-    with pytest.raises(NumericError, match="layer 1 bias"):
-        adam_step(mlp, grads, state)
-    assert state.t == 0 and not state.m.any() and not state.v.any()
-    assert np.array_equal(mlp.flat, before)
+    # the screen's g * g goes into the workspace; the step count, the
+    # moments and the parameters stay as they were after the last good step
+    for part, layer, bad, name in (
+        ("biases", 1, np.inf, "layer 1 bias"),
+        ("weights", 0, -np.inf, "layer 0 weight"),
+        ("biases", 2, np.nan, "layer 2 bias"),
+    ):
+        mlp = small_net()
+        state = init_adam(mlp)
+        adam_step(mlp, Mlp(mlp.spec, Prng(1).normal(mlp.flat.shape, 1.0)), state)
+        before = [a.tobytes() for a in (mlp.flat, state.m, state.v)]
+        grads = Mlp(mlp.spec, Prng(2).normal(mlp.flat.shape, 1.0))
+        getattr(grads, part)[layer].flat[-1] = bad
+        with pytest.raises(NumericError, match=name):
+            adam_step(mlp, grads, state)
+        assert state.t == 1
+        assert [a.tobytes() for a in (mlp.flat, state.m, state.v)] == before
 
 
 def test_adam_step_matches_per_layer_reference():
     # the update is one vector operation; the same arithmetic run layer by
-    # layer must give bit-identical parameters
-    mlp = small_net(seed=5)
-    state = init_adam(mlp, alpha=1e-2)
-    b1, b2 = state.beta1, state.beta2
-    params = [a.copy() for pair in zip(mlp.weights, mlp.biases) for a in pair]
-    ms = [np.zeros_like(p) for p in params]
-    vs = [np.zeros_like(p) for p in params]
-    rng = Prng(6)
-    for t in range(1, 6):
-        grads = mlp_from_layers(
-            mlp.spec,
-            [rng.normal(w.shape, 1.0) for w in mlp.weights],
-            [rng.normal(b.shape, 1.0) for b in mlp.biases],
-        )
-        adam_step(mlp, grads, state)
-        layer_grads = [a for pair in zip(grads.weights, grads.biases) for a in pair]
-        for p, g, m, v in zip(params, layer_grads, ms, vs):
-            m[...] = b1 * m + (1.0 - b1) * g
-            v[...] = b2 * v + (1.0 - b2) * (g * g)
-            p -= state.alpha * (m / (1.0 - b1**t)) / (np.sqrt(v / (1.0 - b2**t)) + state.eps)
-    got = [a for pair in zip(mlp.weights, mlp.biases) for a in pair]
-    assert all(np.array_equal(a, b) for a, b in zip(got, params))
+    # layer must give bit-identical parameters. At scale 1e200 the gradient
+    # is finite but its square overflows: the screen fails, the exact check
+    # passes, and the step updates like any other
+    for scale in (1.0, 1e200):
+        mlp = small_net(seed=5)
+        state = init_adam(mlp, alpha=1e-2)
+        b1, b2 = state.beta1, state.beta2
+        params = [a.copy() for pair in zip(mlp.weights, mlp.biases) for a in pair]
+        ms = [np.zeros_like(p) for p in params]
+        vs = [np.zeros_like(p) for p in params]
+        rng = Prng(6)
+        for t in range(1, 6):
+            grads = mlp_from_layers(
+                mlp.spec,
+                [rng.normal(w.shape, scale) for w in mlp.weights],
+                [rng.normal(b.shape, scale) for b in mlp.biases],
+            )
+            with np.errstate(over="ignore"):
+                adam_step(mlp, grads, state)
+                layer_grads = [a for pair in zip(grads.weights, grads.biases) for a in pair]
+                for p, g, m, v in zip(params, layer_grads, ms, vs):
+                    m[...] = b1 * m + (1.0 - b1) * g
+                    v[...] = b2 * v + (1.0 - b2) * (g * g)
+                    p -= state.alpha * (m / (1.0 - b1**t)) / (np.sqrt(v / (1.0 - b2**t)) + state.eps)
+        assert state.t == 5
+        got = [a for pair in zip(mlp.weights, mlp.biases) for a in pair]
+        assert [a.tobytes() for a in got] == [a.tobytes() for a in params]
 
 
 def test_adam_step_allocates_no_parameter_sized_vector():

@@ -1,6 +1,7 @@
 """Time the closed-form oracle, inference and training of two checkouts side by side in one process.
 
     python3 tools/inprocess_ab.py --parent ../parent/src --change src --pairs 10
+    python3 tools/inprocess_ab.py --parent ../parent/src --change src --only train
 
 Each tree's daechain package is copied into a temporary directory under
 its own name (daechain_parent, daechain_change) and both are imported here,
@@ -28,8 +29,9 @@ row-block path (per point), inference: a 1e5-row 1-D reconstruct (many
 blocks) and a 256-row 64-d one (one block, the CLI's chain batch), and
 perfbench's train_small fits (dae/bce, dvae/mse and daae/bce on 10,000
 mixture1d rows, 1 epoch, batch 100, latent 2, hidden 64,64, sigma 0.5; per
-fit, their parameters and trace rows compared). Only the standard library
-and numpy are used.
+fit, their parameters and trace rows compared). --only SUBSTRING runs only
+the cases whose name contains it: "train" the three fits, "R*" the
+closed-form cases. Only the standard library and numpy are used.
 """
 
 from __future__ import annotations
@@ -126,6 +128,11 @@ def _cases(pkg):
     ]
 
 
+def select(cases, only):
+    """The cases whose name (their first item) contains only; all of them for None."""
+    return [case for case in cases if only is None or only in case[0]]
+
+
 def _import_copy(src: str, tmp: str, side: str):
     """Import src's daechain package as daechain_<side>, from a copy under tmp."""
     name = f"daechain_{side}"
@@ -165,16 +172,20 @@ def main(argv=None) -> int:
     parser.add_argument("--parent", required=True, help="the parent checkout's src/ directory")
     parser.add_argument("--change", required=True, help="the changed checkout's src/ directory")
     parser.add_argument("--pairs", type=int, default=10, help="alternating pairs per case")
+    parser.add_argument("--only", metavar="SUBSTRING",
+                        help="run only the cases whose name contains SUBSTRING")
     args = parser.parse_args(argv)
     if args.pairs < 2:
         parser.error("need --pairs >= 2")
     with tempfile.TemporaryDirectory() as tmp:
         sys.path.insert(0, tmp)
         cases = {
-            side: _cases(_import_copy(os.path.abspath(src), tmp, side))
+            side: select(_cases(_import_copy(os.path.abspath(src), tmp, side)), args.only)
             for side, src in zip(SIDES, (args.parent, args.change))
         }
         sys.path.remove(tmp)
+    if not cases["parent"]:
+        parser.error(f"no case name contains {args.only!r}")
     times = {(name, side): [] for name, *_ in cases["parent"] for side in SIDES}
     for pair in range(args.pairs):
         order = SIDES if pair % 2 == 0 else SIDES[::-1]
