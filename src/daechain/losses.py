@@ -61,8 +61,8 @@ def bce_loss(target, reconstruction) -> LossValue:
 
     Reconstructions are clamped to [1e-7, 1 - 1e-7] before the logs, so the
     value and gradient stay finite even at saturated outputs. The clamp goes
-    into a new array, and value and gradient are built in it and two more
-    temporaries, operation by operation in the formulas' order.
+    into a new array; value and gradient are built in two more, operation by
+    operation in the formulas' order.
     """
     x, r = _check_pair(target, reconstruction)
     if not (x.min() >= 0.0 and x.max() <= 1.0):  # a NaN fails both comparisons

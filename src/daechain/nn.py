@@ -118,21 +118,6 @@ def init_mlp(spec: MlpSpec, rng: Prng) -> Mlp:
     return mlp
 
 
-def _activation_derivative(spec: MlpSpec, z: np.ndarray, out=None) -> np.ndarray:
-    """Subgradient of _activate: 1 where z >= 0 (the kink included), else the slope."""
-    d = np.greater_equal(z, 0.0, out=out)
-    return d if spec.hidden_activation == "relu" else np.maximum(d, spec.leaky_slope, out=out)
-
-
-def _activate(spec: MlpSpec, z: np.ndarray, derivative: np.ndarray | None = None) -> np.ndarray:
-    """The hidden activation, written into z: relu, or leaky_relu = z * its derivative."""
-    if spec.hidden_activation == "relu":
-        return np.maximum(z, 0.0, out=z)
-    if derivative is None:
-        derivative = _activation_derivative(spec, z)
-    return np.multiply(z, derivative, out=z)
-
-
 def _stacked(w: np.ndarray, b: np.ndarray) -> np.ndarray:
     """A fan-in-1 layer's two-term gemm operand [w[:, 0]; b + 0.0] (see _forward)."""
     operand = np.empty((2, b.size))
@@ -210,14 +195,17 @@ def _forward(mlp: Mlp, h: np.ndarray, bufs, work=None, dropout_rate=0.0, rng=Non
             z += b + 0.0
         if i == last:
             return sigmoid(z) if spec.output_activation == "sigmoid" else z
-        if work is None:
-            h = _activate(spec, z)
-        else:  # _activate with its derivative kept, written out: two calls fewer per layer
-            derivative = np.greater_equal(z, 0.0, out=work[i][1][:rows])
-            if spec.hidden_activation == "relu":
-                h = np.maximum(z, 0.0, out=z)
-            else:
-                h = np.multiply(z, np.maximum(derivative, spec.leaky_slope, out=derivative), out=z)
+        # the hidden activation, in z: relu, or leaky_relu = z * its derivative, the
+        # subgradient 1 where z >= 0 (the kink included), else the slope; a
+        # cache's work keeps the derivative (relu's as its z >= 0 mask)
+        derivative = None if work is None else work[i][1][:rows]
+        if spec.hidden_activation == "relu":
+            if derivative is not None:
+                np.greater_equal(z, 0.0, out=derivative)
+            h = np.maximum(z, 0.0, out=z)
+        else:
+            d = np.greater_equal(z, 0.0, out=derivative)
+            h = np.multiply(z, np.maximum(d, spec.leaky_slope, out=derivative), out=z)
         if dropout_rate > 0.0:
             keep = np.greater_equal(rng.uniform(h.shape), dropout_rate)
             h *= np.multiply(keep, keep_scale, out=work[i][2][:rows])
@@ -276,15 +264,13 @@ def mlp_backward(
     param_grads=False, which skips the weight and bias products and returns
     None in their place. The gradients that are returned keep their bits.
 
-    The cache's workspaces hold the intermediates: a sigmoid head's
-    y * (1 - y) goes into the last layer's, each layer's g @ W into the
-    output of the layer below. A one-column g (a 64 -> 1 head) takes that
-    product as np.dot plus 0.0. np.matmul leaves BLAS for its own loop on
-    such a product, at about twice the time, and its sums start from +0.0,
-    so each element is g * W + 0.0; np.dot's BLAS kernel may keep the sign
-    of a product that underflows to -0.0, which adding 0.0 clears, and
-    scales by 0 without multiplying when W has one column too, so a
-    one-column W keeps np.matmul.
+    The intermediates go into the cache's workspaces: a sigmoid head's
+    y * (1 - y) into the last layer's, each g @ W over the spent output of
+    the layer below. A one-column g meets a wider W as np.dot plus 0.0,
+    through BLAS (np.matmul's own loop takes twice the time); both give the
+    bits of g * W + 0.0, the 0.0 clearing the -0.0 that np.dot keeps where
+    a product underflows. A one-column W keeps np.matmul: np.dot scales by
+    0 there without multiplying, so inf * 0 gives 0, not NaN.
     """
     spec, rows = mlp.spec, len(cache.x)
     if cache.spec is not spec and cache.spec != spec:
@@ -375,12 +361,11 @@ def adam_step(mlp: Mlp, grads: Mlp, state: AdamState) -> None:
     Moments and temporaries are written in place, by the textbook formulas'
     operations in their order. A non-finite gradient raises NumericError
     naming the first bad layer, before anything (the step count included)
-    is changed. The update's g * g goes into the workspace first and screens
-    the gradient: its largest element is finite only when every element of g
-    is, and only a screen that fails runs the exact per-layer check. A
-    finite g whose square overflows fails the screen, passes the check and
-    updates as before. (Under np.errstate(over="raise") that square raises
-    before the check, whether or not another element is NaN.)
+    is changed. The update's g * g, written first, screens for that: its
+    largest element is finite only when all of g is, and only a failed
+    screen runs the exact per-layer check, which a finite g whose square
+    overflows passes, to update as before. (With overflow set to raise,
+    that square raises first, even beside a NaN.)
     """
     g = grads.flat
     if g.shape != mlp.flat.shape:
