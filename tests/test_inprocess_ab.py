@@ -66,4 +66,3 @@ def test_only_keeps_the_cases_whose_name_contains_the_substring(tool):
     assert tool.select(cases, "dae/") == cases[1:2]
     assert tool.select(cases, "R*") == cases[:1]
     assert tool.select(cases, "Train") == []  # case-sensitive
-

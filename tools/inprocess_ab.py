@@ -30,8 +30,8 @@ blocks) and a 256-row 64-d one (one block, the CLI's chain batch), and
 perfbench's train_small fits (dae/bce, dvae/mse and daae/bce on 10,000
 mixture1d rows, 1 epoch, batch 100, latent 2, hidden 64,64, sigma 0.5; per
 fit, their parameters and trace rows compared). --only SUBSTRING runs only
-the cases whose name contains it: "train" the three fits, "R*" the
-closed-form cases. Only the standard library and numpy are used.
+the cases whose name contains it: "train" the three fits, "R*" the seven
+R* cases. Only the standard library and numpy are used.
 """
 
 from __future__ import annotations
